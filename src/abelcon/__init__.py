@@ -61,7 +61,7 @@ from .instances import (
     parse_instance,
     print_instance,
 )
-from .search import SearchReport, enumerate_ball, naive_search, search
+from .search import SearchReport, search
 from .words import (
     BlockDecomposition,
     CentralizerDesc,

@@ -14,7 +14,7 @@ operations (congruences get slack columns), so witnesses are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import NotAbelianPrimitive, ParseError

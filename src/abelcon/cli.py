@@ -22,12 +22,11 @@ from .compilers import (
     reduce_finite_ab,
     witness_h10,
 )
-from .errors import AbelconError
+from .errors import AbelconError, ParseError
 from .graphs import direct_product_decomposition, weak_modules
-from .instances import abelian_shadow, evaluate, flatten, parse_instance, print_instance
+from .instances import abelian_shadow, flatten, parse_instance, print_instance
 from .search import (
     DEFAULT_CAP,
-    NO_SOLUTION_UP_TO_BOUND,
     UNSAT_BY_SHADOW,
     WITNESS,
     search,
@@ -67,7 +66,10 @@ def _parse_int_solution(text: str) -> dict[str, int]:
     out = {}
     for piece in text.split(","):
         name, _, value = piece.partition("=")
-        out[name.strip()] = int(value)
+        try:
+            out[name.strip()] = int(value)
+        except ValueError:
+            raise ParseError(f"bad integer value in {piece.strip()!r}") from None
     return out
 
 

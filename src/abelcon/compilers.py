@@ -32,6 +32,7 @@ from typing import Iterable, Optional, Union
 
 from .abelian import abelianize, exponent_sum
 from .errors import (
+    AbelconError,
     AbelianTarget,
     DecodeInconsistency,
     InfiniteAbelianisation,
@@ -306,8 +307,8 @@ def atomize(h: H10Instance) -> AtomizedH10:
 # witness recipes: serializable expressions rebuilding group assignments
 
 
-class RecipeError(Exception):
-    pass
+class RecipeError(AbelconError):
+    """A witness recipe in a sidecar cannot be evaluated."""
 
 
 def _int_expr(expr, ints: dict[str, int], groups: dict[str, NormalWord], p: Presentation) -> int:
@@ -466,28 +467,32 @@ class CompiledReduction:
 
     @classmethod
     def from_sidecar_json(cls, text: str, instance: Instance) -> "CompiledReduction":
-        doc = json.loads(text)
-        if doc.get("format") != "h10-reduction-sidecar-v1":
-            raise ParseError("unrecognized sidecar format")
-        atoms = []
-        for a in doc["atoms"]:
-            if a["kind"] == "const":
-                atoms.append(ConstDef(a["var"], a["value"]))
-            elif a["kind"] == "sum":
-                atoms.append(SumDef(a["var"], a["left"], a["right"]))
-            elif a["kind"] == "prod":
-                atoms.append(ProdDef(a["var"], a["left"], a["right"]))
-            else:
-                atoms.append(EqDef(a["left"], a["right"]))
-        atomized = AtomizedH10(tuple(doc["source_vars"]), tuple(doc["all_vars"]), tuple(atoms))
-        return cls(
-            instance=instance,
-            decode={k: (v[0], v[1]) for k, v in doc["decode"].items()},
-            recipes=tuple((name, expr) for name, expr in doc["recipes"]),
-            atomized=atomized,
-            source=parse_h10(doc["h10"]),
-            mode=doc["mode"],
-        )
+        """Read a sidecar; malformed JSON or a missing field raises ParseError."""
+        try:
+            doc = json.loads(text)
+            if doc.get("format") != "h10-reduction-sidecar-v1":
+                raise ParseError("unrecognized sidecar format")
+            atoms = []
+            for a in doc["atoms"]:
+                if a["kind"] == "const":
+                    atoms.append(ConstDef(a["var"], a["value"]))
+                elif a["kind"] == "sum":
+                    atoms.append(SumDef(a["var"], a["left"], a["right"]))
+                elif a["kind"] == "prod":
+                    atoms.append(ProdDef(a["var"], a["left"], a["right"]))
+                else:
+                    atoms.append(EqDef(a["left"], a["right"]))
+            atomized = AtomizedH10(tuple(doc["source_vars"]), tuple(doc["all_vars"]), tuple(atoms))
+            return cls(
+                instance=instance,
+                decode={k: (v[0], v[1]) for k, v in doc["decode"].items()},
+                recipes=tuple((name, expr) for name, expr in doc["recipes"]),
+                atomized=atomized,
+                source=parse_h10(doc["h10"]),
+                mode=doc["mode"],
+            )
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+            raise ParseError(f"malformed sidecar: {exc!r}") from exc
 
 
 def witness_h10(cr: CompiledReduction, int_solution: dict[str, int]) -> dict[str, NormalWord]:
@@ -912,7 +917,7 @@ def integers_into_free_interpretation(source: Presentation, s: str,
 
 
 def _substitute(template: FormulaTemplate, args: list[Optional[VarAtom | ConstAtom]],
-                fresh, interp: Interpretation) -> list[tuple[tuple[GroupTerm, ...], tuple[str, ...]]]:
+                fresh) -> list[tuple[tuple[GroupTerm, ...], tuple[str, ...]]]:
     """Instantiate the template on argument atoms (None means the identity)."""
     out = []
     for td in template.disjuncts:
@@ -972,23 +977,22 @@ def rewrite_under_interpretation(interp: Interpretation, inst: Instance) -> Inst
     for d in inst.disjuncts:
         items: list[list[tuple[tuple[GroupTerm, ...], tuple[str, ...]]]] = []
         for v in inst.variables:
-            items.append(_substitute(interp.domain, [VarAtom(v)], fresh, interp))
+            items.append(_substitute(interp.domain, [VarAtom(v)], fresh))
         for term in d.equations:
             atoms = [map_atom(a) for a in term.atoms]
             atoms = [a for a in atoms if a is not None]
             if not atoms:
                 continue
             if len(atoms) == 1:
-                items.append(_substitute(interp.equality, [atoms[0], None], fresh, interp))
+                items.append(_substitute(interp.equality, [atoms[0], None], fresh))
             elif len(atoms) == 2:
                 inv = (VarAtom(atoms[1].name, not atoms[1].inverse)
                        if isinstance(atoms[1], VarAtom) else ConstAtom(atoms[1].word.inverse()))
-                items.append(_substitute(interp.equality, [atoms[0], inv], fresh, interp))
+                items.append(_substitute(interp.equality, [atoms[0], inv], fresh))
             else:
                 inv = (VarAtom(atoms[2].name, not atoms[2].inverse)
                        if isinstance(atoms[2], VarAtom) else ConstAtom(atoms[2].word.inverse()))
-                items.append(_substitute(interp.multiplication, [atoms[0], atoms[1], inv],
-                                         fresh, interp))
+                items.append(_substitute(interp.multiplication, [atoms[0], atoms[1], inv], fresh))
         from itertools import product as iproduct
         for choice in iproduct(*items) if items else [()]:
             eqs: list[GroupTerm] = []

@@ -86,4 +86,4 @@ class DecodeInconsistency(AbelconError):
 
 
 class RadiusCapExceeded(AbelconError):
-    """Requested ball radius exceeds the configured cap."""
+    """Requested ball radius lies outside 0..cap."""

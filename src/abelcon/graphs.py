@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import EmptySet, UnknownVertex
+from .errors import EmptySet
 from .words import Presentation
 
 

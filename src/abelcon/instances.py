@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .abelian import AbelVector, abelianize, exponent_sum, is_abelian_primitive
 from .errors import (
+    AbelconError,
     IncompleteAssignment,
     InfiniteAbelianisation,
     NotAbelianPrimitive,
@@ -27,10 +28,10 @@ from .abelian import LinearEquation, LinearSystem
 from .words import (
     NormalWord,
     Presentation,
+    centralizer_generators,
     format_word,
     geodesic_length,
     multiply,
-    normalize,
     parse_word,
 )
 
@@ -314,6 +315,19 @@ def flatten(inst: Instance) -> Instance:
     return Instance(inst.presentation, tuple(new_vars), tuple(new_disjuncts), inst.graph_ref)
 
 
+def isolate_variable(p: Presentation, term: GroupTerm, k: int,
+                     asg: dict[str, NormalWord]) -> NormalWord:
+    """The value of the variable at atoms[k] that makes term = 1.
+
+    Every other atom must be ground under asg: P * x * S = 1 gives
+    x = P^-1 * S^-1, inverted again when the atom is x^-1.
+    """
+    pw = GroupTerm(term.atoms[:k]).evaluate(p, asg)
+    sw = GroupTerm(term.atoms[k + 1:]).evaluate(p, asg)
+    val = multiply(p, pw.inverse(), sw.inverse())
+    return val.inverse() if term.atoms[k].inverse else val
+
+
 def forced_extension(inst_flat: Instance, disjunct: int, base: dict[str, NormalWord],
                      original_vars: Iterable[str]) -> Optional[dict[str, NormalWord]]:
     """Extend an assignment of the original variables to the flattening's fresh ones.
@@ -336,19 +350,8 @@ def forced_extension(inst_flat: Instance, disjunct: int, base: dict[str, NormalW
             if not names:
                 continue
             if len(names) == 1 and len(unknown) == 1:
-                a = unknown[0]
-                prefix, suffix = [], []
-                target = prefix
-                for b in term.atoms:
-                    if b is a:
-                        target = suffix
-                        continue
-                    target.append(b)
-                # term = P * a * S = 1  =>  a = P^-1 * S^-1
-                pw = GroupTerm(tuple(prefix)).evaluate(p, asg)
-                sw = GroupTerm(tuple(suffix)).evaluate(p, asg)
-                val = multiply(p, pw.inverse(), sw.inverse())
-                asg[a.name] = val if not a.inverse else val.inverse()
+                k = term.atoms.index(unknown[0])
+                asg[unknown[0].name] = isolate_variable(p, term, k, asg)
                 progress = True
             else:
                 rest.append(term)
@@ -394,11 +397,9 @@ def _centralizer_lattice_rows(p: Presentation, var: str, w: NormalWord,
     Sound strengthening of the shadow for a commutator equation [var, w] = 1;
     only emitted when the centralizer description applies.
     """
-    from .words import centralizer_generators  # local import to avoid cycles
-
     try:
         desc = centralizer_generators(p, w)
-    except Exception:
+    except AbelconError:
         return []
     gens = desc.generators(p)
     rows = []
@@ -428,17 +429,15 @@ def _commutator_shape(term: GroupTerm):
     return None
 
 
-def disjunct_shadow(p: Presentation, d: Disjunct, with_lattice: bool = True) -> LinearSystem:
+def disjunct_shadow(p: Presentation, d: Disjunct) -> LinearSystem:
     """Necessary linear conditions on the ab coordinates of a disjunct's solutions."""
     rows: list[LinearEquation] = []
-    identity_term = GroupTerm(())
     for i, term in enumerate(d.equations):
         rows.extend(_term_rows(p, [(term, 1)]))
-        if with_lattice:
-            shape = _commutator_shape(term)
-            if shape is not None and not shape[1].is_identity():
-                rows.extend(_centralizer_lattice_rows(p, shape[0], shape[1], f"eq{i}"))
-    for j, con in enumerate(d.constraints):
+        shape = _commutator_shape(term)
+        if shape is not None and not shape[1].is_identity():
+            rows.extend(_centralizer_lattice_rows(p, shape[0], shape[1], f"eq{i}"))
+    for con in d.constraints:
         if isinstance(con, AbEq):
             rows.extend(_term_rows(p, [(con.lhs, 1), (con.rhs, -1)]))
         elif isinstance(con, ExpSumEq):
@@ -448,7 +447,6 @@ def disjunct_shadow(p: Presentation, d: Disjunct, with_lattice: bool = True) -> 
                 coeffs[key] = coeffs.get(key, 0) + c
             rows.append(LinearEquation(tuple(coeffs.items()), con.constant))
         elif isinstance(con, Coset):
-            rep = abelianize(p, con.rep)
             rows.extend(_term_rows(p, [(var_term(con.variable), 1),
                                        (const_term(con.rep), -1)]))
         # LengthEq contributes nothing: lengths are not linear in ab coordinates

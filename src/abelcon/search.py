@@ -1,12 +1,16 @@
 """Bounded exhaustive satisfiability search over Cayley balls.
 
 The search space is (ball of the bound)^#variables in mixed-radix order:
-variables in declaration order, values in length-then-lex ball order. The
-implementation walks that order depth-first and prunes subtrees with sound
-checks only (ground equations and constraints, and the abelian shadow with
-assigned values substituted), so the witness returned is exactly the first
-satisfying assignment in enumeration order. The compiled problems this runs
-on are undecidable in general; exhausting a bound proves nothing beyond it.
+variables in declaration order, values in length-then-lex ball order. A
+search runs in four steps: the bound is checked against the cap; each
+disjunct's abelian shadow is solved once over Z, and when none is solvable
+the answer is UnsatByShadow without touching the ball; the ball is fetched;
+then the enumeration order is walked depth-first over the disjuncts whose
+shadow is solvable. The walk prunes subtrees with sound checks only (ground
+equations and constraints, and the abelian shadow with assigned values
+substituted), so the witness returned is exactly the first satisfying
+assignment in enumeration order. The compiled problems this runs on are
+undecidable in general; exhausting a bound proves nothing beyond it.
 """
 
 from __future__ import annotations
@@ -23,15 +27,16 @@ from .instances import (
     AbEq,
     ConstAtom,
     Coset,
-    Disjunct,
     ExpSumEq,
     GroupTerm,
     Instance,
     LengthEq,
     VarAtom,
     _commutator_shape,
-    disjunct_shadow,
+    _constraint_holds,
+    abelian_shadow,
     evaluate,
+    isolate_variable,
     shadow_unknown,
 )
 from .words import (
@@ -65,15 +70,6 @@ class SearchReport:
         return self.verdict == WITNESS
 
 
-def enumerate_ball(p: Presentation, radius: int, cap: int = DEFAULT_CAP) -> list[NormalWord]:
-    """All elements of geodesic length <= radius in length-then-lex order."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if radius > cap:
-        raise RadiusCapExceeded(f"radius {radius} exceeds cap {cap}")
-    return cayley_ball(p, radius)
-
-
 def _constraint_vars(con) -> set[str]:
     if isinstance(con, AbEq):
         return con.lhs.variables() | con.rhs.variables()
@@ -104,12 +100,7 @@ def _solved_value_set(p: Presentation, term: GroupTerm, var: str,
             if isinstance(a, VarAtom) and a.name == var]
     if len(hits) != 1:
         return None
-    k = hits[0]
-    prefix = GroupTerm(term.atoms[:k]).evaluate(p, {})
-    suffix = GroupTerm(term.atoms[k + 1:]).evaluate(p, {})
-    val = multiply(p, prefix.inverse(), suffix.inverse())
-    if term.atoms[k].inverse:
-        val = val.inverse()
+    val = isolate_variable(p, term, hits[0], {})
     return frozenset([val]) if val in elem_set else frozenset()
 
 
@@ -149,16 +140,16 @@ def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int,
 class _DisjunctState:
     """Per-disjunct pruning data threaded through the depth-first walk."""
 
-    def __init__(self, inst: Instance, index: int, elems: list[NormalWord],
-                 bound: int, use_shadow: bool):
+    def __init__(self, inst: Instance, index: int, shadow: LinearSystem,
+                 elems: list[NormalWord], elem_set: frozenset, bound: int):
         p = inst.presentation
         self.p = p
-        self.index = index
         self.disjunct = inst.disjuncts[index]
         self.variables = inst.variables
         self.elems = elems
         self.bound = bound
-        self._elem_set = frozenset(elems)
+        self.shadow = shadow
+        self._elem_set = elem_set
         d = self.disjunct
         self.eq_vars = [t.variables() for t in d.equations]
         self.con_vars = [_constraint_vars(c) for c in d.constraints]
@@ -174,12 +165,9 @@ class _DisjunctState:
                 self.con_at[max(depth_of[v] for v in vs)].append(i)
         self.ground_eq_failed = any(
             not t.evaluate(p, {}).is_identity() for t, vs in zip(d.equations, self.eq_vars) if not vs)
-        self.shadow = disjunct_shadow(p, d) if use_shadow else None
         self._memo: dict[tuple, frozenset] = {}
 
     def shadow_ok(self, asg: dict[str, NormalWord]) -> bool:
-        if self.shadow is None:
-            return True
         values = {}
         for var, w in asg.items():
             vec = abelianize(self.p, w)
@@ -222,8 +210,6 @@ class _DisjunctState:
 
     def admits(self, depth: int, asg: dict[str, NormalWord], val: NormalWord) -> bool:
         """Check every item that becomes ground when variables[depth] := val."""
-        from .instances import _constraint_holds
-
         var = self.variables[depth]
         for i in self.eq_at[depth]:
             if val not in self._equation_pass_set(i, var, asg):
@@ -236,29 +222,27 @@ class _DisjunctState:
         return True
 
 
-def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP,
-           use_shadow: bool = True) -> SearchReport:
+def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
     """Find the first satisfying assignment with all values in the bound ball.
 
-    Returns UnsatByShadow (a sound, definitive no) when every disjunct's
-    abelian shadow is unsolvable over Z, NoSolutionUpToBound when the walk
-    exhausts the ball, and a re-verified Witness otherwise.
+    Steps, in order: raise RadiusCapExceeded when bound lies outside 0..cap;
+    return UnsatByShadow (a sound, definitive no) when no disjunct's abelian
+    shadow is solvable over Z, before the ball is built; fetch the ball; walk
+    it. The walk returns a re-verified Witness, or NoSolutionUpToBound when it
+    exhausts the ball.
     """
     start = time.monotonic()
-    elems = enumerate_ball(inst.presentation, bound, cap)
-    states = [_DisjunctState(inst, i, elems, bound, use_shadow)
-              for i in range(len(inst.disjuncts))]
-    live0 = []
-    for st in states:
-        if st.ground_eq_failed:
-            continue
-        if st.shadow is not None and not solve_linear_system(st.shadow):
-            continue
-        live0.append(st)
-    if use_shadow and not live0 and all(
-            st.shadow is not None and not solve_linear_system(st.shadow) for st in states):
+    if not 0 <= bound <= cap:
+        raise RadiusCapExceeded(f"radius {bound} outside 0..{cap}")
+    shadows = abelian_shadow(inst)
+    solvable = [i for i, shadow in enumerate(shadows) if solve_linear_system(shadow)]
+    if not solvable:
         millis = int((time.monotonic() - start) * 1000)
         return SearchReport(UNSAT_BY_SHADOW, bound, nodes=0, millis=millis)
+    elems = cayley_ball(inst.presentation, bound)
+    elem_set = frozenset(elems)
+    states = [_DisjunctState(inst, i, shadows[i], elems, elem_set, bound) for i in solvable]
+    live0 = [st for st in states if not st.ground_eq_failed]
 
     variables = inst.variables
     nodes = 0
@@ -291,37 +275,8 @@ def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP,
     millis = int((time.monotonic() - start) * 1000)
     if found is not None:
         res = evaluate(inst, found)
-        assert res.satisfied, "pruned search returned a non-solution"
+        if not res.satisfied:
+            raise AssertionError("pruned search returned a non-solution; search bug")
         return SearchReport(WITNESS, bound, assignment=found, disjunct=res.disjunct,
-                            nodes=nodes, millis=millis)
-    return SearchReport(NO_SOLUTION_UP_TO_BOUND, bound, nodes=nodes, millis=millis)
-
-
-def naive_search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
-    """Reference enumeration without any pruning; for cross-checking only."""
-    start = time.monotonic()
-    elems = enumerate_ball(inst.presentation, bound, cap)
-    variables = inst.variables
-    nodes = 0
-
-    def rec(depth: int, asg: dict[str, NormalWord]):
-        nonlocal nodes
-        if depth == len(variables):
-            nodes += 1
-            res = evaluate(inst, asg)
-            return dict(asg) if res.satisfied else None
-        for val in elems:
-            asg[variables[depth]] = val
-            hit = rec(depth + 1, asg)
-            del asg[variables[depth]]
-            if hit is not None:
-                return hit
-        return None
-
-    found = rec(0, {})
-    millis = int((time.monotonic() - start) * 1000)
-    if found is not None:
-        return SearchReport(WITNESS, bound, assignment=found,
-                            disjunct=evaluate(inst, found).disjunct,
                             nodes=nodes, millis=millis)
     return SearchReport(NO_SOLUTION_UP_TO_BOUND, bound, nodes=nodes, millis=millis)

@@ -12,7 +12,6 @@ front of the remaining word.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -548,8 +547,6 @@ def induced_subpresentation(p: Presentation, vertices) -> Presentation:
     return Presentation(names, edges, {v: p.order[v] for v in names})
 
 
-_induced = induced_subpresentation
-
 
 def _lift(p: Presentation, w: NormalWord) -> NormalWord:
     return normalize(p, exponent_pairs(w))
@@ -560,7 +557,7 @@ def _extract_root(p: Presentation, w: NormalWord) -> tuple[NormalWord, int]:
     total = geodesic_length(p, w)
     if total == 0:
         raise IdentityElement("identity has no root decomposition")
-    sub = _induced(p, support(p, w))
+    sub = induced_subpresentation(p, support(p, w))
     for n in range(total, 1, -1):
         if total % n:
             continue

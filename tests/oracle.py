@@ -5,10 +5,18 @@ receiving its own exponents and anonymous blockers from non-commuting
 syllables. Depiling greedily by least vertex yields a canonical word. This is
 deliberately a different algorithm (and a different data layout) from the
 package's scanning normalizer, so agreement between the two is evidence.
+
+The second oracle, ``naive_search``, enumerates every assignment over the
+Cayley ball in the search's order and evaluates each one in full, with no
+pruning, no shadow and no pass sets; ``abelcon.search`` must return the
+same first assignment.
 """
 
 from collections import deque
 from itertools import product
+
+from abelcon.instances import evaluate
+from abelcon.words import ball
 
 BLOCK = "#"  # anonymous blocker entry
 
@@ -118,3 +126,13 @@ def all_raw_words(pres, max_len):
     for n in range(1, max_len + 1):
         words.extend(product(letters, repeat=n))
     return words
+
+
+def naive_search(inst, bound):
+    """First satisfying assignment in mixed-radix ball order, or None."""
+    elems = ball(inst.presentation, bound)
+    for values in product(elems, repeat=len(inst.variables)):
+        asg = dict(zip(inst.variables, values))
+        if evaluate(inst, asg).satisfied:
+            return asg
+    return None

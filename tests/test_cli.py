@@ -174,3 +174,49 @@ def test_deterministic_output(files, capsys):
     _, out1, _ = run(capsys, "solve", inst, "--bound", "2")
     _, out2, _ = run(capsys, "solve", inst, "--bound", "2")
     assert out1 == out2
+
+
+def _compiled_sum(files, capsys):
+    h10 = files / "sum.h10"
+    h10.write_text("1*x 1*y -5 = 0\n")
+    run(capsys, "compile-h10", h10, "--target", files / "f2.graph",
+        "--out", files / "s.inst", "--sidecar", files / "s.dec")
+    return files / "s.inst", files / "s.dec"
+
+
+def _unknown_recipe_op(text):
+    doc = json.loads(text)
+    doc["recipes"][0][1] = {"op": "bogus"}
+    return json.dumps(doc)
+
+
+def _without_atoms(text):
+    doc = json.loads(text)
+    del doc["atoms"]
+    return json.dumps(doc)
+
+
+BAD_INPUTS = {
+    "solve-negative-bound": (None, ("solve", "{inst}", "--bound", "-1")),
+    "verify-negative-bound": (None, ("verify", "{inst}", "{dec}", "--bound", "-1")),
+    "witness-non-integer": (None, ("witness", "{inst}", "{dec}", "--solution", "x=two,y=3")),
+    "verify-non-integer-hint": (None, ("verify", "{inst}", "{dec}", "--bound", "1",
+                                       "--hint", "x=two,y=3")),
+    "sidecar-not-json": (lambda text: "not json {", ("witness", "{inst}", "{dec}",
+                                                     "--solution", "x=2,y=3")),
+    "sidecar-without-atoms": (_without_atoms, ("witness", "{inst}", "{dec}",
+                                               "--solution", "x=2,y=3")),
+    "recipe-unknown-op": (_unknown_recipe_op, ("witness", "{inst}", "{dec}",
+                                               "--solution", "x=2,y=3")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_an_error_not_a_no(files, capsys, case):
+    corrupt, argv = BAD_INPUTS[case]
+    inst, dec = _compiled_sum(files, capsys)
+    if corrupt is not None:
+        dec.write_text(corrupt(dec.read_text()))
+    code, _, err = run(capsys, *(a.format(inst=inst, dec=dec) for a in argv))
+    assert code == 3
+    assert err.startswith("error: ") and "Traceback" not in err

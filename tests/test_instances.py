@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import abelcon.instances as instances_mod
 from abelcon.abelian import solve_linear_system
 from abelcon.errors import (
     IncompleteAssignment,
@@ -21,7 +22,9 @@ from abelcon.instances import (
     LengthEq,
     VarAtom,
     abelian_shadow,
+    commutator_term,
     const_term,
+    disjunct_shadow,
     evaluate,
     flatten,
     forced_extension,
@@ -285,6 +288,17 @@ def test_shadow_refuted_paper_item_has_no_solutions_at_bound_4():
     inst = parse_instance(PAPER_23 % "ab: X = 3*Y")
     assert solve_linear_system(abelian_shadow(inst)[0]).status == "UNSAT"
     assert not _solution_set(inst, 4, inst.variables)
+
+
+def test_shadow_centralizer_bug_is_not_swallowed(f2, monkeypatch):
+    # only typed "centralizer not defined here" errors drop the lattice rows
+    def broken(p, w):
+        raise AssertionError("centralizer generators do not commute with w")
+
+    monkeypatch.setattr(instances_mod, "centralizer_generators", broken)
+    d = Disjunct((commutator_term("X", W(f2, "a b")),), ())
+    with pytest.raises(AssertionError):
+        disjunct_shadow(f2, d)
 
 
 def test_shadow_torsion_congruences(pentagon):

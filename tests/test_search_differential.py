@@ -1,0 +1,148 @@
+"""Differential tests of the bounded search against the unpruned oracle.
+
+Seeded instances over the pentagon right-angled Coxeter group, a graph with
+vertex orders 3, 4 and inf, and two random 4-vertex RAAGs. The equations are
+shaped to send every pass-set computation of the walk down each of its
+paths: a single occurrence solved outright, a commutator with a ground word
+of infinite-order support (centralizer), a commutator touching a finite-order
+vertex (centralizer undefined, falls back to a scan), and a repeated
+variable in a non-commutator equation (scan).
+"""
+
+import importlib
+import random
+from collections import Counter
+
+from abelcon.instances import parse_instance
+from abelcon.search import NO_SOLUTION_UP_TO_BOUND, UNSAT_BY_SHADOW, WITNESS, search
+from abelcon.words import Presentation, format_word, parse_word
+
+from .oracle import naive_search
+
+# the package's ``search`` attribute is the function, not the module
+search_mod = importlib.import_module("abelcon.search")
+
+F2_HEADER = "graph {\n  vertex a inf\n  vertex b inf\n}\n"
+
+
+def _groups():
+    names = "abcde"
+    pentagon = Presentation.racg(names, [(names[i], names[(i + 1) % 5]) for i in range(5)])
+    mixed = Presentation("abcd", [("a", "b"), ("b", "c"), ("c", "d")],
+                         {"a": 3, "b": 4, "c": None, "d": None})
+    groups = [("pentagon", pentagon), ("mixed", mixed)]
+    rng = random.Random(0)  # a 4-path and a star plus an isolated vertex
+    pairs = [(u, v) for i, u in enumerate("abcd") for v in "abcd"[i + 1:]]
+    for k in range(2):
+        edges = [e for e in pairs if rng.random() < 0.5]
+        groups.append((f"raag{k}", Presentation.raag("abcd", edges)))
+    return groups
+
+
+def _word(rng, p, vertices, max_letters=2):
+    """A random non-identity element over the given vertices, as a constant."""
+    while True:
+        letters = [f"{rng.choice(vertices)}^{rng.choice((1, -1))}"
+                   for _ in range(rng.randint(1, max_letters))]
+        w = parse_word(p, " ".join(letters))
+        if not w.is_identity():
+            return f"( {format_word(w)} )"
+
+
+def _instances(name, p, seed):
+    """(text, bound) pairs covering every pass-set path the group allows."""
+    rng = random.Random(seed)
+    inf = [v for v in p.vertices if p.order[v] is None]
+    fin = [v for v in p.vertices if p.order[v] is not None]
+    every = list(p.vertices)
+
+    def ab_or_coset(var, planted=None):
+        """A coset constraint where every order is finite, else an ab one;
+        consistent with the planted value when one is given and the coin says so."""
+        w = planted if planted and rng.random() < 0.6 else _word(rng, p, every)
+        if fin and not inf:
+            return f"coset: {var} in {w[2:-2]} * G'"
+        return f"ab: {var} = {w}"
+
+    def expsum(var):
+        return f"expsum: 1 |{var}|_{rng.choice(inf)} = {rng.choice((-1, 0, 1))}" if inf else ""
+
+    out = []
+    w, w2 = _word(rng, p, every), _word(rng, p, every)
+    # a single occurrence: solved outright
+    out.append((f"vars X\ndisjunct {{\n  eq X {w}^-1 = 1\n  {ab_or_coset('X', w)}\n}}\n", 2))
+    out.append((f"vars X Y\ndisjunct {{\n  eq X {w} Y^-1 {w2} = 1\n  {expsum('Y')}\n}}\n", 1))
+    # a commutator with a ground side: centralizer, or its fallback to a scan
+    for support in (inf, fin):
+        if support:
+            c = _word(rng, p, support)
+            out.append((f"vars X\ndisjunct {{\n  eq X {c} X^-1 {c}^-1 = 1\n"
+                        f"  {ab_or_coset('X', c)}\n}}\n", 2))
+            out.append((f"vars X Y\ndisjunct {{\n  eq X {c} X^-1 {c}^-1 = 1\n"
+                        f"  eq Y Y {w} X^-1 = 1\n  {expsum('X')}\n}}\n", 1))
+    # a repeated variable outside a commutator: scan
+    out.append((f"vars X\ndisjunct {{\n  eq X X {w} = 1\n}}\n", 2))
+    out.append((f"vars X Y\ndisjunct {{\n  eq X Y X {w2} = 1\n  ab: X = Y\n}}\n", 1))
+    # two disjuncts, the first often refuted by its shadow
+    out.append((f"vars X\ndisjunct {{\n  eq X X = 1\n  {ab_or_coset('X')}\n}}\n"
+                f"disjunct {{\n  eq X {w2} X = 1\n}}\n", 2))
+    return out
+
+
+def test_search_matches_naive_oracle_on_every_pass_set_path(monkeypatch):
+    paths = Counter()
+
+    def spy(fn, hit, miss):
+        def wrapped(*args):
+            result = fn(*args)
+            paths[hit if result is not None else miss] += 1
+            return result
+        return wrapped
+
+    monkeypatch.setattr(search_mod, "_solved_value_set",
+                        spy(search_mod._solved_value_set, "solved", "unsolved"))
+    monkeypatch.setattr(search_mod, "_centralizer_in_ball",
+                        spy(search_mod._centralizer_in_ball, "centralizer", "fallback"))
+    verdicts = Counter()
+    checked = 0
+    for name, p in _groups():
+        for seed in range(3):
+            for text, bound in _instances(name, p, seed):
+                inst = parse_instance(text, presentation=p)
+                fast = search(inst, bound)
+                first = naive_search(inst, bound)
+                verdicts[fast.verdict] += 1
+                checked += 1
+                if fast.verdict == UNSAT_BY_SHADOW:
+                    assert first is None, (name, text)
+                else:
+                    expected = WITNESS if first is not None else NO_SOLUTION_UP_TO_BOUND
+                    assert fast.verdict == expected, (name, text)
+                assert fast.assignment == first, (name, text)
+    assert checked >= 60
+    assert all(verdicts[v] for v in (WITNESS, NO_SOLUTION_UP_TO_BOUND, UNSAT_BY_SHADOW)), verdicts
+    scans = paths["unsolved"] - paths["centralizer"]
+    assert paths["solved"] and paths["centralizer"] and paths["fallback"], paths
+    assert scans > paths["fallback"], paths  # some scans are not centralizer fallbacks
+
+
+# ---------------------------------------------------------------------------
+# verdict precedence: shadow refutation before ground failures and the walk
+# (the bound check before both is tests/test_search.py::test_search_bound_outside_cap)
+
+# a ground equation that fails in F2 although its abelian image is trivial
+GROUND_FAILS_SHADOW_OK = "disjunct {\n  eq X = 1\n  eq ( a b a^-1 b^-1 ) = 1\n}\n"
+SHADOW_REFUTED = "disjunct {\n  eq X = 1\n  ab: X = a\n}\n"
+# a^2 = 1 fails in F2 and its shadow row 2 = 0 has no solution
+GROUND_FAILS_SHADOW_REFUTED = "disjunct {\n  eq X = 1\n  eq a^2 = 1\n}\n"
+
+
+def test_ground_failure_beside_refuted_shadow_is_no_solution_without_nodes():
+    inst = parse_instance(F2_HEADER + "vars X\n" + GROUND_FAILS_SHADOW_OK + SHADOW_REFUTED)
+    report = search(inst, 2)
+    assert report.verdict == NO_SOLUTION_UP_TO_BOUND and report.nodes == 0
+
+
+def test_every_shadow_refuted_is_unsat_even_when_ground_fails():
+    inst = parse_instance(F2_HEADER + "vars X\n" + GROUND_FAILS_SHADOW_REFUTED + SHADOW_REFUTED)
+    assert search(inst, 2).verdict == UNSAT_BY_SHADOW

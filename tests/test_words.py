@@ -152,13 +152,17 @@ def test_support(gamma1):
     assert support(gamma1, gamma1.identity()) == frozenset()
 
 
-def test_ball_sizes(f2, z2, c2_free_square):
+def test_ball_sizes(f2, z2, c2_free_square, gamma1):
     assert len(ball(f2, 1)) == 5
     assert [format_word(w) for w in ball(f2, 1)] == ["1", "a", "a^-1", "b", "b^-1"]
     assert len(ball(z2, 1)) == 5
     assert len(ball(c2_free_square, 2)) == 5
+    assert {format_word(w) for w in ball(c2_free_square, 2)} == {"1", "a", "b", "a b", "b a"}
     for r in range(6):  # radii 0 through 5
         assert len(ball(f2, r)) == 2 * 3 ** r - 1
+    for p in (gamma1, f2):
+        sizes = [len(ball(p, r)) for r in range(5)]
+        assert all(a < b for a, b in zip(sizes, sizes[1:]))
 
 
 # ---------------------------------------------------------------------------
