@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Union
 
 from .abelian import abelianize, exponent_sum
@@ -182,6 +182,9 @@ class EqDef:
 
 
 H10Atom = Union[ConstDef, SumDef, ProdDef, EqDef]
+
+# the sidecar's "kind" of each atom class; its other keys are the class's fields
+_ATOM_KINDS = {"const": ConstDef, "sum": SumDef, "prod": ProdDef, "eq": EqDef}
 
 
 @dataclass(frozen=True)
@@ -443,16 +446,8 @@ class CompiledReduction:
     mode: str
 
     def sidecar_json(self) -> str:
-        atoms = []
-        for a in self.atomized.atoms:
-            if isinstance(a, ConstDef):
-                atoms.append({"kind": "const", "var": a.var, "value": a.value})
-            elif isinstance(a, SumDef):
-                atoms.append({"kind": "sum", "var": a.var, "left": a.left, "right": a.right})
-            elif isinstance(a, ProdDef):
-                atoms.append({"kind": "prod", "var": a.var, "left": a.left, "right": a.right})
-            else:
-                atoms.append({"kind": "eq", "left": a.left, "right": a.right})
+        kind_of = {cls: kind for kind, cls in _ATOM_KINDS.items()}
+        atoms = [{"kind": kind_of[type(a)], **asdict(a)} for a in self.atomized.atoms]
         doc = {
             "format": "h10-reduction-sidecar-v1",
             "mode": self.mode,
@@ -467,21 +462,19 @@ class CompiledReduction:
 
     @classmethod
     def from_sidecar_json(cls, text: str, instance: Instance) -> "CompiledReduction":
-        """Read a sidecar; malformed JSON or a missing field raises ParseError."""
+        """Read a sidecar; malformed JSON, a missing field or an unknown atom kind
+        raises ParseError."""
         try:
             doc = json.loads(text)
             if doc.get("format") != "h10-reduction-sidecar-v1":
                 raise ParseError("unrecognized sidecar format")
             atoms = []
             for a in doc["atoms"]:
-                if a["kind"] == "const":
-                    atoms.append(ConstDef(a["var"], a["value"]))
-                elif a["kind"] == "sum":
-                    atoms.append(SumDef(a["var"], a["left"], a["right"]))
-                elif a["kind"] == "prod":
-                    atoms.append(ProdDef(a["var"], a["left"], a["right"]))
-                else:
-                    atoms.append(EqDef(a["left"], a["right"]))
+                fields = dict(a)
+                kind = fields.pop("kind")
+                if kind not in _ATOM_KINDS:
+                    raise ParseError(f"unknown sidecar atom kind {kind!r}")
+                atoms.append(_ATOM_KINDS[kind](**fields))
             atomized = AtomizedH10(tuple(doc["source_vars"]), tuple(doc["all_vars"]), tuple(atoms))
             return cls(
                 instance=instance,

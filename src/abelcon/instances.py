@@ -127,6 +127,19 @@ class Coset:
 Constraint = Union[AbEq, ExpSumEq, LengthEq, Coset]
 
 
+def constraint_variables(con: Constraint) -> set[str]:
+    """The variables a constraint mentions."""
+    if isinstance(con, AbEq):
+        return con.lhs.variables() | con.rhs.variables()
+    if isinstance(con, ExpSumEq):
+        return {var for _, var, _ in con.terms}
+    if isinstance(con, LengthEq):
+        return {var for _, var in con.terms}
+    if isinstance(con, Coset):
+        return {con.variable}
+    raise TypeError(f"unknown constraint {con!r}")
+
+
 @dataclass(frozen=True)
 class Disjunct:
     equations: tuple[GroupTerm, ...]
@@ -163,26 +176,16 @@ class Instance:
                 raise UnknownVariable(f"undeclared variable {a.name!r}")
 
     def _check_constraint(self, con: Constraint, declared: set[str]) -> None:
-        if isinstance(con, AbEq):
-            self._check_term(con.lhs, declared)
-            self._check_term(con.rhs, declared)
-        elif isinstance(con, ExpSumEq):
-            for _, var, vertex in con.terms:
-                if var not in declared:
-                    raise UnknownVariable(f"undeclared variable {var!r}")
+        undeclared = constraint_variables(con) - declared
+        if undeclared:
+            raise UnknownVariable(f"undeclared variable {min(undeclared)!r}")
+        if isinstance(con, ExpSumEq):
+            for _, _, vertex in con.terms:
                 if not is_abelian_primitive(self.presentation, vertex):
                     raise NotAbelianPrimitive(
                         f"exponent-sum constraint at finite-order vertex {vertex!r}")
-        elif isinstance(con, LengthEq):
-            for _, var in con.terms:
-                if var not in declared:
-                    raise UnknownVariable(f"undeclared variable {var!r}")
-        elif isinstance(con, Coset):
-            if con.variable not in declared:
-                raise UnknownVariable(f"undeclared variable {con.variable!r}")
-            if not self.presentation.has_finite_abelianisation():
-                raise InfiniteAbelianisation(
-                    "coset constraints need every vertex order finite")
+        elif isinstance(con, Coset) and not self.presentation.has_finite_abelianisation():
+            raise InfiniteAbelianisation("coset constraints need every vertex order finite")
 
 
 # ---------------------------------------------------------------------------
@@ -606,9 +609,12 @@ class _Parser:
                     self.fail("ab constraint needs '='", ln)
                 cons.append(AbEq(self.parse_term(lhs, ln), self.parse_term(rhs, ln)))
             elif stmt.startswith("expsum:"):
-                cons.append(self.parse_expsum(stmt[7:], ln))
+                cons.append(ExpSumEq(*self.parse_linear(
+                    "expsum", stmt[7:], ln, "|Var|_vertex",
+                    r"\|([A-Za-z_][A-Za-z0-9_]*)\|_(\S+)$")))
             elif stmt.startswith("len:"):
-                cons.append(self.parse_len(stmt[4:], ln))
+                cons.append(LengthEq(*self.parse_linear(
+                    "len", stmt[4:], ln, "|Var|", r"\|([A-Za-z_][A-Za-z0-9_]*)\|$")))
             elif stmt.startswith("coset:"):
                 cons.append(self.parse_coset(stmt[6:], ln))
             else:
@@ -691,55 +697,33 @@ class _Parser:
                             atoms.append(ConstAtom(a.word.inverse()))
         return GroupTerm(tuple(atoms))
 
-    def parse_expsum(self, text: str, ln: int) -> ExpSumEq:
+    def parse_linear(self, kind: str, text: str, ln: int, item: str,
+                     pattern: str) -> tuple[tuple[tuple, ...], int]:
+        """`c1 item1 c2 item2 ... = k`: the (c, *pattern groups) pairs and k."""
         tokens = text.split()
         if "=" not in tokens:
-            self.fail("expsum constraint needs '='", ln)
+            self.fail(f"{kind} constraint needs '='", ln)
         at = tokens.index("=")
         if len(tokens) != at + 2:
-            self.fail("expsum right-hand side must be one integer", ln)
+            self.fail(f"{kind} right-hand side must be one integer", ln)
         try:
             constant = int(tokens[at + 1])
         except ValueError:
             self.fail(f"bad constant {tokens[at + 1]!r}", ln)
         items = tokens[:at]
         if len(items) % 2:
-            self.fail("expsum needs coefficient |Var|_vertex pairs", ln)
+            self.fail(f"{kind} needs coefficient {item} pairs", ln)
         terms = []
         for i in range(0, len(items), 2):
             try:
                 c = int(items[i])
             except ValueError:
                 self.fail(f"bad coefficient {items[i]!r}", ln)
-            m = re.match(r"\|([A-Za-z_][A-Za-z0-9_]*)\|_(\S+)$", items[i + 1])
+            m = re.match(pattern, items[i + 1])
             if not m:
-                self.fail(f"expected |Var|_vertex, got {items[i + 1]!r}", ln)
-            terms.append((c, m.group(1), m.group(2)))
-        return ExpSumEq(tuple(terms), constant)
-
-    def parse_len(self, text: str, ln: int) -> LengthEq:
-        tokens = text.split()
-        if "=" not in tokens:
-            self.fail("len constraint needs '='", ln)
-        at = tokens.index("=")
-        try:
-            constant = int(tokens[at + 1])
-        except (ValueError, IndexError):
-            self.fail("len right-hand side must be one integer", ln)
-        items = tokens[:at]
-        if len(items) % 2:
-            self.fail("len needs coefficient |Var| pairs", ln)
-        terms = []
-        for i in range(0, len(items), 2):
-            try:
-                c = int(items[i])
-            except ValueError:
-                self.fail(f"bad coefficient {items[i]!r}", ln)
-            m = re.match(r"\|([A-Za-z_][A-Za-z0-9_]*)\|$", items[i + 1])
-            if not m:
-                self.fail(f"expected |Var|, got {items[i + 1]!r}", ln)
-            terms.append((c, m.group(1)))
-        return LengthEq(tuple(terms), constant)
+                self.fail(f"expected {item}, got {items[i + 1]!r}", ln)
+            terms.append((c, *m.groups()))
+        return tuple(terms), constant
 
     def parse_coset(self, text: str, ln: int) -> Coset:
         m = re.match(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s+in\s+(.*?)\s*\*\s*G'\s*$", text)

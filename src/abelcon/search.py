@@ -4,12 +4,20 @@ The search space is (ball of the bound)^#variables in mixed-radix order:
 variables in declaration order, values in length-then-lex ball order. A
 search runs in four steps: the bound is checked against the cap; each
 disjunct's abelian shadow is solved once over Z, and when none is solvable
-the answer is UnsatByShadow without touching the ball; the ball is fetched;
-then the enumeration order is walked depth-first over the disjuncts whose
-shadow is solvable. The walk prunes subtrees with sound checks only (ground
-equations and constraints, and the abelian shadow with assigned values
-substituted), so the witness returned is exactly the first satisfying
-assignment in enumeration order. The compiled problems this runs on are
+the answer is UnsatByShadow without touching the ball; the ball is fetched
+and every disjunct with a failing ground equation or constraint is dropped;
+then the enumeration order is walked depth-first over the disjuncts left.
+
+At each node of the walk, each live disjunct computes once the candidate
+values of the next variable: the intersection of the pass sets of the
+equations that variable makes ground. The walk visits only the union of
+those candidates, sorted back into ball order, or the whole ball when some
+live disjunct has no such equation. Each visited value must also satisfy
+the constraints it makes ground and the abelian shadow with the assigned
+values substituted. All checks are sound and every item is checked at the
+depth where it becomes ground, so the first leaf reached is the first
+satisfying assignment in enumeration order; it is re-verified once, with
+`evaluate`, before it is returned. The compiled problems this runs on are
 undecidable in general; exhausting a bound proves nothing beyond it.
 """
 
@@ -24,17 +32,14 @@ from itertools import product as _iproduct
 from .abelian import LinearSystem, abelianize, solve_linear_system
 from .errors import AbelconError, RadiusCapExceeded
 from .instances import (
-    AbEq,
     ConstAtom,
-    Coset,
-    ExpSumEq,
     GroupTerm,
     Instance,
-    LengthEq,
     VarAtom,
     _commutator_shape,
     _constraint_holds,
     abelian_shadow,
+    constraint_variables,
     evaluate,
     isolate_variable,
     shadow_unknown,
@@ -48,6 +53,7 @@ from .words import (
     induced_subpresentation,
     multiply,
     normalize,
+    sort_key,
 )
 
 DEFAULT_CAP = 12
@@ -70,26 +76,18 @@ class SearchReport:
         return self.verdict == WITNESS
 
 
-def _constraint_vars(con) -> set[str]:
-    if isinstance(con, AbEq):
-        return con.lhs.variables() | con.rhs.variables()
-    if isinstance(con, ExpSumEq):
-        return {var for _, var, _ in con.terms}
-    if isinstance(con, LengthEq):
-        return {var for _, var in con.terms}
-    if isinstance(con, Coset):
-        return {con.variable}
-    raise TypeError(con)
-
-
-def _substitute_term(term: GroupTerm, ground: dict[str, NormalWord]) -> GroupTerm:
+def _substitute_term(p: Presentation, term: GroupTerm,
+                     ground: dict[str, NormalWord]) -> GroupTerm:
+    """Replace ground variables by their values, merging each constant into
+    the constant before it, so [x, c*y] with y ground reads as [x, w]."""
     atoms = []
     for a in term.atoms:
         if isinstance(a, VarAtom) and a.name in ground:
             w = ground[a.name]
-            atoms.append(ConstAtom(w.inverse() if a.inverse else w))
-        else:
-            atoms.append(a)
+            a = ConstAtom(w.inverse() if a.inverse else w)
+        if isinstance(a, ConstAtom) and atoms and isinstance(atoms[-1], ConstAtom):
+            a = ConstAtom(multiply(p, atoms.pop().word, a.word))
+        atoms.append(a)
     return GroupTerm(tuple(atoms))
 
 
@@ -151,20 +149,27 @@ class _DisjunctState:
         self.shadow = shadow
         self._elem_set = elem_set
         d = self.disjunct
-        self.eq_vars = [t.variables() for t in d.equations]
-        self.con_vars = [_constraint_vars(c) for c in d.constraints]
+        eq_vars = [t.variables() for t in d.equations]
+        con_vars = [constraint_variables(c) for c in d.constraints]
         # items become checkable at the depth where their last variable gets a value
         depth_of = {v: i for i, v in enumerate(inst.variables)}
         self.eq_at = [[] for _ in inst.variables]
         self.con_at = [[] for _ in inst.variables]
-        for i, vs in enumerate(self.eq_vars):
-            if vs:
-                self.eq_at[max(depth_of[v] for v in vs)].append(i)
-        for i, vs in enumerate(self.con_vars):
+        # equation i is solved for its last variable; eq_others[i] are the rest
+        self.eq_others: list[tuple[str, ...]] = []
+        for i, vs in enumerate(eq_vars):
+            ordered = [v for v in inst.variables if v in vs]
+            if ordered:
+                self.eq_at[depth_of[ordered[-1]]].append(i)
+            self.eq_others.append(tuple(ordered[:-1]))
+        for i, vs in enumerate(con_vars):
             if vs:
                 self.con_at[max(depth_of[v] for v in vs)].append(i)
-        self.ground_eq_failed = any(
-            not t.evaluate(p, {}).is_identity() for t, vs in zip(d.equations, self.eq_vars) if not vs)
+        self.ground_failed = (
+            any(not t.evaluate(p, {}).is_identity()
+                for t, vs in zip(d.equations, eq_vars) if not vs)
+            or any(not _constraint_holds(p, c, {})
+                   for c, vs in zip(d.constraints, con_vars) if not vs))
         self._memo: dict[tuple, frozenset] = {}
 
     def shadow_ok(self, asg: dict[str, NormalWord]) -> bool:
@@ -184,42 +189,38 @@ class _DisjunctState:
         occurrence of var is solved for it outright, and a commutator with a
         ground other side enumerates the centralizer inside the ball.
         """
-        others = tuple(sorted((v, asg[v]) for v in self.eq_vars[i] if v != var))
-        key = (i, var, others)
+        others = tuple(asg[v] for v in self.eq_others[i])
+        key = (i, others)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        term = self.disjunct.equations[i]
-        ground = dict(others)
-        substituted = _substitute_term(term, ground)
-        cached = _solved_value_set(self.p, substituted, var, self._elem_set)
+        term = _substitute_term(self.p, self.disjunct.equations[i],
+                                dict(zip(self.eq_others[i], others)))
+        cached = _solved_value_set(self.p, term, var, self._elem_set)
         if cached is None:
-            shape = _commutator_shape(substituted)
+            shape = _commutator_shape(term)
             if shape is not None and shape[0] == var:
                 cached = _centralizer_in_ball(self.p, shape[1], self.bound, self._elem_set)
         if cached is None:
-            trial = dict(ground)
-            passing = []
-            for val in self.elems:
-                trial[var] = val
-                if term.evaluate(self.p, trial).is_identity():
-                    passing.append(val)
-            cached = frozenset(passing)
+            cached = frozenset(val for val in self.elems
+                               if term.evaluate(self.p, {var: val}).is_identity())
         self._memo[key] = cached
         return cached
 
-    def admits(self, depth: int, asg: dict[str, NormalWord], val: NormalWord) -> bool:
-        """Check every item that becomes ground when variables[depth] := val."""
+    def candidates(self, depth: int, asg: dict[str, NormalWord]) -> Optional[frozenset]:
+        """Values of variables[depth] passing every equation that becomes
+        ground at depth, or None when no equation does."""
         var = self.variables[depth]
+        out = None
         for i in self.eq_at[depth]:
-            if val not in self._equation_pass_set(i, var, asg):
-                return False
-        if self.con_at[depth]:
-            trial = asg | {var: val}
-            for i in self.con_at[depth]:
-                if not _constraint_holds(self.p, self.disjunct.constraints[i], trial):
-                    return False
-        return True
+            passing = self._equation_pass_set(i, var, asg)
+            out = passing if out is None else out & passing
+        return out
+
+    def constraints_hold(self, depth: int, asg: dict[str, NormalWord]) -> bool:
+        """Every constraint that becomes ground at depth holds under asg."""
+        return all(_constraint_holds(self.p, self.disjunct.constraints[i], asg)
+                   for i in self.con_at[depth])
 
 
 def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
@@ -242,7 +243,7 @@ def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
     elems = cayley_ball(inst.presentation, bound)
     elem_set = frozenset(elems)
     states = [_DisjunctState(inst, i, shadows[i], elems, elem_set, bound) for i in solvable]
-    live0 = [st for st in states if not st.ground_eq_failed]
+    live0 = [st for st in states if not st.ground_failed]
 
     variables = inst.variables
     nodes = 0
@@ -250,25 +251,28 @@ def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
 
     def walk(depth: int, asg: dict[str, NormalWord], live: list[_DisjunctState]):
         nonlocal nodes, found
-        if found is not None:
-            return
         if depth == len(variables):
-            res = evaluate(inst, asg)
-            if res.satisfied:
-                found = dict(asg)
+            found = dict(asg)  # every item of each live disjunct has been checked
             return
-        for val in elems:
-            if found is not None:
-                return
-            admitted = [st for st in live if st.admits(depth, asg, val)]
+        var = variables[depth]
+        cands = [st.candidates(depth, asg) for st in live]
+        if any(c is None for c in cands):
+            order = elems
+        else:  # ball order: by sphere, each sphere sorted by sort_key
+            order = sorted(frozenset().union(*cands), key=sort_key)
+        for val in order:
+            asg[var] = val
+            admitted = [st for st, c in zip(live, cands)
+                        if (c is None or val in c) and st.constraints_hold(depth, asg)]
             if not admitted:
                 continue
-            asg[variables[depth]] = val
             nodes += 1
             still = [st for st in admitted if st.shadow_ok(asg)]
             if still:
                 walk(depth + 1, asg, still)
-            del asg[variables[depth]]
+                if found is not None:
+                    return
+        asg.pop(var, None)
 
     if live0:
         walk(0, {}, live0)

@@ -409,7 +409,11 @@ def generator_words(p: Presentation) -> list[NormalWord]:
 
 
 def ball(p: Presentation, radius: int) -> list[NormalWord]:
-    """All elements of geodesic length <= radius, in length-then-lex order."""
+    """All elements of geodesic length <= radius, in length-then-lex order.
+
+    `sort_key` strictly increases along the list (its first field is the
+    geodesic length), so sorting any subset by `sort_key` restores ball order.
+    """
     if radius < 0:
         return []
     key = (p._key, radius)

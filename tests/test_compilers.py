@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -32,6 +33,7 @@ from abelcon.errors import (
     NotAnIntegerSolution,
     NotASolution,
     NotFlattened,
+    ParseError,
     RankTooSmall,
 )
 from abelcon.instances import (
@@ -189,6 +191,15 @@ def test_sidecar_round_trip(fs):
     cr2 = CompiledReduction.from_sidecar_json(text, inst2)
     asg = witness_h10(cr2, {"x": 1, "y": 4, "z": 4})
     assert decode_solution(cr2, asg) == {"x": 1, "y": 4, "z": 4}
+
+
+def test_sidecar_unknown_atom_kind_is_a_parse_error(fs):
+    cr = compile_h10_free(parse_h10(XY_EQ_Z), fs)
+    doc = json.loads(cr.sidecar_json())
+    prod = next(a for a in doc["atoms"] if a["kind"] == "prod")
+    prod["kind"] = "product"
+    with pytest.raises(ParseError, match="unknown sidecar atom kind 'product'"):
+        CompiledReduction.from_sidecar_json(json.dumps(doc), cr.instance)
 
 
 def test_compiled_instance_text_round_trip(fs):

@@ -1,7 +1,8 @@
 """Static checks on the package source that need no linter.
 
 Every name a module imports must be used in that module. ``__init__.py``
-is exempt: its imports are the package's re-exports.
+is exempt: its imports are the package's re-exports. Every module-level
+private function must be referenced somewhere in the package.
 """
 
 import ast
@@ -47,3 +48,27 @@ def test_no_unused_imports(path):
     used = _referenced_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _attribute_names(tree: ast.Module) -> set[str]:
+    """Attribute names and names imported from other modules."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_unreferenced_private_functions():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    used = set()
+    for tree in trees.values():
+        used |= _referenced_names(tree) | _attribute_names(tree)
+    dead = [f"{name}:{node.lineno} {node.name}"
+            for name, tree in sorted(trees.items()) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in used]
+    assert not dead, f"private functions nothing in the package references: {dead}"

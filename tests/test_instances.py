@@ -89,6 +89,9 @@ def test_parse_errors_have_lines():
         parse_instance(bad)
     with pytest.raises(ParseError):
         parse_instance(F2_HEADER + "vars X\nnonsense\n")
+    for con in ("expsum: 1 |X|_a = 1 junk", "len: 1 |X| = 1 junk"):
+        with pytest.raises(ParseError, match="line 8"):
+            parse_instance(F2_HEADER + f"vars X\ndisjunct {{\n  eq X = 1\n  {con}\n}}\n")
 
 
 def test_round_trip(tmp_path):

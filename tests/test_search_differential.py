@@ -80,9 +80,16 @@ def _instances(name, p, seed):
                         f"  {ab_or_coset('X', c)}\n}}\n", 2))
             out.append((f"vars X Y\ndisjunct {{\n  eq X {c} X^-1 {c}^-1 = 1\n"
                         f"  eq Y Y {w} X^-1 = 1\n  {expsum('X')}\n}}\n", 1))
+            # the ground side spans a constant and an earlier variable: [X, c Y]
+            out.append((f"vars Y X\ndisjunct {{\n  eq Y {w}^-1 = 1\n"
+                        f"  eq X {c} Y X^-1 Y^-1 {c}^-1 = 1\n}}\n", 2))
     # a repeated variable outside a commutator: scan
     out.append((f"vars X\ndisjunct {{\n  eq X X {w} = 1\n}}\n", 2))
     out.append((f"vars X Y\ndisjunct {{\n  eq X Y X {w2} = 1\n  ab: X = Y\n}}\n", 1))
+    # two equations ground at one depth; one disjunct constrains X, the other Y
+    out.append((f"vars X\ndisjunct {{\n  eq X {w2} X^-1 {w2}^-1 = 1\n  eq X X {w} = 1\n}}\n", 2))
+    out.append((f"vars X Y\ndisjunct {{\n  eq X X {w} = 1\n}}\n"
+                f"disjunct {{\n  eq Y X {w2} = 1\n}}\n", 1))
     # two disjuncts, the first often refuted by its shadow
     out.append((f"vars X\ndisjunct {{\n  eq X X = 1\n  {ab_or_coset('X')}\n}}\n"
                 f"disjunct {{\n  eq X {w2} X = 1\n}}\n", 2))
@@ -141,6 +148,23 @@ def test_ground_failure_beside_refuted_shadow_is_no_solution_without_nodes():
     inst = parse_instance(F2_HEADER + "vars X\n" + GROUND_FAILS_SHADOW_OK + SHADOW_REFUTED)
     report = search(inst, 2)
     assert report.verdict == NO_SOLUTION_UP_TO_BOUND and report.nodes == 0
+
+
+def test_failing_ground_constraint_drops_its_disjunct_before_the_walk():
+    inst = parse_instance(F2_HEADER + "vars X\ndisjunct {\n  eq X = 1\n  len: = 1\n}\n")
+    report = search(inst, 2)
+    assert report.verdict == NO_SOLUTION_UP_TO_BOUND and report.nodes == 0
+    inst = parse_instance(F2_HEADER + "vars X\ndisjunct {\n  eq X = 1\n  len: = 0\n}\n")
+    assert search(inst, 2).verdict == WITNESS
+
+
+def test_value_outside_a_disjuncts_candidates_does_not_keep_it_live():
+    # X^2 = [b, a] has no solution; the second disjunct pins X but not Y
+    inst = parse_instance(F2_HEADER + "vars X Y\n"
+                          "disjunct {\n  eq X X a b a^-1 b^-1 = 1\n}\n"
+                          "disjunct {\n  eq X a b a^-1 b^-1 = 1\n  eq Y a^5 = 1\n}\n")
+    report = search(inst, 4)
+    assert report.verdict == NO_SOLUTION_UP_TO_BOUND and report.nodes == 1
 
 
 def test_every_shadow_refuted_is_unsat_even_when_ground_fails():

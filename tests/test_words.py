@@ -24,6 +24,7 @@ from abelcon.words import (
     multiply,
     normalize,
     parse_word,
+    sort_key,
     support,
 )
 
@@ -163,6 +164,14 @@ def test_ball_sizes(f2, z2, c2_free_square, gamma1):
     for p in (gamma1, f2):
         sizes = [len(ball(p, r)) for r in range(5)]
         assert all(a < b for a, b in zip(sizes, sizes[1:]))
+
+
+def test_ball_order_is_sort_key_order(f2, gamma1, pentagon):
+    mixed = Presentation("abc", [("a", "b"), ("b", "c")], {"a": 3, "b": 4, "c": None})
+    for p in (f2, gamma1, pentagon, mixed):
+        for r in range(4):
+            keys = [sort_key(w) for w in ball(p, r)]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (p.vertices, r)
 
 
 # ---------------------------------------------------------------------------
