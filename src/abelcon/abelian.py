@@ -162,16 +162,6 @@ class LinearEquation:
     constant: int
     modulus: Optional[int] = None
 
-    def substitute(self, values: dict[str, int]) -> "LinearEquation":
-        coeffs = []
-        constant = self.constant
-        for var, c in self.coeffs:
-            if var in values:
-                constant -= c * values[var]
-            else:
-                coeffs.append((var, c))
-        return LinearEquation(tuple(coeffs), constant, self.modulus)
-
     def holds(self, values: dict[str, int]) -> bool:
         total = sum(c * values[var] for var, c in self.coeffs)
         if self.modulus is None:
@@ -189,9 +179,6 @@ class LinearSystem:
             for var, _ in eq.coeffs:
                 seen.setdefault(var)
         return list(seen)
-
-    def substitute(self, values: dict[str, int]) -> "LinearSystem":
-        return LinearSystem(tuple(eq.substitute(values) for eq in self.equations))
 
     def holds(self, values: dict[str, int]) -> bool:
         return all(eq.holds(values) for eq in self.equations)

@@ -53,6 +53,7 @@ from .instances import (
     GroupTerm,
     Instance,
     VarAtom,
+    _FreshNames,
     commutator_term,
     const_term,
     evaluate,
@@ -816,8 +817,7 @@ def reduce_finite_ab(inst: Instance) -> Instance:
     p = inst.presentation
     if not p.has_finite_abelianisation():
         raise InfiniteAbelianisation("reduction requires every vertex order finite")
-    fresh_counter = 0
-    taken = set(inst.variables)
+    fresh = _FreshNames(inst.variables, "_z")
     new_vars = list(inst.variables)
     new_disjuncts = []
     for d in inst.disjuncts:
@@ -839,12 +839,7 @@ def reduce_finite_ab(inst: Instance) -> Instance:
             if len(var_atoms) == 1 and var_atoms[0].inverse:
                 cons.append(Coset(var_atoms[0].name, rep.inverse()))
                 continue
-            while True:
-                z = f"_z{fresh_counter}"
-                fresh_counter += 1
-                if z not in taken:
-                    taken.add(z)
-                    break
+            z = fresh.next()
             new_vars.append(z)
             eqs.append(GroupTerm(tuple(var_atoms) + (VarAtom(z, True),)))
             cons.append(Coset(z, rep))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import EmptySet
-from .words import Presentation
+from .words import Presentation, _noncommutation_components
 
 
 @dataclass(frozen=True)
@@ -81,20 +81,4 @@ def direct_product_decomposition(p: Presentation) -> list[frozenset[str]]:
     Each component induces a direct factor of the group; a singleton list
     means there is no nontrivial direct product decomposition.
     """
-    remaining = set(p.vertices)
-    comps = []
-    while remaining:
-        seed = min(remaining, key=p.index.__getitem__)
-        comp = {seed}
-        stack = [seed]
-        remaining.discard(seed)
-        while stack:
-            u = stack.pop()
-            for v in list(remaining):
-                if not p.adjacent(u, v):
-                    comp.add(v)
-                    remaining.discard(v)
-                    stack.append(v)
-        comps.append(frozenset(comp))
-    comps.sort(key=lambda c: min(p.index[v] for v in c))
-    return comps
+    return _noncommutation_components(p, frozenset(p.vertices))

@@ -642,6 +642,8 @@ class _Parser:
                     tokens[pos] = rest
                 else:
                     pos += 1
+                if pos >= len(tokens):
+                    self.fail(f"multiplier {tok!r} has no factor after it", ln)
             tok = tokens[pos]
             if tok == "(":
                 pos += 1
@@ -662,9 +664,9 @@ class _Parser:
                 word = parse_word(self.pres, " ".join(inner)) ** exp
                 return ([ConstAtom(word)] if not word.is_identity() else []), coeff
             pos += 1
-            name, _, exps = tok.partition("^")
+            name, caret, exps = tok.partition("^")
             exp = 1
-            if exps:
+            if caret:
                 try:
                     exp = int(exps)
                 except ValueError:

@@ -13,12 +13,13 @@ values of the next variable: the intersection of the pass sets of the
 equations that variable makes ground. The walk visits only the union of
 those candidates, sorted back into ball order, or the whole ball when some
 live disjunct has no such equation. Each visited value must also satisfy
-the constraints it makes ground and the abelian shadow with the assigned
-values substituted. All checks are sound and every item is checked at the
-depth where it becomes ground, so the first leaf reached is the first
-satisfying assignment in enumeration order; it is re-verified once, with
-`evaluate`, before it is returned. The compiled problems this runs on are
-undecidable in general; exhausting a bound proves nothing beyond it.
+the constraints it makes ground. The shadow is solved once per disjunct,
+before the walk, and never again inside it. All checks are sound and every
+item is checked at the depth where it becomes ground, so the first leaf
+reached is the first satisfying assignment in enumeration order; it is
+re-verified once, with `evaluate`, before it is returned. The compiled
+problems this runs on are undecidable in general; exhausting a bound proves
+nothing beyond it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Optional
 
 from itertools import product as _iproduct
 
-from .abelian import LinearSystem, abelianize, solve_linear_system
+from .abelian import solve_linear_system
 from .errors import AbelconError, RadiusCapExceeded
 from .instances import (
     ConstAtom,
@@ -42,7 +43,6 @@ from .instances import (
     constraint_variables,
     evaluate,
     isolate_variable,
-    shadow_unknown,
 )
 from .words import (
     NormalWord,
@@ -138,15 +138,14 @@ def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int,
 class _DisjunctState:
     """Per-disjunct pruning data threaded through the depth-first walk."""
 
-    def __init__(self, inst: Instance, index: int, shadow: LinearSystem,
-                 elems: list[NormalWord], elem_set: frozenset, bound: int):
+    def __init__(self, inst: Instance, index: int, elems: list[NormalWord],
+                 elem_set: frozenset, bound: int):
         p = inst.presentation
         self.p = p
         self.disjunct = inst.disjuncts[index]
         self.variables = inst.variables
         self.elems = elems
         self.bound = bound
-        self.shadow = shadow
         self._elem_set = elem_set
         d = self.disjunct
         eq_vars = [t.variables() for t in d.equations]
@@ -171,14 +170,6 @@ class _DisjunctState:
             or any(not _constraint_holds(p, c, {})
                    for c, vs in zip(d.constraints, con_vars) if not vs))
         self._memo: dict[tuple, frozenset] = {}
-
-    def shadow_ok(self, asg: dict[str, NormalWord]) -> bool:
-        values = {}
-        for var, w in asg.items():
-            vec = abelianize(self.p, w)
-            for v in self.p.vertices:
-                values[shadow_unknown(var, v)] = vec[v]
-        return bool(solve_linear_system(self.shadow.substitute(values)))
 
     def _equation_pass_set(self, i: int, var: str, asg: dict[str, NormalWord]) -> frozenset:
         """Values of var satisfying equation i given the other variables; cached.
@@ -235,14 +226,14 @@ def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
     start = time.monotonic()
     if not 0 <= bound <= cap:
         raise RadiusCapExceeded(f"radius {bound} outside 0..{cap}")
-    shadows = abelian_shadow(inst)
-    solvable = [i for i, shadow in enumerate(shadows) if solve_linear_system(shadow)]
+    solvable = [i for i, shadow in enumerate(abelian_shadow(inst))
+                if solve_linear_system(shadow)]
     if not solvable:
         millis = int((time.monotonic() - start) * 1000)
         return SearchReport(UNSAT_BY_SHADOW, bound, nodes=0, millis=millis)
     elems = cayley_ball(inst.presentation, bound)
     elem_set = frozenset(elems)
-    states = [_DisjunctState(inst, i, shadows[i], elems, elem_set, bound) for i in solvable]
+    states = [_DisjunctState(inst, i, elems, elem_set, bound) for i in solvable]
     live0 = [st for st in states if not st.ground_failed]
 
     variables = inst.variables
@@ -267,11 +258,9 @@ def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
             if not admitted:
                 continue
             nodes += 1
-            still = [st for st in admitted if st.shadow_ok(asg)]
-            if still:
-                walk(depth + 1, asg, still)
-                if found is not None:
-                    return
+            walk(depth + 1, asg, admitted)
+            if found is not None:
+                return
         asg.pop(var, None)
 
     if live0:

@@ -249,8 +249,8 @@ def parse_word(p: Presentation, text: str) -> NormalWord:
     for tok in text.split():
         if tok == "1":
             continue
-        name, _, exp = tok.partition("^")
-        if exp:
+        name, caret, exp = tok.partition("^")
+        if caret:
             try:
                 e = int(exp)
             except ValueError:

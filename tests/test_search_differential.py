@@ -13,6 +13,7 @@ import importlib
 import random
 from collections import Counter
 
+from abelcon.abelian import solve_linear_system
 from abelcon.instances import parse_instance
 from abelcon.search import NO_SOLUTION_UP_TO_BOUND, UNSAT_BY_SHADOW, WITNESS, search
 from abelcon.words import Presentation, format_word, parse_word
@@ -90,6 +91,14 @@ def _instances(name, p, seed):
     out.append((f"vars X\ndisjunct {{\n  eq X {w2} X^-1 {w2}^-1 = 1\n  eq X X {w} = 1\n}}\n", 2))
     out.append((f"vars X Y\ndisjunct {{\n  eq X X {w} = 1\n}}\n"
                 f"disjunct {{\n  eq Y X {w2} = 1\n}}\n", 1))
+    # X unpinned, coupled to the later Y only by constraints: the walk
+    # checks about |ball|^2 values; odd s + d is refuted by the shadow
+    if inf:
+        v = rng.choice(inf)
+        s, d = rng.choice((0, 1, 2)), rng.choice((0, 2))
+        out.append((f"vars X Y\ndisjunct {{\n  eq X X^-1 = 1\n"
+                    f"  expsum: 1 |X|_{v} 1 |Y|_{v} = {s}\n"
+                    f"  expsum: 1 |X|_{v} -1 |Y|_{v} = {d}\n}}\n", 1))
     # two disjuncts, the first often refuted by its shadow
     out.append((f"vars X\ndisjunct {{\n  eq X X = 1\n  {ab_or_coset('X')}\n}}\n"
                 f"disjunct {{\n  eq X {w2} X = 1\n}}\n", 2))
@@ -165,6 +174,24 @@ def test_value_outside_a_disjuncts_candidates_does_not_keep_it_live():
                           "disjunct {\n  eq X a b a^-1 b^-1 = 1\n  eq Y a^5 = 1\n}\n")
     report = search(inst, 4)
     assert report.verdict == NO_SOLUTION_UP_TO_BOUND and report.nodes == 1
+
+
+def test_shadow_is_solved_once_per_disjunct_not_per_node(monkeypatch):
+    calls = []
+
+    def spy(system):
+        calls.append(system)
+        return solve_linear_system(system)
+
+    monkeypatch.setattr(search_mod, "solve_linear_system", spy)
+    inst = parse_instance(F2_HEADER + "vars X Y\n"
+                          "disjunct {\n  eq X X^-1 = 1\n"
+                          "  expsum: 1 |X|_a 1 |Y|_a = 4\n"
+                          "  expsum: 1 |X|_a -1 |Y|_a = 2\n}\n"
+                          "disjunct {\n  eq X Y b^-3 = 1\n}\n")
+    report = search(inst, 2)
+    assert report.verdict == WITNESS and report.nodes > 2
+    assert len(calls) == 2
 
 
 def test_every_shadow_refuted_is_unsat_even_when_ground_fails():

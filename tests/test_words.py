@@ -7,6 +7,7 @@ from abelcon.errors import (
     FiniteOrderVertexInSupport,
     IdentityElement,
     NotCyclicallyReduced,
+    ParseError,
     PresentationMismatch,
     UnknownVertex,
 )
@@ -54,6 +55,12 @@ def test_normalize_involution(pentagon):
 def test_normalize_unknown_vertex(gamma1):
     with pytest.raises(UnknownVertex):
         normalize(gamma1, [("q", 1)])
+
+
+def test_parse_word_rejects_a_caret_without_exponent(f2):
+    for text in ("a^", "a b^ a"):
+        with pytest.raises(ParseError):
+            parse_word(f2, text)
 
 
 def test_normalize_idempotent_samples(gamma1, pentagon, f2):
