@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import NotAbelianPrimitive, ParseError
-from .words import NormalWord, Presentation, _check
+from .words import NormalWord, Presentation, _check, parse_int
 
 
 class AbelVector:
@@ -203,10 +203,7 @@ def parse_linear_system(text: str) -> LinearSystem:
         tokens = line.split()
         modulus = None
         if len(tokens) >= 2 and tokens[-2] == "mod":
-            try:
-                modulus = int(tokens[-1])
-            except ValueError:
-                raise ParseError(f"bad modulus {tokens[-1]!r}", line=ln) from None
+            modulus = parse_int(tokens[-1], f"bad modulus {tokens[-1]!r}", ln)
             if modulus < 2:
                 raise ParseError("modulus must be >= 2", line=ln)
             tokens = tokens[:-2]
@@ -216,19 +213,12 @@ def parse_linear_system(text: str) -> LinearSystem:
         lhs, rhs = tokens[:eq_at], tokens[eq_at + 1:]
         if len(rhs) != 1:
             raise ParseError("right-hand side must be a single integer", line=ln)
-        try:
-            constant = int(rhs[0])
-        except ValueError:
-            raise ParseError(f"bad constant {rhs[0]!r}", line=ln) from None
+        constant = parse_int(rhs[0], f"bad constant {rhs[0]!r}", ln)
         if len(lhs) % 2:
             raise ParseError("left-hand side must be coefficient/variable pairs", line=ln)
         coeffs = []
         for i in range(0, len(lhs), 2):
-            try:
-                c = int(lhs[i])
-            except ValueError:
-                raise ParseError(f"bad coefficient {lhs[i]!r}", line=ln) from None
-            coeffs.append((lhs[i + 1], c))
+            coeffs.append((lhs[i + 1], parse_int(lhs[i], f"bad coefficient {lhs[i]!r}", ln)))
         eqs.append(LinearEquation(tuple(coeffs), constant, modulus))
     return LinearSystem(tuple(eqs))
 

@@ -22,7 +22,7 @@ from .compilers import (
     reduce_finite_ab,
     witness_h10,
 )
-from .errors import AbelconError, ParseError
+from .errors import AbelconError
 from .graphs import direct_product_decomposition, weak_modules
 from .instances import abelian_shadow, flatten, parse_instance, print_instance
 from .search import (
@@ -36,6 +36,7 @@ from .words import (
     centralizer_generators,
     format_word,
     geodesic_length,
+    parse_int,
     parse_word,
 )
 from .abelian import exponent_sum
@@ -66,10 +67,7 @@ def _parse_int_solution(text: str) -> dict[str, int]:
     out = {}
     for piece in text.split(","):
         name, _, value = piece.partition("=")
-        try:
-            out[name.strip()] = int(value)
-        except ValueError:
-            raise ParseError(f"bad integer value in {piece.strip()!r}") from None
+        out[name.strip()] = parse_int(value.strip(), f"bad integer value in {piece.strip()!r}")
     return out
 
 

@@ -69,6 +69,7 @@ from .words import (
     multiply,
     multiply_all,
     normalize,
+    parse_int,
     parse_word,
 )
 
@@ -135,10 +136,7 @@ def parse_h10(text: str) -> H10Instance:
         monomials = []
         for tok in line[:-3].split():
             parts = tok.split("*")
-            try:
-                coeff = int(parts[0])
-            except ValueError:
-                raise ParseError(f"monomial must start with an integer: {tok!r}", line=ln) from None
+            coeff = parse_int(parts[0], f"monomial must start with an integer: {tok!r}", ln)
             monomials.append(Monomial(coeff, tuple(parts[1:])))
         polys.append(Polynomial(tuple(m for m in monomials if m.coeff)))
     return H10Instance(tuple(polys))
@@ -463,8 +461,9 @@ class CompiledReduction:
 
     @classmethod
     def from_sidecar_json(cls, text: str, instance: Instance) -> "CompiledReduction":
-        """Read a sidecar; malformed JSON, a missing field or an unknown atom kind
-        raises ParseError."""
+        """Read a sidecar; malformed JSON, a missing field, an unknown atom kind,
+        atoms that are not the atomization of its h10 system, or a decode or
+        recipe entry that names no instance variable raises ParseError."""
         try:
             doc = json.loads(text)
             if doc.get("format") != "h10-reduction-sidecar-v1":
@@ -477,20 +476,31 @@ class CompiledReduction:
                     raise ParseError(f"unknown sidecar atom kind {kind!r}")
                 atoms.append(_ATOM_KINDS[kind](**fields))
             atomized = AtomizedH10(tuple(doc["source_vars"]), tuple(doc["all_vars"]), tuple(atoms))
-            return cls(
-                instance=instance,
-                decode={k: (v[0], v[1]) for k, v in doc["decode"].items()},
-                recipes=tuple((name, expr) for name, expr in doc["recipes"]),
-                atomized=atomized,
-                source=parse_h10(doc["h10"]),
-                mode=doc["mode"],
-            )
+            source = parse_h10(doc["h10"])
+            if atomized != atomize(source):
+                raise ParseError("sidecar atoms are not the atomization of its h10 system")
+            decode = {k: (v[0], v[1]) for k, v in doc["decode"].items()}
+            if set(decode) != set(atomized.source_vars):
+                raise ParseError("sidecar decode must name exactly the source variables")
+            recipes = tuple((name, expr) for name, expr in doc["recipes"])
+            variables = set(instance.variables)
+            for name in [gvar for gvar, _ in decode.values()] + [name for name, _ in recipes]:
+                if name not in variables:
+                    raise ParseError(f"sidecar names {name!r}, which is not an instance variable")
+            for _, ref in decode.values():
+                instance.presentation.check_vertex(ref)
+            return cls(instance=instance, decode=decode, recipes=recipes, atomized=atomized,
+                       source=source, mode=doc["mode"])
         except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise ParseError(f"malformed sidecar: {exc!r}") from exc
 
 
 def witness_h10(cr: CompiledReduction, int_solution: dict[str, int]) -> dict[str, NormalWord]:
-    """Build a satisfying assignment of the compiled instance from an integer solution."""
+    """Build a satisfying assignment of the compiled instance from an integer solution.
+
+    A recipe that cannot be evaluated, or recipes whose assignment fails the
+    instance, raise RecipeError: the sidecar they came from is damaged.
+    """
     missing = [v for v in cr.atomized.source_vars if v not in int_solution]
     if missing:
         raise NotAnIntegerSolution(f"missing integer values for {missing}")
@@ -500,10 +510,13 @@ def witness_h10(cr: CompiledReduction, int_solution: dict[str, int]) -> dict[str
     p = cr.instance.presentation
     groups: dict[str, NormalWord] = {}
     for name, expr in cr.recipes:
-        groups[name] = _word_expr(expr, ints, groups, p)
+        try:
+            groups[name] = _word_expr(expr, ints, groups, p)
+        except (KeyError, TypeError, IndexError, ValueError, AttributeError) as exc:
+            raise RecipeError(f"recipe for {name!r} cannot be evaluated: {exc!r}") from exc
     result = evaluate(cr.instance, groups)
     if not result.satisfied:
-        raise AssertionError("witness recipe produced a non-solution; compiler bug")
+        raise RecipeError("witness recipes build a non-solution: a damaged sidecar or a compiler bug")
     return groups
 
 
@@ -883,10 +896,7 @@ class Interpretation:
 
     def map_constant(self, w: NormalWord) -> NormalWord:
         table = {v: parse_word(self.source, text) for v, text in self.vertex_map}
-        out = self.source.identity()
-        for v, e in w.syllables:
-            out = multiply(self.source, out, table[v] ** e)
-        return out
+        return multiply_all(self.source, [table[v] ** e for v, e in w.syllables])
 
 
 def integers_into_free_interpretation(source: Presentation, s: str,
@@ -916,12 +926,8 @@ def _substitute(template: FormulaTemplate, args: list[Optional[VarAtom | ConstAt
             for a in term.atoms:
                 if isinstance(a, VarAtom) and a.name.startswith(PLACEHOLDER):
                     arg = args[int(a.name[1:])]
-                    if arg is None:
-                        continue
-                    if isinstance(arg, VarAtom):
-                        atoms.append(VarAtom(arg.name, arg.inverse != a.inverse))
-                    else:
-                        atoms.append(ConstAtom(arg.word.inverse() if a.inverse else arg.word))
+                    if arg is not None:
+                        atoms.append(arg.inverted() if a.inverse else arg)
                 elif isinstance(a, VarAtom) and a.name in rename:
                     atoms.append(VarAtom(rename[a.name], a.inverse))
                 else:
@@ -974,13 +980,10 @@ def rewrite_under_interpretation(interp: Interpretation, inst: Instance) -> Inst
             if len(atoms) == 1:
                 items.append(_substitute(interp.equality, [atoms[0], None], fresh))
             elif len(atoms) == 2:
-                inv = (VarAtom(atoms[1].name, not atoms[1].inverse)
-                       if isinstance(atoms[1], VarAtom) else ConstAtom(atoms[1].word.inverse()))
-                items.append(_substitute(interp.equality, [atoms[0], inv], fresh))
+                items.append(_substitute(interp.equality, [atoms[0], atoms[1].inverted()], fresh))
             else:
-                inv = (VarAtom(atoms[2].name, not atoms[2].inverse)
-                       if isinstance(atoms[2], VarAtom) else ConstAtom(atoms[2].word.inverse()))
-                items.append(_substitute(interp.multiplication, [atoms[0], atoms[1], inv], fresh))
+                items.append(_substitute(interp.multiplication,
+                                         [atoms[0], atoms[1], atoms[2].inverted()], fresh))
         from itertools import product as iproduct
         for choice in iproduct(*items) if items else [()]:
             eqs: list[GroupTerm] = []

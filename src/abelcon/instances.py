@@ -32,6 +32,8 @@ from .words import (
     format_word,
     geodesic_length,
     multiply,
+    multiply_all,
+    parse_int,
     parse_word,
 )
 
@@ -43,10 +45,16 @@ class VarAtom:
     name: str
     inverse: bool = False
 
+    def inverted(self) -> "VarAtom":
+        return VarAtom(self.name, not self.inverse)
+
 
 @dataclass(frozen=True)
 class ConstAtom:
     word: NormalWord
+
+    def inverted(self) -> "ConstAtom":
+        return ConstAtom(self.word.inverse())
 
 
 Atom = Union[VarAtom, ConstAtom]
@@ -61,23 +69,13 @@ class GroupTerm:
         return {a.name for a in self.atoms if isinstance(a, VarAtom)}
 
     def evaluate(self, p: Presentation, asg: dict[str, NormalWord]) -> NormalWord:
-        out = p.identity()
-        for a in self.atoms:
-            if isinstance(a, VarAtom):
-                w = asg[a.name]
-                out = multiply(p, out, w.inverse() if a.inverse else w)
-            else:
-                out = multiply(p, out, a.word)
-        return out
+        """The product of the atoms' values, normalised once."""
+        return multiply_all(p, [a.word if isinstance(a, ConstAtom)
+                                else asg[a.name].inverse() if a.inverse else asg[a.name]
+                                for a in self.atoms])
 
     def inverse(self) -> "GroupTerm":
-        inv = []
-        for a in reversed(self.atoms):
-            if isinstance(a, VarAtom):
-                inv.append(VarAtom(a.name, not a.inverse))
-            else:
-                inv.append(ConstAtom(a.word.inverse()))
-        return GroupTerm(tuple(inv))
+        return GroupTerm(tuple(a.inverted() for a in reversed(self.atoms)))
 
     def __mul__(self, other: "GroupTerm") -> "GroupTerm":
         return GroupTerm(self.atoms + other.atoms)
@@ -322,13 +320,11 @@ def isolate_variable(p: Presentation, term: GroupTerm, k: int,
                      asg: dict[str, NormalWord]) -> NormalWord:
     """The value of the variable at atoms[k] that makes term = 1.
 
-    Every other atom must be ground under asg: P * x * S = 1 gives
-    x = P^-1 * S^-1, inverted again when the atom is x^-1.
+    Every other atom must be ground under asg: P * a * S = 1 gives
+    a = (S * P)^-1, so the variable is (S * P)^-1, or S * P when a is x^-1.
     """
-    pw = GroupTerm(term.atoms[:k]).evaluate(p, asg)
-    sw = GroupTerm(term.atoms[k + 1:]).evaluate(p, asg)
-    val = multiply(p, pw.inverse(), sw.inverse())
-    return val.inverse() if term.atoms[k].inverse else val
+    sp = GroupTerm(term.atoms[k + 1:] + term.atoms[:k]).evaluate(p, asg)
+    return sp if term.atoms[k].inverse else sp.inverse()
 
 
 def forced_extension(inst_flat: Instance, disjunct: int, base: dict[str, NormalWord],
@@ -634,10 +630,7 @@ class _Parser:
             tok = tokens[pos]
             if "*" in tok and not tok.startswith("("):
                 left, _, rest = tok.partition("*")
-                try:
-                    coeff = int(left)
-                except ValueError:
-                    self.fail(f"bad integer multiplier in {tok!r}", ln)
+                coeff = parse_int(left, f"bad integer multiplier in {tok!r}", ln)
                 if rest:
                     tokens[pos] = rest
                 else:
@@ -656,21 +649,13 @@ class _Parser:
                 pos += 1
                 exp = 1
                 if pos < len(tokens) and tokens[pos].startswith("^"):
-                    try:
-                        exp = int(tokens[pos][1:])
-                    except ValueError:
-                        self.fail(f"bad exponent {tokens[pos]!r}", ln)
+                    exp = parse_int(tokens[pos][1:], f"bad exponent {tokens[pos]!r}", ln)
                     pos += 1
                 word = parse_word(self.pres, " ".join(inner)) ** exp
                 return ([ConstAtom(word)] if not word.is_identity() else []), coeff
             pos += 1
             name, caret, exps = tok.partition("^")
-            exp = 1
-            if caret:
-                try:
-                    exp = int(exps)
-                except ValueError:
-                    self.fail(f"bad exponent in {tok!r}", ln)
+            exp = parse_int(exps, f"bad exponent in {tok!r}", ln) if caret else 1
             if name in self.variables:
                 if exp == 0:
                     return [], coeff
@@ -685,18 +670,9 @@ class _Parser:
 
         while pos < len(tokens):
             factors, coeff = take_factor()
-            reps = abs(coeff)
-            flip = coeff < 0
-            for _ in range(reps):
-                for a in factors:
-                    if not flip:
-                        atoms.append(a)
-                if flip:
-                    for a in reversed(factors):
-                        if isinstance(a, VarAtom):
-                            atoms.append(VarAtom(a.name, not a.inverse))
-                        else:
-                            atoms.append(ConstAtom(a.word.inverse()))
+            if coeff < 0:
+                factors = [a.inverted() for a in reversed(factors)]
+            atoms.extend(factors * abs(coeff))
         return GroupTerm(tuple(atoms))
 
     def parse_linear(self, kind: str, text: str, ln: int, item: str,
@@ -708,19 +684,13 @@ class _Parser:
         at = tokens.index("=")
         if len(tokens) != at + 2:
             self.fail(f"{kind} right-hand side must be one integer", ln)
-        try:
-            constant = int(tokens[at + 1])
-        except ValueError:
-            self.fail(f"bad constant {tokens[at + 1]!r}", ln)
+        constant = parse_int(tokens[at + 1], f"bad constant {tokens[at + 1]!r}", ln)
         items = tokens[:at]
         if len(items) % 2:
             self.fail(f"{kind} needs coefficient {item} pairs", ln)
         terms = []
         for i in range(0, len(items), 2):
-            try:
-                c = int(items[i])
-            except ValueError:
-                self.fail(f"bad coefficient {items[i]!r}", ln)
+            c = parse_int(items[i], f"bad coefficient {items[i]!r}", ln)
             m = re.match(pattern, items[i + 1])
             if not m:
                 self.fail(f"expected {item}, got {items[i + 1]!r}", ln)

@@ -52,6 +52,7 @@ from .words import (
     geodesic_length,
     induced_subpresentation,
     multiply,
+    multiply_all,
     normalize,
     sort_key,
 )
@@ -123,13 +124,11 @@ def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int,
         used = sum(abs(m) * L for m, L in zip(ms, root_lens))
         if used > budget:
             continue
-        core = p.identity()
-        for b, m in zip(desc.cyclic_parts, ms):
-            core = multiply(p, core, b ** m)
+        core = multiply_all(p, [b ** m for b, m in zip(desc.cyclic_parts, ms)])
         for l in link_elems:
             if used + geodesic_length(p, l) > budget:
                 continue
-            x = multiply(p, multiply(p, h, multiply(p, core, l)), hinv)
+            x = multiply_all(p, (h, core, l, hinv))
             if x in elem_set:
                 out.append(x)
     return frozenset(out)

@@ -8,10 +8,15 @@ are equal in the group iff their normal forms are identical tuples.
 The canonical form is the lexicographically least geodesic: repeatedly emit
 the least vertex (in declaration order) whose syllable can be commuted to the
 front of the remaining word.
+
+A product of any number of factors is normalised once: `multiply_all` and
+powers push every factor's syllables onto one reduced list and sort it once,
+instead of sorting each intermediate product of a pairwise fold.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -105,10 +110,7 @@ class Presentation:
                 if k in ("inf", "oo", "∞"):
                     order[name] = None
                 else:
-                    try:
-                        order[name] = int(k)
-                    except ValueError:
-                        raise ParseError(f"bad vertex order {k!r}", line=ln) from None
+                    order[name] = parse_int(k, f"bad vertex order {k!r}", ln)
             elif parts[0] == "edge" and len(parts) == 3:
                 edges.append((parts[1], parts[2]))
             else:
@@ -207,17 +209,13 @@ class NormalWord:
         return invert(self.pres, self)
 
     def __pow__(self, n: int) -> "NormalWord":
-        if n == 0:
-            return self.pres.identity()
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = multiply(self.pres, out, base)
-        return out
+        """The n-th power, normalised once; a negative n powers the inverse."""
+        sy = self.syllables if n >= 0 else tuple((v, -e) for v, e in reversed(self.syllables))
+        return normalize(self.pres, chain.from_iterable(repeat(sy, abs(n))))
 
     def conjugate_by(self, h: "NormalWord") -> "NormalWord":
         """Return h^-1 * self * h."""
-        return h.inverse() * self * h
+        return multiply_all(self.pres, (h.inverse(), self, h))
 
     def __str__(self):
         return format_word(self)
@@ -239,6 +237,16 @@ def format_word(w: NormalWord) -> str:
     return " ".join(parts)
 
 
+def parse_int(text: str, message: str, line: Optional[int] = None) -> int:
+    """Read an integer as every printer writes one: an optional ``-`` and ASCII
+    digits. Anything else (``+``, ``_``, spaces, non-ASCII digits) raises
+    ParseError(message)."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(message, line=line)
+    return int(text)
+
+
 def parse_word(p: Presentation, text: str) -> NormalWord:
     """Parse whitespace-separated ``name`` / ``name^k`` / ``name^-k`` tokens.
 
@@ -250,13 +258,7 @@ def parse_word(p: Presentation, text: str) -> NormalWord:
         if tok == "1":
             continue
         name, caret, exp = tok.partition("^")
-        if caret:
-            try:
-                e = int(exp)
-            except ValueError:
-                raise ParseError(f"bad exponent in token {tok!r}") from None
-        else:
-            e = 1
+        e = parse_int(exp, f"bad exponent in token {tok!r}") if caret else 1
         if name in p.index:
             pairs.append((name, e))
         elif name and all(ch in p.index for ch in name):
@@ -347,10 +349,15 @@ def multiply(p: Presentation, a: NormalWord, b: NormalWord) -> NormalWord:
 
 
 def multiply_all(p: Presentation, words: Iterable[NormalWord]) -> NormalWord:
-    out = p.identity()
-    for w in words:
-        out = multiply(p, out, w)
-    return out
+    """Canonical form of the product of the words, left to right.
+
+    The product is normalised once: every factor's syllables go through one
+    `normalize`, which reduces as it pushes and sorts once at the end. The
+    normal form is unique, so this equals the left fold of `multiply`.
+    """
+    words = list(words)
+    _check(p, *words)
+    return normalize(p, (s for w in words for s in w.syllables))
 
 
 def invert(p: Presentation, a: NormalWord) -> NormalWord:
@@ -496,13 +503,11 @@ def cyclically_reduce(p: Presentation, g: NormalWord) -> tuple[NormalWord, Norma
     """
     _check(p, g)
     core = g
-    h = p.identity()
-    while True:
-        step = _cyclic_step(p, core)
-        if step is None:
-            break
+    conjugators = []
+    while (step := _cyclic_step(p, core)) is not None:
         core, conj = step
-        h = multiply(p, h, conj)
+        conjugators.append(conj)
+    h = multiply_all(p, conjugators)
     if h.is_identity():
         return core, h
     target_len = geodesic_length(p, core)
@@ -609,10 +614,8 @@ class CentralizerDesc(NamedTuple):
         """Group elements generating the centralizer."""
         h = self.conjugator
         hinv = h.inverse()
-        gens = [multiply(p, multiply(p, h, b), hinv) for b in self.cyclic_parts]
-        for v in sorted(self.link_vertices, key=p.index.__getitem__):
-            gens.append(multiply(p, multiply(p, h, normalize(p, [(v, 1)])), hinv))
-        return gens
+        links = [normalize(p, [(v, 1)]) for v in sorted(self.link_vertices, key=p.index.__getitem__)]
+        return [multiply_all(p, (h, b, hinv)) for b in (*self.cyclic_parts, *links)]
 
     def contains(self, p: Presentation, x: NormalWord) -> bool:
         """Exact membership test for the described centralizer.

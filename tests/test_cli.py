@@ -184,10 +184,20 @@ def _compiled_sum(files, capsys):
     return files / "s.inst", files / "s.dec"
 
 
-def _unknown_recipe_op(text):
-    doc = json.loads(text)
-    doc["recipes"][0][1] = {"op": "bogus"}
-    return json.dumps(doc)
+def _first_recipe(expr):
+    def corrupt(text):
+        doc = json.loads(text)
+        doc["recipes"][0][1] = expr
+        return json.dumps(doc)
+    return corrupt
+
+
+def _decode_x_from(entry):
+    def corrupt(text):
+        doc = json.loads(text)
+        doc["decode"]["x"] = entry
+        return json.dumps(doc)
+    return corrupt
 
 
 def _without_atoms(text):
@@ -206,8 +216,19 @@ BAD_INPUTS = {
                                                      "--solution", "x=2,y=3")),
     "sidecar-without-atoms": (_without_atoms, ("witness", "{inst}", "{dec}",
                                                "--solution", "x=2,y=3")),
-    "recipe-unknown-op": (_unknown_recipe_op, ("witness", "{inst}", "{dec}",
-                                               "--solution", "x=2,y=3")),
+    "recipe-unknown-op": (_first_recipe({"op": "bogus"}), ("witness", "{inst}", "{dec}",
+                                                         "--solution", "x=2,y=3")),
+    "witness-underscore-integer": (None, ("witness", "{inst}", "{dec}",
+                                          "--solution", "x=0_2,y=3")),
+    "recipe-pow-without-exp": (_first_recipe({"op": "pow", "base": {"op": "word", "text": "a"}}),
+                               ("witness", "{inst}", "{dec}", "--solution", "x=2,y=3")),
+    "recipe-not-an-object": (_first_recipe(5), ("verify", "{inst}", "{dec}", "--bound", "1",
+                                                "--hint", "x=2,y=3")),
+    "recipe-const-string": (_first_recipe({"op": "pow", "base": {"op": "word", "text": "a"},
+                                           "exp": {"op": "const", "value": "2"}}),
+                            ("witness", "{inst}", "{dec}", "--solution", "x=2,y=3")),
+    "decode-names-a-non-variable": (_decode_x_from(["nope", "a"]),
+                                    ("decode", "{inst}", "{dec}", "--assignment", "{asg}")),
 }
 
 
@@ -215,8 +236,12 @@ BAD_INPUTS = {
 def test_bad_input_is_an_error_not_a_no(files, capsys, case):
     corrupt, argv = BAD_INPUTS[case]
     inst, dec = _compiled_sum(files, capsys)
+    asg = files / "asg.txt"
+    code, out, _ = run(capsys, "witness", inst, dec, "--solution", "x=2,y=3")
+    assert code == 0
+    asg.write_text(out)
     if corrupt is not None:
         dec.write_text(corrupt(dec.read_text()))
-    code, _, err = run(capsys, *(a.format(inst=inst, dec=dec) for a in argv))
+    code, _, err = run(capsys, *(a.format(inst=inst, dec=dec, asg=asg) for a in argv))
     assert code == 3
     assert err.startswith("error: ") and "Traceback" not in err

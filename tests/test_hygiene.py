@@ -2,7 +2,9 @@
 
 Every name a module imports must be used in that module. ``__init__.py``
 is exempt: its imports are the package's re-exports. Every module-level
-private function must be referenced somewhere in the package.
+private function must be referenced somewhere in the package. A product of
+more than two factors goes through ``multiply_all``, which normalises once,
+never through a pairwise fold of ``multiply``.
 """
 
 import ast
@@ -72,3 +74,45 @@ def test_no_unreferenced_private_functions():
             and node.name.startswith("_") and not node.name.startswith("__")
             and node.name not in used]
     assert not dead, f"private functions nothing in the package references: {dead}"
+
+
+def _is_multiply(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "multiply")
+
+
+def _multiply_folds(tree: ast.Module) -> list[int]:
+    """Lines of a multiply(...) taking another multiply(...) as an argument,
+    and of a loop body rebinding a name to multiply(p, name, ...)."""
+    lines = [node.lineno for node in ast.walk(tree)
+             if _is_multiply(node) and any(_is_multiply(a) for a in node.args)]
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in ast.walk(loop):
+            if (isinstance(node, ast.Assign) and _is_multiply(node.value)
+                    and len(node.value.args) > 1 and isinstance(node.value.args[1], ast.Name)
+                    and any(isinstance(t, ast.Name) and t.id == node.value.args[1].id
+                            for t in node.targets)):
+                lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_the_fold_check_sees_both_shapes():
+    folds = """
+def power(p, base, n):
+    out = base
+    for _ in range(n - 1):
+        out = multiply(p, out, base)
+    return out
+
+def conjugate(p, h, x, hinv):
+    return multiply(p, multiply(p, h, x), hinv)
+"""
+    assert _multiply_folds(ast.parse(folds)) == [5, 9]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_pairwise_multiply_folds(path):
+    folds = _multiply_folds(ast.parse(path.read_text(encoding="utf-8")))
+    assert not folds, f"{path.name}: fold products through multiply_all, lines {folds}"

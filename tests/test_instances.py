@@ -90,7 +90,7 @@ def test_parse_errors_have_lines():
     with pytest.raises(ParseError):
         parse_instance(F2_HEADER + "vars X\nnonsense\n")
     for con in ("expsum: 1 |X|_a = 1 junk", "len: 1 |X| = 1 junk",
-                "eq X 2* = 1", "ab: X = 2*", "eq 3* = 1", "eq X^ a^-1 = 1"):
+                "eq X 2* = 1", "ab: X = 2*", "eq 3* = 1", "eq X^ a^-1 = 1", "eq 2_0*X = 1"):
         with pytest.raises(ParseError, match="line 8"):
             parse_instance(F2_HEADER + f"vars X\ndisjunct {{\n  eq X = 1\n  {con}\n}}\n")
 

@@ -23,11 +23,14 @@ from abelcon.words import (
     is_cyclically_reduced,
     is_in_centralizer,
     multiply,
+    multiply_all,
     normalize,
     parse_word,
     sort_key,
     support,
 )
+
+from abelcon.instances import ConstAtom, GroupTerm, VarAtom, isolate_variable
 
 from .oracle import Piling, all_raw_words, bfs_ball_normal_forms, oracle_normal_form
 
@@ -58,7 +61,7 @@ def test_normalize_unknown_vertex(gamma1):
 
 
 def test_parse_word_rejects_a_caret_without_exponent(f2):
-    for text in ("a^", "a b^ a"):
+    for text in ("a^", "a b^ a", "a^1_0", "a^+2"):
         with pytest.raises(ParseError):
             parse_word(f2, text)
 
@@ -100,6 +103,80 @@ def test_multiply_examples(fxy, gamma1, z2):
 def test_multiply_mismatch(gamma1, f2):
     with pytest.raises(PresentationMismatch):
         multiply(gamma1, W(gamma1, "a"), W(f2, "a"))
+
+
+MIXED = Presentation("abcd", [("a", "b"), ("b", "c"), ("c", "d")],
+                     {"a": 3, "b": 4, "c": None, "d": None})
+
+
+def _fold(p, words):
+    """The pairwise definition of a product: one multiply per factor."""
+    out = p.identity()
+    for w in words:
+        out = multiply(p, out, w)
+    return out
+
+
+def _random_factors(rng, p, pool):
+    """0-5 factors: random words (exponents past the vertex orders), the
+    identity, and the inverse of everything before it (full cancellation)."""
+    factors = []
+    for _ in range(rng.randint(0, 5)):
+        roll = rng.random()
+        if roll < 0.15:
+            factors.append(p.identity())
+        elif roll < 0.3 and factors:
+            factors.append(_fold(p, factors).inverse())
+        elif roll < 0.4 and pool:
+            factors.append(rng.choice(pool))
+        else:
+            letters = [(rng.choice(p.vertices), rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]))
+                       for _ in range(rng.randint(1, 4))]
+            factors.append(normalize(p, letters))
+        pool.append(factors[-1])
+    return factors
+
+
+@pytest.mark.parametrize("name", ["f2", "gamma1", "pentagon", "mixed"])
+def test_products_normalise_once_like_the_pairwise_fold(request, name):
+    p = MIXED if name == "mixed" else request.getfixturevalue(name)
+    rng = random.Random(41)
+    pool = []
+    for _ in range(150):
+        factors = _random_factors(rng, p, pool)
+        product = multiply_all(p, factors)
+        assert product == _fold(p, factors)
+        raw = [pair for w in factors for pair in w.syllables]
+        assert product.syllables == oracle_normal_form(p, raw)
+        w = product if product else normalize(p, [(p.vertices[0], 1)])
+        for n in range(-4, 5):
+            base = w if n >= 0 else w.inverse()
+            assert w ** n == _fold(p, [base] * abs(n))
+        assert (w ** 0).is_identity()
+        h = rng.choice(pool)
+        assert w.conjugate_by(h) == _fold(p, [h.inverse(), w, h])
+
+        x_atoms = [VarAtom("X"), VarAtom("X", True)]
+        atoms = [rng.choice(x_atoms + [ConstAtom(f)]) for f in factors]
+        values = [a.word if isinstance(a, ConstAtom) else h.inverse() if a.inverse else h
+                  for a in atoms]
+        assert GroupTerm(tuple(atoms)).evaluate(p, {"X": h}) == _fold(p, values)
+
+        k = rng.randint(0, len(factors))
+        consts = tuple(ConstAtom(f) for f in factors)
+        for x in x_atoms:
+            term = GroupTerm(consts[:k] + (x,) + consts[k:])
+            val = isolate_variable(p, term, k, {})
+            want = multiply(p, _fold(p, factors[:k]).inverse(), _fold(p, factors[k:]).inverse())
+            assert val == (want.inverse() if x.inverse else want)
+            assert term.evaluate(p, {"X": val}).is_identity()
+
+
+def test_product_of_words_over_another_presentation_is_refused(gamma1, f2):
+    with pytest.raises(PresentationMismatch):
+        multiply_all(gamma1, [W(gamma1, "a"), W(f2, "a"), W(gamma1, "b")])
+    with pytest.raises(PresentationMismatch):
+        W(gamma1, "a").conjugate_by(W(f2, "a"))
 
 
 def test_invert(fxy, c2_free_square):
