@@ -28,11 +28,12 @@ from .abelian import LinearEquation, LinearSystem
 from .words import (
     NormalWord,
     Presentation,
+    _check,
     centralizer_generators,
     format_word,
     geodesic_length,
     multiply,
-    multiply_all,
+    normalize,
     parse_int,
     parse_word,
 )
@@ -69,10 +70,17 @@ class GroupTerm:
         return {a.name for a in self.atoms if isinstance(a, VarAtom)}
 
     def evaluate(self, p: Presentation, asg: dict[str, NormalWord]) -> NormalWord:
-        """The product of the atoms' values, normalised once."""
-        return multiply_all(p, [a.word if isinstance(a, ConstAtom)
-                                else asg[a.name].inverse() if a.inverse else asg[a.name]
-                                for a in self.atoms])
+        """The product of the atoms' values, normalised once: an x^-1 atom
+        contributes the reversed, negated syllables of x's value."""
+        def pairs():
+            for a in self.atoms:
+                w = a.word if isinstance(a, ConstAtom) else asg[a.name]
+                _check(p, w)
+                if isinstance(a, VarAtom) and a.inverse:
+                    yield from ((v, -e) for v, e in reversed(w.syllables))
+                else:
+                    yield from w.syllables
+        return normalize(p, pairs())
 
     def inverse(self) -> "GroupTerm":
         return GroupTerm(tuple(a.inverted() for a in reversed(self.atoms)))
@@ -325,39 +333,6 @@ def isolate_variable(p: Presentation, term: GroupTerm, k: int,
     """
     sp = GroupTerm(term.atoms[k + 1:] + term.atoms[:k]).evaluate(p, asg)
     return sp if term.atoms[k].inverse else sp.inverse()
-
-
-def forced_extension(inst_flat: Instance, disjunct: int, base: dict[str, NormalWord],
-                     original_vars: Iterable[str]) -> Optional[dict[str, NormalWord]]:
-    """Extend an assignment of the original variables to the flattening's fresh ones.
-
-    Fresh variables are definitionally determined (each first occurs in an
-    equation whose other atoms are already ground); returns None only if some
-    defining equation never becomes ground, which flatten's output never does.
-    """
-    p = inst_flat.presentation
-    asg = dict(base)
-    pending = list(inst_flat.disjuncts[disjunct].equations)
-    progress = True
-    while pending and progress:
-        progress = False
-        rest = []
-        for term in pending:
-            unknown = [a for a in term.atoms
-                       if isinstance(a, VarAtom) and a.name not in asg]
-            names = {a.name for a in unknown}
-            if not names:
-                continue
-            if len(names) == 1 and len(unknown) == 1:
-                k = term.atoms.index(unknown[0])
-                asg[unknown[0].name] = isolate_variable(p, term, k, asg)
-                progress = True
-            else:
-                rest.append(term)
-        pending = rest
-    if any(v not in asg for v in inst_flat.variables):
-        return None
-    return asg
 
 
 # ---------------------------------------------------------------------------

@@ -11,20 +11,21 @@ then the enumeration order is walked depth-first over the disjuncts left.
 At each node of the walk, each live disjunct computes once the candidate
 values of the next variable: the intersection of the pass sets of the
 equations that variable makes ground. The walk visits only the union of
-those candidates, sorted back into ball order, or the whole ball when some
-live disjunct has no such equation. Each visited value must also satisfy
-the constraints it makes ground. The shadow is solved once per disjunct,
-before the walk, and never again inside it. All checks are sound and every
-item is checked at the depth where it becomes ground, so the first leaf
-reached is the first satisfying assignment in enumeration order; it is
-re-verified once, with `evaluate`, before it is returned. The compiled
-problems this runs on are undecidable in general; exhausting a bound proves
-nothing beyond it.
+those candidates, sorted by ball index (the cached ball maps each element
+to its position), or the whole ball when some live disjunct has no such
+equation. Each visited value must also satisfy the constraints it makes
+ground. The shadow is solved once per disjunct, before the walk, and never
+again inside it. All checks are sound and every item is checked at the
+depth where it becomes ground, so the first leaf reached is the first
+satisfying assignment in enumeration order; it is re-verified once, with
+`evaluate`, before it is returned. The compiled problems this runs on are
+undecidable in general; exhausting a bound proves nothing beyond it.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Set
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,7 +55,6 @@ from .words import (
     multiply,
     multiply_all,
     normalize,
-    sort_key,
 )
 
 DEFAULT_CAP = 12
@@ -93,21 +93,22 @@ def _substitute_term(p: Presentation, term: GroupTerm,
 
 
 def _solved_value_set(p: Presentation, term: GroupTerm, var: str,
-                      elem_set: frozenset) -> Optional[frozenset]:
+                      ball: dict) -> Optional[frozenset]:
     """If var occurs exactly once, the equation pins it to one value."""
     hits = [k for k, a in enumerate(term.atoms)
             if isinstance(a, VarAtom) and a.name == var]
     if len(hits) != 1:
         return None
     val = isolate_variable(p, term, hits[0], {})
-    return frozenset([val]) if val in elem_set else frozenset()
+    return frozenset([val]) if val in ball else frozenset()
 
 
 def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int,
-                         elem_set: frozenset) -> Optional[frozenset]:
-    """All ball elements commuting with w, generated from the centralizer description."""
+                         ball: dict) -> Optional[Set]:
+    """All ball elements commuting with w, generated from the centralizer
+    description, or None when w has no description."""
     if w.is_identity():
-        return elem_set
+        return ball.keys()
     try:
         desc = centralizer_generators(p, w)
     except AbelconError:
@@ -129,7 +130,7 @@ def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int,
             if used + geodesic_length(p, l) > budget:
                 continue
             x = multiply_all(p, (h, core, l, hinv))
-            if x in elem_set:
+            if x in ball:
                 out.append(x)
     return frozenset(out)
 
@@ -137,15 +138,13 @@ def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int,
 class _DisjunctState:
     """Per-disjunct pruning data threaded through the depth-first walk."""
 
-    def __init__(self, inst: Instance, index: int, elems: list[NormalWord],
-                 elem_set: frozenset, bound: int):
+    def __init__(self, inst: Instance, index: int, ball: dict, bound: int):
         p = inst.presentation
         self.p = p
         self.disjunct = inst.disjuncts[index]
         self.variables = inst.variables
-        self.elems = elems
+        self.ball = ball
         self.bound = bound
-        self._elem_set = elem_set
         d = self.disjunct
         eq_vars = [t.variables() for t in d.equations]
         con_vars = [constraint_variables(c) for c in d.constraints]
@@ -168,9 +167,9 @@ class _DisjunctState:
                 for t, vs in zip(d.equations, eq_vars) if not vs)
             or any(not _constraint_holds(p, c, {})
                    for c, vs in zip(d.constraints, con_vars) if not vs))
-        self._memo: dict[tuple, frozenset] = {}
+        self._memo: dict[tuple, Set] = {}
 
-    def _equation_pass_set(self, i: int, var: str, asg: dict[str, NormalWord]) -> frozenset:
+    def _equation_pass_set(self, i: int, var: str, asg: dict[str, NormalWord]) -> Set:
         """Values of var satisfying equation i given the other variables; cached.
 
         The cache pays off whenever the same ground context recurs in sibling
@@ -186,18 +185,18 @@ class _DisjunctState:
             return cached
         term = _substitute_term(self.p, self.disjunct.equations[i],
                                 dict(zip(self.eq_others[i], others)))
-        cached = _solved_value_set(self.p, term, var, self._elem_set)
+        cached = _solved_value_set(self.p, term, var, self.ball)
         if cached is None:
             shape = _commutator_shape(term)
             if shape is not None and shape[0] == var:
-                cached = _centralizer_in_ball(self.p, shape[1], self.bound, self._elem_set)
+                cached = _centralizer_in_ball(self.p, shape[1], self.bound, self.ball)
         if cached is None:
-            cached = frozenset(val for val in self.elems
+            cached = frozenset(val for val in self.ball
                                if term.evaluate(self.p, {var: val}).is_identity())
         self._memo[key] = cached
         return cached
 
-    def candidates(self, depth: int, asg: dict[str, NormalWord]) -> Optional[frozenset]:
+    def candidates(self, depth: int, asg: dict[str, NormalWord]) -> Optional[Set]:
         """Values of variables[depth] passing every equation that becomes
         ground at depth, or None when no equation does."""
         var = self.variables[depth]
@@ -230,9 +229,8 @@ def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
     if not solvable:
         millis = int((time.monotonic() - start) * 1000)
         return SearchReport(UNSAT_BY_SHADOW, bound, nodes=0, millis=millis)
-    elems = cayley_ball(inst.presentation, bound)
-    elem_set = frozenset(elems)
-    states = [_DisjunctState(inst, i, elems, elem_set, bound) for i in solvable]
+    ball = cayley_ball(inst.presentation, bound)
+    states = [_DisjunctState(inst, i, ball, bound) for i in solvable]
     live0 = [st for st in states if not st.ground_failed]
 
     variables = inst.variables
@@ -247,9 +245,9 @@ def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
         var = variables[depth]
         cands = [st.candidates(depth, asg) for st in live]
         if any(c is None for c in cands):
-            order = elems
-        else:  # ball order: by sphere, each sphere sorted by sort_key
-            order = sorted(frozenset().union(*cands), key=sort_key)
+            order = ball
+        else:  # candidates in ball order, by their ball index
+            order = sorted(frozenset().union(*cands), key=ball.__getitem__)
         for val in order:
             asg[var] = val
             admitted = [st for st, c in zip(live, cands)

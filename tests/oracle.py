@@ -10,12 +10,16 @@ The second oracle, ``naive_search``, enumerates every assignment over the
 Cayley ball in the search's order and evaluates each one in full, with no
 pruning, no shadow and no pass sets; ``abelcon.search`` must return the
 same first assignment.
+
+``forced_extension`` extends an assignment of an instance's variables to
+the fresh variables that flattening and the finite-abelianisation
+reduction introduce, so their solution sets can be compared.
 """
 
 from collections import deque
 from itertools import product
 
-from abelcon.instances import evaluate
+from abelcon.instances import VarAtom, evaluate, isolate_variable
 from abelcon.words import ball
 
 BLOCK = "#"  # anonymous blocker entry
@@ -136,3 +140,35 @@ def naive_search(inst, bound):
         if evaluate(inst, asg).satisfied:
             return asg
     return None
+
+
+def forced_extension(inst_flat, disjunct, base):
+    """Extend an assignment of the original variables to the flattening's fresh ones.
+
+    Fresh variables are definitionally determined (each first occurs in an
+    equation whose other atoms are already ground); returns None only if some
+    defining equation never becomes ground, which flatten's output never does.
+    """
+    p = inst_flat.presentation
+    asg = dict(base)
+    pending = list(inst_flat.disjuncts[disjunct].equations)
+    progress = True
+    while pending and progress:
+        progress = False
+        rest = []
+        for term in pending:
+            unknown = [a for a in term.atoms
+                       if isinstance(a, VarAtom) and a.name not in asg]
+            names = {a.name for a in unknown}
+            if not names:
+                continue
+            if len(names) == 1 and len(unknown) == 1:
+                k = term.atoms.index(unknown[0])
+                asg[unknown[0].name] = isolate_variable(p, term, k, asg)
+                progress = True
+            else:
+                rest.append(term)
+        pending = rest
+    if any(v not in asg for v in inst_flat.variables):
+        return None
+    return asg

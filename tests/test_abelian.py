@@ -91,7 +91,7 @@ def test_in_K_subgroup_and_normal(f2):
     for _ in range(100):
         x, y = rng.choice(members), rng.choice(members)
         assert in_K(f2, multiply(f2, x, y), {"a"})
-        g = rng.choice(ball(f2, 3))
+        g = rng.choice(list(ball(f2, 3)))
         assert in_K(f2, x.conjugate_by(g), {"a"})
 
 

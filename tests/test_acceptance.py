@@ -34,7 +34,6 @@ from abelcon.instances import (
     VarAtom,
     evaluate,
     flatten,
-    forced_extension,
     is_short,
     parse_instance,
 )
@@ -51,7 +50,7 @@ from abelcon.words import (
     parse_word,
 )
 
-from .oracle import all_raw_words, oracle_normal_form
+from .oracle import all_raw_words, forced_extension, oracle_normal_form
 
 
 def report(criterion, detail=""):
@@ -228,7 +227,7 @@ def _projected_solution_set(original, derived, bound):
     for values in product(elems, repeat=len(original.variables)):
         base = dict(zip(original.variables, values))
         for di in range(len(derived.disjuncts)):
-            ext = forced_extension(derived, di, base, original.variables)
+            ext = forced_extension(derived, di, base)
             if ext is not None and evaluate(derived, ext).reports[di].ok:
                 out.add(tuple(base[v] for v in original.variables))
                 break

@@ -52,6 +52,9 @@ from abelcon.instances import (
 from abelcon.search import WITNESS, search
 from abelcon.words import Presentation, ball, format_word, parse_word
 
+from .oracle import forced_extension
+
+
 XY_EQ_Z = "1*x*y -1*z = 0"
 X_PLUS_Y_5 = "1*x 1*y -5 = 0"
 
@@ -319,13 +322,12 @@ def _solutions(inst, bound, onto):
 
 def _reduced_solutions(original, reduced, bound):
     # fresh Z variables are determined by the originals, so extend directly
-    from abelcon.instances import forced_extension
     elems = ball(original.presentation, bound)
     out = set()
     for values in product(elems, repeat=len(original.variables)):
         base = dict(zip(original.variables, values))
         for di in range(len(reduced.disjuncts)):
-            ext = forced_extension(reduced, di, base, original.variables)
+            ext = forced_extension(reduced, di, base)
             if ext is not None and evaluate(reduced, ext).reports[di].ok:
                 out.add(tuple(base[v] for v in original.variables))
                 break

@@ -4,7 +4,8 @@ Every name a module imports must be used in that module. ``__init__.py``
 is exempt: its imports are the package's re-exports. Every module-level
 private function must be referenced somewhere in the package. A product of
 more than two factors goes through ``multiply_all``, which normalises once,
-never through a pairwise fold of ``multiply``.
+never through a pairwise fold of ``multiply``. Every cache is bounded: an
+``lru_cache`` with an explicit integer ``maxsize``.
 """
 
 import ast
@@ -116,3 +117,71 @@ def conjugate(p, h, x, hinv):
 def test_no_pairwise_multiply_folds(path):
     folds = _multiply_folds(ast.parse(path.read_text(encoding="utf-8")))
     assert not folds, f"{path.name}: fold products through multiply_all, lines {folds}"
+
+
+def _unbounded_caches(tree: ast.Module) -> list[int]:
+    """Lines of a cache other than an lru_cache with an explicit integer
+    maxsize (a literal or a module-level integer constant): functools.cache,
+    a bare, argument-less or ``maxsize=None`` lru_cache, and a module-level
+    dict or list whose name contains CACHE."""
+    ints = {t.id for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant) and type(node.value.value) is int
+            for t in node.targets if isinstance(t, ast.Name)}
+
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    def bounded(call: ast.Call) -> bool:
+        sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+        return len(sizes) == 1 and (
+            isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int
+            or isinstance(sizes[0], ast.Name) and sizes[0].id in ints)
+
+    ok = {id(node.func) for node in ast.walk(tree)
+          if isinstance(node, ast.Call) and name(node.func) == "lru_cache" and bounded(node)}
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in ok
+             and name(node) in ("cache", "lru_cache")]
+    lines += [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              and node.module == "functools" and any(a.name == "cache" for a in node.names)]
+    containers = (ast.Dict, ast.List, ast.DictComp, ast.ListComp)
+    lines += [node.lineno for node in tree.body
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              and (isinstance(node.value, containers) or isinstance(node.value, ast.Call)
+                   and name(node.value.func) in ("dict", "list", "defaultdict", "OrderedDict"))
+              and any(isinstance(t, ast.Name) and "CACHE" in t.id.upper()
+                      for t in getattr(node, "targets", [getattr(node, "target", None)]))]
+    return sorted(set(lines))
+
+
+def test_the_cache_check_sees_every_unbounded_shape():
+    caches = """
+import functools
+from functools import cache, lru_cache
+SIZE = 8
+_BALL_CACHE: dict[tuple, list] = {}
+_SEEN_CACHE = list()
+CACHE_SIZE = 128
+
+@functools.cache
+def a(x): return x
+
+@lru_cache(maxsize=None)
+def b(x): return x
+
+@lru_cache
+def c(x): return x
+
+@lru_cache(maxsize=SIZE)
+def d(x): return x
+
+@functools.lru_cache(16)
+def e(x): return x
+"""
+    assert _unbounded_caches(ast.parse(caches)) == [3, 5, 6, 9, 12, 15]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_cache_is_a_bounded_lru_cache(path):
+    caches = _unbounded_caches(ast.parse(path.read_text(encoding="utf-8")))
+    assert not caches, f"{path.name}: use lru_cache with an integer maxsize, lines {caches}"

@@ -27,7 +27,6 @@ from abelcon.instances import (
     disjunct_shadow,
     evaluate,
     flatten,
-    forced_extension,
     format_term,
     is_short,
     parse_instance,
@@ -35,6 +34,8 @@ from abelcon.instances import (
     var_term,
 )
 from abelcon.words import Presentation, ball, parse_word
+
+from .oracle import forced_extension
 
 
 def W(p, text):
@@ -221,7 +222,7 @@ def _projected_flat_solutions(inst, flat, bound):
     for values in product(elems, repeat=len(inst.variables)):
         base = dict(zip(inst.variables, values))
         for di in range(len(flat.disjuncts)):
-            ext = forced_extension(flat, di, base, inst.variables)
+            ext = forced_extension(flat, di, base)
             if ext is not None and evaluate(flat, ext).reports[di].ok:
                 sols.add(tuple(base[v] for v in inst.variables))
                 break

@@ -11,7 +11,9 @@ from abelcon.errors import (
     PresentationMismatch,
     UnknownVertex,
 )
+import abelcon.words as words_mod
 from abelcon.words import (
+    BALL_CACHE_SIZE,
     Presentation,
     ball,
     block_decomposition,
@@ -27,6 +29,7 @@ from abelcon.words import (
     normalize,
     parse_word,
     sort_key,
+    sphere,
     support,
 )
 
@@ -172,11 +175,30 @@ def test_products_normalise_once_like_the_pairwise_fold(request, name):
             assert term.evaluate(p, {"X": val}).is_identity()
 
 
+def test_evaluate_sorts_a_product_with_inverted_atoms_once(gamma1, monkeypatch):
+    x, y = W(gamma1, "a b^2 c"), W(gamma1, "d^-1 a")
+    term = GroupTerm((VarAtom("X", True), ConstAtom(W(gamma1, "b c")), VarAtom("Y"),
+                      VarAtom("X"), VarAtom("Y", True)))
+    want = _fold(gamma1, [x.inverse(), W(gamma1, "b c"), y, x, y.inverse()])
+    calls = []
+    real = words_mod._canonical_order
+
+    def spy(p, syllables):
+        calls.append(len(syllables))
+        return real(p, syllables)
+
+    monkeypatch.setattr(words_mod, "_canonical_order", spy)
+    assert term.evaluate(gamma1, {"X": x, "Y": y}) == want
+    assert len(calls) == 1
+
+
 def test_product_of_words_over_another_presentation_is_refused(gamma1, f2):
     with pytest.raises(PresentationMismatch):
         multiply_all(gamma1, [W(gamma1, "a"), W(f2, "a"), W(gamma1, "b")])
     with pytest.raises(PresentationMismatch):
         W(gamma1, "a").conjugate_by(W(f2, "a"))
+    with pytest.raises(PresentationMismatch):
+        GroupTerm((VarAtom("X", True),)).evaluate(gamma1, {"X": W(f2, "a")})
 
 
 def test_invert(fxy, c2_free_square):
@@ -256,6 +278,36 @@ def test_ball_order_is_sort_key_order(f2, gamma1, pentagon):
         for r in range(4):
             keys = [sort_key(w) for w in ball(p, r)]
             assert all(a < b for a, b in zip(keys, keys[1:])), (p.vertices, r)
+
+
+def test_ball_maps_each_element_to_its_position(f2, gamma1, pentagon):
+    for p in (f2, gamma1, pentagon):
+        for r in range(4):
+            b = ball(p, r)
+            assert [b[w] for w in b] == list(range(len(b))), (p.vertices, r)
+
+
+def test_sphere_is_the_length_r_tail_of_the_ball(f2, gamma1, pentagon):
+    for p in (f2, gamma1, pentagon):
+        assert sphere(p, -1) == [] and sphere(p, 0) == [p.identity()]
+        for r in range(4):
+            assert sphere(p, r) == [w for w in ball(p, 3) if geodesic_length(p, w) == r]
+
+
+def test_ball_is_cached_per_equal_presentation():
+    p = Presentation("abc", [("a", "b")], {"a": 3, "b": None, "c": 2})
+    twin = Presentation("abc", [("a", "b")], {"a": 3, "b": None, "c": 2})
+    assert twin is not p and twin == p
+    assert ball(p, 2) is ball(p, 2) is ball(twin, 2)
+
+
+def test_ball_cache_is_bounded():
+    z = Presentation.free("z")
+    assert ball.cache_info().maxsize == BALL_CACHE_SIZE
+    for r in range(BALL_CACHE_SIZE + 5):
+        assert len(ball(z, r)) == 2 * r + 1
+    assert ball.cache_info().currsize <= BALL_CACHE_SIZE
+    assert len(ball(z, 0)) == 1  # evicted, and rebuilt the same
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +446,7 @@ def test_centralizer_description_matches_commutator_test(gamma1):
 
 def test_centralizer_membership_reconstructed_from_generators(gamma1):
     rng = random.Random(11)
-    elements = ball(gamma1, 3)
+    elements = list(ball(gamma1, 3))
     sample = rng.sample(elements, 40)
     for g in sample:
         if g.is_identity():
