@@ -212,6 +212,12 @@ class _DisjunctState:
                    for i in self.con_at[depth])
 
 
+def check_radius(bound: int, cap: int) -> None:
+    """Raise RadiusCapExceeded unless the search radius lies in 0..cap."""
+    if not 0 <= bound <= cap:
+        raise RadiusCapExceeded(f"radius {bound} outside 0..{cap}")
+
+
 def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
     """Find the first satisfying assignment with all values in the bound ball.
 
@@ -222,8 +228,7 @@ def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
     exhausts the ball.
     """
     start = time.monotonic()
-    if not 0 <= bound <= cap:
-        raise RadiusCapExceeded(f"radius {bound} outside 0..{cap}")
+    check_radius(bound, cap)
     solvable = [i for i, shadow in enumerate(abelian_shadow(inst))
                 if solve_linear_system(shadow)]
     if not solvable:

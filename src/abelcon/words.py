@@ -7,7 +7,11 @@ are equal in the group iff their normal forms are identical tuples.
 
 The canonical form is the lexicographically least geodesic: repeatedly emit
 the least vertex (in declaration order) whose syllable can be commuted to the
-front of the remaining word.
+front of the remaining word. This lexicographic normal form of a trace
+(Diekert & Rozenberg, The Book of Traces, 1995) is a lex-least topological
+sort of the syllables' dependence graph (Kahn's algorithm, min-heap on vertex
+index), O(n·|V| + n log |V|) for n syllables. The graph's sources and sinks
+are the syllables that cyclic reduction may move to the front and the back.
 
 A product of any number of factors is normalised once: `multiply_all` and
 powers push every factor's syllables onto one reduced list and sort it once,
@@ -17,6 +21,7 @@ instead of sorting each intermediate product of a pairwise fold.
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -166,7 +171,7 @@ class Presentation:
         return self._identity
 
     def __eq__(self, other):
-        return isinstance(other, Presentation) and self._key == other._key
+        return self is other or (isinstance(other, Presentation) and self._key == other._key)
 
     def __hash__(self):
         return self._hash
@@ -280,7 +285,7 @@ def parse_word(p: Presentation, text: str) -> NormalWord:
 # normalization
 
 
-def _push(p: Presentation, syllables: list[list], v: str, e: int) -> None:
+def _push(p: Presentation, syllables: list[Syllable], v: str, e: int) -> None:
     """Right-multiply the reduced syllable list by v^e, keeping it reduced."""
     e = p.reduce_exponent(v, e)
     if e == 0:
@@ -293,38 +298,76 @@ def _push(p: Presentation, syllables: list[list], v: str, e: int) -> None:
             if merged == 0:
                 del syllables[j]
             else:
-                syllables[j][1] = merged
+                syllables[j] = Syllable(v, merged)
             return
         if not p.adjacent(sv, v):
             break
         j -= 1
-    syllables.append([v, e])
+    syllables.append(Syllable(v, e))
 
 
-def _canonical_order(p: Presentation, syllables: list[list]) -> tuple[Syllable, ...]:
-    """Sort a reduced syllable list into its lexicographically least shuffle."""
-    rest = list(syllables)
-    out = []
+def _dependence(p: Presentation, syllables: Sequence) -> tuple[list[list[int]], list[int]]:
+    """Successor lists and predecessor counts of the dependence graph.
+
+    Syllable j precedes a later i when their vertices do not commute (nor does
+    a vertex with itself). Edges come only from the last earlier occurrence of
+    each vertex, as one vertex's occurrences are chained: O(n·|V|).
+    """
+    succ: list[list[int]] = []
+    waiting: list[int] = []
+    last: dict[str, int] = {}
+    adj = p.adj
+    for i, (v, _) in enumerate(syllables):
+        link = adj[v]
+        w = 0
+        for u, j in last.items():
+            if u not in link:
+                succ[j].append(i)
+                w += 1
+        succ.append([])
+        waiting.append(w)
+        last[v] = i
+    return succ, waiting
+
+
+def _canonical_order(p: Presentation, syllables: list[Syllable]) -> tuple[Syllable, ...]:
+    """Sort a reduced syllable list into its lexicographically least shuffle:
+    repeatedly emit the least vertex whose syllable can be commuted to the front.
+
+    Kahn's algorithm on the dependence graph, with a min-heap of available
+    syllables. Two of them never share a vertex, so the vertex index orders
+    the heap; an entry is index * n + position. O(n·|V| + n log |V|).
+    """
+    n = len(syllables)
+    if n < 2:
+        return tuple(syllables)
     index = p.index
-    while rest:
-        best_i = 0
-        best_vi = index[rest[0][0]]
-        # a later syllable is available iff it commutes with everything before it
-        seen: list[str] = [rest[0][0]]
-        for i in range(1, len(rest)):
-            v = rest[i][0]
-            vi = index[v]
-            if vi < best_vi and all(p.adjacent(u, v) for u in seen):
-                best_i, best_vi = i, vi
-            seen.append(v)
-        v, e = rest.pop(best_i)
-        out.append(Syllable(v, e))
+    if n == 2:
+        (u, _), (v, _) = syllables
+        if index[v] < index[u] and v in p.adj[u]:
+            return syllables[1], syllables[0]
+        return tuple(syllables)
+    succ, waiting = _dependence(p, syllables)
+    heap = []
+    for i, w in enumerate(waiting):
+        if not w:
+            heap.append(index[syllables[i][0]] * n + i)
+    heapify(heap)
+    out = []
+    while heap:
+        i = heappop(heap) % n
+        out.append(syllables[i])
+        for k in succ[i]:
+            w = waiting[k] - 1
+            waiting[k] = w
+            if not w:
+                heappush(heap, index[syllables[k][0]] * n + k)
     return tuple(out)
 
 
 def normalize(p: Presentation, word: Iterable[tuple[str, int]]) -> NormalWord:
     """Canonical form of a raw word given as (vertex, exponent) pairs."""
-    syllables: list[list] = []
+    syllables: list[Syllable] = []
     for v, e in word:
         if v not in p.index:
             raise UnknownVertex(f"unknown vertex {v!r}")
@@ -336,14 +379,14 @@ def normalize(p: Presentation, word: Iterable[tuple[str, int]]) -> NormalWord:
 
 def _check(p: Presentation, *words: NormalWord) -> None:
     for w in words:
-        if w.pres != p:
+        if w.pres is not p and w.pres != p:
             raise PresentationMismatch("word built over a different presentation")
 
 
 def multiply(p: Presentation, a: NormalWord, b: NormalWord) -> NormalWord:
     """Canonical form of the product a*b."""
     _check(p, a, b)
-    syllables = [list(s) for s in a.syllables]
+    syllables = list(a.syllables)
     for v, e in b.syllables:
         _push(p, syllables, v, e)
     return NormalWord(p, _canonical_order(p, syllables))
@@ -364,7 +407,7 @@ def multiply_all(p: Presentation, words: Iterable[NormalWord]) -> NormalWord:
 def invert(p: Presentation, a: NormalWord) -> NormalWord:
     """Canonical form of the inverse."""
     _check(p, a)
-    syllables = [[v, p.reduce_exponent(v, -e)] for v, e in reversed(a.syllables)]
+    syllables = [Syllable(v, p.reduce_exponent(v, -e)) for v, e in reversed(a.syllables)]
     return NormalWord(p, _canonical_order(p, syllables))
 
 
@@ -378,10 +421,6 @@ def support(p: Presentation, a: NormalWord) -> frozenset[str]:
     """Vertices occurring in any geodesic for the element."""
     _check(p, a)
     return frozenset(v for v, _ in a.syllables)
-
-
-def exponent_pairs(a: NormalWord) -> list[tuple[str, int]]:
-    return [(v, e) for v, e in a.syllables]
 
 
 def sort_key(w: NormalWord) -> tuple:
@@ -449,15 +488,8 @@ def sphere(p: Presentation, radius: int) -> list[NormalWord]:
 
 def _trace_initial_final(p: Presentation, w: NormalWord):
     """Positions of syllables movable to the front resp. back of the word."""
-    sy = w.syllables
-    n = len(sy)
-    initial, final = [], []
-    for i in range(n):
-        if all(p.adjacent(sy[j].vertex, sy[i].vertex) for j in range(i)):
-            initial.append(i)
-        if all(p.adjacent(sy[j].vertex, sy[i].vertex) for j in range(i + 1, n)):
-            final.append(i)
-    return initial, final
+    succ, waiting = _dependence(p, w.syllables)
+    return [i for i, k in enumerate(waiting) if not k], [i for i, s in enumerate(succ) if not s]
 
 
 def is_cyclically_reduced(p: Presentation, w: NormalWord) -> bool:
@@ -470,7 +502,6 @@ def _cyclic_step(p: Presentation, w: NormalWord):
     """One strictly shortening conjugation (new_word, step_conjugator), or None."""
     sy = w.syllables
     initial, final = _trace_initial_final(p, w)
-    final_set = set(final)
     for i in initial:
         v, e = sy[i]
         for j in final:
@@ -480,7 +511,7 @@ def _cyclic_step(p: Presentation, w: NormalWord):
             if p.syllable_cost(v, e + f) < p.syllable_cost(v, e) + p.syllable_cost(v, f):
                 # conjugating by v^-f moves the final syllable to the front
                 step = normalize(p, [(v, -f)])
-                conj = normalize(p, [(v, f)] + exponent_pairs(w) + [(v, -f)])
+                conj = normalize(p, [(v, f), *sy, (v, -f)])
                 return conj, step
     return None
 
@@ -546,11 +577,6 @@ def induced_subpresentation(p: Presentation, vertices) -> Presentation:
     return Presentation(names, edges, {v: p.order[v] for v in names})
 
 
-
-def _lift(p: Presentation, w: NormalWord) -> NormalWord:
-    return normalize(p, exponent_pairs(w))
-
-
 def _extract_root(p: Presentation, w: NormalWord) -> tuple[NormalWord, int]:
     """Maximal n with w = u^n; brute force over shorter words in the support subgroup."""
     total = geodesic_length(p, w)
@@ -562,7 +588,7 @@ def _extract_root(p: Presentation, w: NormalWord) -> tuple[NormalWord, int]:
             continue
         d = total // n
         for cand in sphere(sub, d):
-            u = _lift(p, cand)
+            u = normalize(p, cand.syllables)
             if u ** n == w:
                 return u, n
     return w, 1

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import abelcon.cli as cli
 from abelcon.cli import main
 
 GAMMA1 = """vertex a inf
@@ -153,6 +154,29 @@ def test_compile_raag_cli(files, capsys):
     assert code == 0
     assert out.splitlines()[0] == "(1,1,1)"
     assert out.splitlines()[-1] == "OK"
+
+
+def test_verify_with_a_passing_hint_does_not_search(files, capsys, monkeypatch):
+    inst, dec = _compiled_sum(files, capsys)
+    calls = []
+    real = cli.search
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "search", spy)
+    code, out, _ = run(capsys, "verify", inst, dec, "--bound", "1", "--hint", "x=2,y=3")
+    assert (code, out) == (0, "(2,3)\nOK\n")
+    assert calls == []
+    code, out, err = run(capsys, "verify", inst, dec, "--bound", "-1", "--hint", "x=2,y=3")
+    assert code == 3 and out == "(2,3)\n" and err == "error: radius -1 outside 0..12\n"
+    code, out, err = run(capsys, "verify", inst, dec, "--bound", "1", "--cap", "0",
+                         "--hint", "x=2,y=3")
+    assert code == 3 and err == "error: radius 1 outside 0..0\n"
+    assert calls == []
+    code, _, err = run(capsys, "verify", inst, dec, "--bound", "1")
+    assert len(calls) == 1 and err.startswith("stats nodes=")
 
 
 def test_reduce_finite_ab_cli(files, capsys):

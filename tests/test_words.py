@@ -231,6 +231,65 @@ def test_canonicity_matches_oracle(request, pres_name, maxlen):
 
 
 # ---------------------------------------------------------------------------
+# long words vs the piling oracle, sampled
+
+
+LONG_WORD_PRESENTATIONS = ["f2", "gamma1", "pentagon", "mixed", "random9-0", "random9-1", "random9-2"]
+
+
+def _long_word_presentation(request, name):
+    """A fixture's graph, MIXED, or a seeded random graph product on 9
+    vertices with orders drawn from {inf, 2, 3, 4}."""
+    if name == "mixed":
+        return MIXED
+    if name.startswith("random9-"):
+        rng = random.Random(int(name.rpartition("-")[2]))
+        names = "abcdefghi"
+        edges = [(u, v) for i, u in enumerate(names) for v in names[i + 1:] if rng.random() < 0.5]
+        return Presentation(names, edges, {v: rng.choice([None, 2, 3, 4]) for v in names})
+    return request.getfixturevalue(name)
+
+
+def _raw_word(rng, p, lo, hi):
+    return [(rng.choice(p.vertices), rng.choice((1, -1))) for _ in range(rng.randint(lo, hi))]
+
+
+def _inverse_raw(raw):
+    return [(v, -e) for v, e in reversed(raw)]
+
+
+@pytest.mark.parametrize("name", LONG_WORD_PRESENTATIONS)
+def test_long_words_match_the_oracle(request, name):
+    p = _long_word_presentation(request, name)
+    rng = random.Random(97)
+    for _ in range(4):
+        raw = _raw_word(rng, p, 100, 400)
+        inv_raw = _inverse_raw(raw)
+        w = normalize(p, raw)
+        assert w.syllables == oracle_normal_form(p, raw)
+        assert invert(p, w).syllables == oracle_normal_form(p, inv_raw)
+        for n in range(-3, 4):
+            assert (w ** n).syllables == oracle_normal_form(p, (raw if n >= 0 else inv_raw) * abs(n))
+
+
+@pytest.mark.parametrize("name", LONG_WORD_PRESENTATIONS)
+def test_cyclically_reduce_long_words(request, name):
+    p = _long_word_presentation(request, name)
+    rng = random.Random(89)
+    conjugators = []
+    for _ in range(4):
+        x = _raw_word(rng, p, 1, 2)
+        g = normalize(p, x + _raw_word(rng, p, 100, 400) + _inverse_raw(x))
+        core, h = cyclically_reduce(p, g)
+        assert is_cyclically_reduced(p, core)
+        assert core == g.conjugate_by(h)
+        h_raw = list(h.syllables)
+        assert core.syllables == oracle_normal_form(p, _inverse_raw(h_raw) + list(g.syllables) + h_raw)
+        conjugators.append(h)
+    assert any(conjugators)
+
+
+# ---------------------------------------------------------------------------
 # lengths and support
 
 
