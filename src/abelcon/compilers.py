@@ -556,9 +556,10 @@ class _Emitter:
         return name
 
 
-def compile_h10_free(h: H10Instance, target: Presentation, mode: str = "pure-ab",
-                     s1: Optional[str] = None, s2: Optional[str] = None) -> CompiledReduction:
-    """Encode an integer polynomial system over a free group of rank >= 2.
+def compile_h10_free(h: H10Instance, target: Presentation,
+                     mode: str = "pure-ab") -> CompiledReduction:
+    """Encode an integer polynomial system over a free group of rank >= 2,
+    with s1 and s2 its first two vertices.
 
     ``native-expsum`` keeps linear exponent-sum constraints in the output;
     ``pure-ab`` rewrites them into commutation equations plus abelianisation
@@ -570,10 +571,7 @@ def compile_h10_free(h: H10Instance, target: Presentation, mode: str = "pure-ab"
         raise RankTooSmall("target must be a free presentation (no edges, all orders infinite)")
     if len(target.vertices) < 2:
         raise RankTooSmall("free target needs rank >= 2")
-    s1 = s1 or target.vertices[0]
-    s2 = s2 or target.vertices[1]
-    if s1 == s2:
-        raise RankTooSmall("distinguished generators must be distinct")
+    s1, s2 = target.vertices[:2]
     p = target
     ws1 = parse_word(p, s1)
     ws2 = parse_word(p, s2)

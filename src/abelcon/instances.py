@@ -534,10 +534,10 @@ class _Parser:
                     self.fail("unterminated graph block", i)
                 i += 1
                 self.pres = Presentation.from_text("\n".join(block))
-            elif line.startswith("vars"):
+            elif line.split()[0] == "vars":
                 self.variables.extend(line.split()[1:])
-            elif line == "disjunct {" or line.startswith("disjunct"):
-                if not line.endswith("{"):
+            elif line.startswith("disjunct"):
+                if line[len("disjunct"):].strip() != "{":
                     self.fail("expected 'disjunct {'", i)
                 stmts: list[tuple[str, int]] = []
                 while i < n:

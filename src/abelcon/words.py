@@ -134,9 +134,6 @@ class Presentation:
     def adjacent(self, u: str, v: str) -> bool:
         return v in self.adj[u]
 
-    def link(self, v: str) -> frozenset[str]:
-        return self.adj[v]
-
     def star(self, v: str) -> frozenset[str]:
         return self.adj[v] | {v}
 
@@ -460,9 +457,10 @@ def ball(p: Presentation, radius: int) -> dict[NormalWord, int]:
     it, so its keys are the member set and sorting a subset by the dict's
     ``__getitem__`` restores ball order. It is cached and shared by every
     caller, also across equal presentations: never mutate it. The cache
-    keeps the BALL_CACHE_SIZE most recently used balls. A whole benchmark
-    pool (seeds 1, 3, 7) uses at most 25: 9 on `h10_search` (19 445
-    elements, 13 121 of them in F2 at radius 8), 23-25 on `shadow_mixed`.
+    keeps the BALL_CACHE_SIZE most recently used balls. Only `search` builds
+    balls. A whole benchmark pool (seeds 1, 3, 7) uses at most 13: 8 on
+    `h10_search` (19 440 elements, 13 121 of them in F2 at radius 8), 11-13
+    on `shadow_mixed`.
     """
     if radius < 0:
         return {}
@@ -477,19 +475,8 @@ def ball(p: Presentation, radius: int) -> dict[NormalWord, int]:
     return index
 
 
-def sphere(p: Presentation, radius: int) -> list[NormalWord]:
-    """Elements of geodesic length exactly radius, in ball order."""
-    return [w for w in ball(p, radius) if geodesic_length(p, w) == radius]
-
-
 # ---------------------------------------------------------------------------
 # cyclic reduction
-
-
-def _trace_initial_final(p: Presentation, w: NormalWord):
-    """Positions of syllables movable to the front resp. back of the word."""
-    succ, waiting = _dependence(p, w.syllables)
-    return [i for i, k in enumerate(waiting) if not k], [i for i, s in enumerate(succ) if not s]
 
 
 def is_cyclically_reduced(p: Presentation, w: NormalWord) -> bool:
@@ -499,44 +486,47 @@ def is_cyclically_reduced(p: Presentation, w: NormalWord) -> bool:
 
 
 def _cyclic_step(p: Presentation, w: NormalWord):
-    """One strictly shortening conjugation (new_word, step_conjugator), or None."""
+    """The least shortening conjugation (new_word, step_conjugator), or None.
+
+    A shortening pair is an initial syllable v^e and a final syllable v^f (a
+    source and a sink of the dependence graph) whose merge costs less than
+    the two. Two conjugators remove it: v^e moves the initial syllable to the
+    back, v^-f the final one to the front. The step is the least of all these
+    conjugators in ball order.
+    """
     sy = w.syllables
-    initial, final = _trace_initial_final(p, w)
-    for i in initial:
-        v, e = sy[i]
-        for j in final:
-            if j == i or sy[j].vertex != v:
-                continue
-            f = sy[j].exponent
-            if p.syllable_cost(v, e + f) < p.syllable_cost(v, e) + p.syllable_cost(v, f):
-                # conjugating by v^-f moves the final syllable to the front
-                step = normalize(p, [(v, -f)])
-                conj = normalize(p, [(v, f), *sy, (v, -f)])
-                return conj, step
-    return None
+    succ, waiting = _dependence(p, sy)
+    final = {sy[j].vertex: j for j, s in enumerate(succ) if not s}
+    steps = []
+    for i, (v, e) in enumerate(sy):
+        j = final.get(v, i)
+        f = sy[j].exponent
+        if not waiting[i] and j != i and (
+                p.syllable_cost(v, e + f) < p.syllable_cost(v, e) + p.syllable_cost(v, f)):
+            steps += (normalize(p, [(v, e)]), normalize(p, [(v, -f)]))
+    if not steps:
+        return None
+    step = min(steps, key=sort_key)
+    return w.conjugate_by(step), step
 
 
 def cyclically_reduce(p: Presentation, g: NormalWord) -> tuple[NormalWord, NormalWord]:
     """Return (core, h) with h^-1 g h = core cyclically reduced.
 
-    Among all valid pairs, h has minimal geodesic length and is
-    lexicographically least; this makes downstream output reproducible.
+    h is the product of `_cyclic_step`'s least steps, and it is the first
+    conjugator in ball order whose conjugate has minimal length: reaching
+    that length moves one syllable of each shortening pair across the word,
+    pairs on different vertices commute, and ball order compares the least
+    step first. This makes downstream output reproducible. There is at most
+    one step per syllable; `tests/oracle.py` keeps the ball scan it replaces.
     """
     _check(p, g)
     core = g
-    conjugators = []
+    steps = []
     while (step := _cyclic_step(p, core)) is not None:
         core, conj = step
-        conjugators.append(conj)
-    h = multiply_all(p, conjugators)
-    if h.is_identity():
-        return core, h
-    target_len = geodesic_length(p, core)
-    for cand in ball(p, geodesic_length(p, h)):
-        c = g.conjugate_by(cand)
-        if geodesic_length(p, c) == target_len:
-            return c, cand
-    raise AssertionError("greedy conjugator disappeared from its own ball")
+        steps.append(conj)
+    return core, multiply_all(p, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -578,19 +568,31 @@ def induced_subpresentation(p: Presentation, vertices) -> Presentation:
 
 
 def _extract_root(p: Presentation, w: NormalWord) -> tuple[NormalWord, int]:
-    """Maximal n with w = u^n; brute force over shorter words in the support subgroup."""
+    """Maximal n with w = u^n, for w in a right-angled Artin group.
+
+    For a cyclically reduced w = u^n the copies of u do not cancel, so each
+    vertex's letters in w are those of the n copies one after another, and
+    u is the subword made of the first 1/n of each vertex's letters.
+    Roots are unique, as right-angled Artin groups are bi-orderable
+    (Duchamp-Krob 1992), so the first n that passes from the top is maximal.
+    """
     total = geodesic_length(p, w)
     if total == 0:
         raise IdentityElement("identity has no root decomposition")
-    sub = induced_subpresentation(p, support(p, w))
+    counts = {v: sum(abs(e) for u, e in w.syllables if u == v) for v in support(p, w)}
     for n in range(total, 1, -1):
-        if total % n:
+        if any(c % n for c in counts.values()):
             continue
-        d = total // n
-        for cand in sphere(sub, d):
-            u = normalize(p, cand.syllables)
-            if u ** n == w:
-                return u, n
+        left = {v: c // n for v, c in counts.items()}
+        prefix = []
+        for v, e in w.syllables:
+            k = min(abs(e), left[v])
+            if k:
+                prefix.append((v, k if e > 0 else -k))
+                left[v] -= k
+        u = normalize(p, prefix)
+        if u ** n == w:
+            return u, n
     return w, 1
 
 

@@ -14,13 +14,17 @@ same first assignment.
 ``forced_extension`` extends an assignment of an instance's variables to
 the fresh variables that flattening and the finite-abelianisation
 reduction introduce, so their solution sets can be compared.
+
+``least_conjugator`` and ``sphere_root`` are the Cayley-ball scans that
+cyclic reduction and root extraction once ran: the package now builds both
+answers directly and must agree with them.
 """
 
 from collections import deque
 from itertools import product
 
 from abelcon.instances import VarAtom, evaluate, isolate_variable
-from abelcon.words import ball
+from abelcon.words import ball, geodesic_length, induced_subpresentation, normalize
 
 BLOCK = "#"  # anonymous blocker entry
 
@@ -172,3 +176,53 @@ def forced_extension(inst_flat, disjunct, base):
     if any(v not in asg for v in inst_flat.variables):
         return None
     return asg
+
+
+def _movable(pres, syllables, i, later):
+    """True iff syllable i commutes past every syllable before it (after it, if later)."""
+    others = syllables[i + 1:] if later else syllables[:i]
+    v = syllables[i][0]
+    return all(u != v and pres.adjacent(u, v) for u, _ in others)
+
+
+def _peeled_length(pres, g):
+    """Length of g after moving a final syllable to the front while it merges
+    with an initial one into a cheaper syllable."""
+    cost = pres.syllable_cost
+    while True:
+        sy = g.syllables
+        pair = next(((v, f) for i, (v, e) in enumerate(sy) for j, (u, f) in enumerate(sy)
+                     if i != j and u == v and _movable(pres, sy, i, False)
+                     and _movable(pres, sy, j, True) and cost(v, e + f) < cost(v, e) + cost(v, f)),
+                    None)
+        if pair is None:
+            return geodesic_length(pres, g)
+        v, f = pair
+        g = normalize(pres, [(v, f), *sy, (v, -f)])
+
+
+def least_conjugator(pres, g):
+    """(core, h): h is the first element of ball(pres, |g|) whose conjugate
+    h^-1 g h = core has minimal length, the length that peeling reaches."""
+    target = _peeled_length(pres, g)
+    for h in ball(pres, geodesic_length(pres, g)):
+        core = g.conjugate_by(h)
+        if geodesic_length(pres, core) == target:
+            return core, h
+    raise AssertionError("no conjugate of minimal length in the ball")
+
+
+def sphere_root(pres, w):
+    """Maximal n with w = u^n, and u: the first u of length |w|/n in ball
+    order of the support subgroup, trying n from |w| down."""
+    total = geodesic_length(pres, w)
+    sub = induced_subpresentation(pres, {v for v, _ in w.syllables})
+    for n in range(total, 1, -1):
+        if total % n:
+            continue
+        for cand in ball(sub, total // n):
+            if geodesic_length(sub, cand) == total // n:
+                u = normalize(pres, cand.syllables)
+                if u ** n == w:
+                    return u, n
+    return w, 1

@@ -72,6 +72,20 @@ def test_centralizer(files, capsys):
     assert out == "conjugator 1\ncyclic a exponent 1\nlink {b}\n"
 
 
+def test_centralizer_of_a_long_primitive_word(files, capsys):
+    code, out, _ = run(capsys, "centralizer", files / "f2.graph", "a", "b^39")
+    assert code == 0
+    assert out == "conjugator 1\ncyclic a b^39 exponent 1\nlink {}\n"
+
+
+@pytest.mark.parametrize("line", ["varsX Y", "disjunctive {"])
+def test_glued_instance_keyword_exits_3(files, capsys, line):
+    inst = files / "glued.inst"
+    inst.write_text(f"group f2.graph\nvars Y\n{line}\n  eq Y = 1\n}}\n")
+    code, out, err = run(capsys, "solve", inst, "--bound", "1")
+    assert code == 3 and out == "" and err.startswith("error: ") and "(line 3)" in err
+
+
 def test_solve_witness(files, capsys):
     inst = files / "x1.inst"
     inst.write_text("group f2.graph\nvars X1\ndisjunct {\n  eq X1^2 ( a b a b )^-1 = 1\n}\n")

@@ -5,7 +5,8 @@ is exempt: its imports are the package's re-exports. Every module-level
 private function must be referenced somewhere in the package. A product of
 more than two factors goes through ``multiply_all``, which normalises once,
 never through a pairwise fold of ``multiply``. Every cache is bounded: an
-``lru_cache`` with an explicit integer ``maxsize``.
+``lru_cache`` with an explicit integer ``maxsize``. Only ``search.py`` builds
+a Cayley ball: the word algebra constructs its answers directly.
 """
 
 import ast
@@ -185,3 +186,37 @@ def e(x): return x
 def test_every_cache_is_a_bounded_lru_cache(path):
     caches = _unbounded_caches(ast.parse(path.read_text(encoding="utf-8")))
     assert not caches, f"{path.name}: use lru_cache with an integer maxsize, lines {caches}"
+
+
+def _ball_calls(tree: ast.Module, filename: str) -> list[int]:
+    """Lines calling ``words.ball``: by its own name inside words.py, by any
+    name it is imported under, or as an attribute ``<module>.ball``."""
+    names = {"ball"} if filename == "words.py" else set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").rpartition(".")[2] in ("words", "abelcon")):
+            names |= {a.asname or a.name for a in node.names if a.name == "ball"}
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id in names
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "ball"))
+
+
+def test_the_ball_check_sees_every_spelling():
+    calls = """
+from .words import ball as cayley_ball
+from . import words
+
+def scan(p, g):
+    for x in cayley_ball(p, 2):
+        pass
+    return words.ball(p, 3), sorted(g, key=len)
+"""
+    assert _ball_calls(ast.parse(calls), "compilers.py") == [6, 8]
+    assert _ball_calls(ast.parse("def ball(p, r):\n    return ball(p, r - 1)\n"), "words.py") == [2]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "search.py"],
+                         ids=lambda p: p.name)
+def test_only_search_builds_cayley_balls(path):
+    calls = _ball_calls(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    assert not calls, f"{path.name}: builds a Cayley ball outside search.py, lines {calls}"

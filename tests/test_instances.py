@@ -96,6 +96,17 @@ def test_parse_errors_have_lines():
             parse_instance(F2_HEADER + f"vars X\ndisjunct {{\n  eq X = 1\n  {con}\n}}\n")
 
 
+def test_instance_keywords_are_whole_tokens():
+    glued = F2_HEADER + "varsX Y\ndisjunct {\n  eq Y = 1\n}\n"
+    longer = F2_HEADER + "vars X\ndisjunctive {\n  eq X = 1\n}\n"
+    for text, line in ((glued, 5), (longer, 6)):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert err.value.line == line
+    inst = parse_instance(F2_HEADER + "vars X Y\ndisjunct {\n  eq X Y = 1\n}\n")
+    assert inst.variables == ("X", "Y") and len(inst.disjuncts) == 1
+
+
 def test_round_trip(tmp_path):
     text = F2_HEADER + """
 vars X Y

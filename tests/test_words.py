@@ -29,13 +29,19 @@ from abelcon.words import (
     normalize,
     parse_word,
     sort_key,
-    sphere,
     support,
 )
 
 from abelcon.instances import ConstAtom, GroupTerm, VarAtom, isolate_variable
 
-from .oracle import Piling, all_raw_words, bfs_ball_normal_forms, oracle_normal_form
+from .oracle import (
+    Piling,
+    all_raw_words,
+    bfs_ball_normal_forms,
+    least_conjugator,
+    oracle_normal_form,
+    sphere_root,
+)
 
 
 def W(p, text):
@@ -278,7 +284,7 @@ def test_cyclically_reduce_long_words(request, name):
     rng = random.Random(89)
     conjugators = []
     for _ in range(4):
-        x = _raw_word(rng, p, 1, 2)
+        x = _raw_word(rng, p, 1, 12)
         g = normalize(p, x + _raw_word(rng, p, 100, 400) + _inverse_raw(x))
         core, h = cyclically_reduce(p, g)
         assert is_cyclically_reduced(p, core)
@@ -346,13 +352,6 @@ def test_ball_maps_each_element_to_its_position(f2, gamma1, pentagon):
             assert [b[w] for w in b] == list(range(len(b))), (p.vertices, r)
 
 
-def test_sphere_is_the_length_r_tail_of_the_ball(f2, gamma1, pentagon):
-    for p in (f2, gamma1, pentagon):
-        assert sphere(p, -1) == [] and sphere(p, 0) == [p.identity()]
-        for r in range(4):
-            assert sphere(p, r) == [w for w in ball(p, 3) if geodesic_length(p, w) == r]
-
-
 def test_ball_is_cached_per_equal_presentation():
     p = Presentation("abc", [("a", "b")], {"a": 3, "b": None, "c": 2})
     twin = Presentation("abc", [("a", "b")], {"a": 3, "b": None, "c": 2})
@@ -403,6 +402,36 @@ def test_cyclic_core_minimal_over_conjugates(gamma1, pentagon):
                 assert geodesic_length(p, core) <= geodesic_length(p, g.conjugate_by(x))
 
 
+Z5 = Presentation("abc", [("a", "b")], {"a": 5, "b": None, "c": None})
+
+
+@pytest.mark.parametrize("name", ["gamma1", "pentagon", "mixed", "f2", "z5"])
+def test_cyclically_reduce_matches_the_ball_scan(request, name):
+    p = {"mixed": MIXED, "z5": Z5}.get(name) or request.getfixturevalue(name)
+    moved = 0
+    for g in ball(p, 5):
+        core, h = cyclically_reduce(p, g)
+        assert (core, h) == least_conjugator(p, g), format_word(g)
+        moved += bool(h)
+    assert moved > 100
+
+
+def test_cyclic_reduction_and_centralizers_build_no_ball():
+    f3 = Presentation.free("abc")
+    x = W(f3, "a b " * 6)
+    ball.cache_clear()
+    core, h = cyclically_reduce(f3, multiply_all(f3, [x, W(f3, "c"), x.inverse()]))
+    assert (format_word(core), h) == ("c", x)
+    f2 = Presentation.free("ab")
+    primitive = centralizer_generators(f2, W(f2, "a b^39"))
+    assert [format_word(r) for r in primitive.cyclic_parts] == ["a b^39"]
+    assert primitive.exponents == (1,) and primitive.conjugator.is_identity()
+    power = centralizer_generators(f2, W(f2, "a b a^-1 b^-1") ** 7)
+    assert [format_word(r) for r in power.cyclic_parts] == ["a b a^-1 b^-1"]
+    assert power.exponents == (7,) and not power.link_vertices
+    assert ball.cache_info().currsize == 0
+
+
 # ---------------------------------------------------------------------------
 # block decomposition
 
@@ -420,6 +449,21 @@ def test_blocks_primitive_free(fxy):
 def test_blocks_root_extraction(gamma1):
     dec = block_decomposition(gamma1, W(gamma1, "a c a c"))
     assert [(format_word(r), n) for r, n in dec.blocks] == [("a c", 2)]
+
+
+@pytest.mark.parametrize("name", ["f2", "gamma1", "gamma2"])
+def test_block_roots_match_the_sphere_scan(request, name):
+    p = request.getfixturevalue(name)
+    rng = random.Random(53)
+    for _ in range(40):
+        u, _ = cyclically_reduce(p, normalize(p, _raw_word(rng, p, 1, 4)))
+        if u.is_identity():
+            continue
+        k = rng.randint(2, 4)
+        dec = block_decomposition(p, u ** k)
+        assert all(n % k == 0 for _, n in dec.blocks)
+        for root, n in dec.blocks:
+            assert (root, n) == sphere_root(p, root ** n), format_word(u)
 
 
 def test_blocks_require_cyclically_reduced(fxy):
