@@ -40,10 +40,6 @@ class AbelVector:
         if len(self.coords) != len(pres.vertices):
             raise ValueError("coordinate count does not match the presentation")
 
-    @classmethod
-    def zero(cls, pres: Presentation) -> "AbelVector":
-        return cls(pres, [0] * len(pres.vertices))
-
     def __getitem__(self, vertex: str) -> int:
         return self.coords[self.pres.index[vertex]]
 
@@ -63,9 +59,6 @@ class AbelVector:
 
     def __sub__(self, other: "AbelVector") -> "AbelVector":
         return self + (-other)
-
-    def scale(self, n: int) -> "AbelVector":
-        return AbelVector(self.pres, [n * a for a in self.coords])
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -234,17 +227,18 @@ def format_linear_system(sys: LinearSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _diagonalize(matrix: list[list[int]]):
-    """Return (D, U, V) with D = U @ M @ V diagonal and U, V unimodular."""
+def _diagonalize(matrix: list[list[int]], rhs: list[int]):
+    """Return (D, c, V) with D = U @ M @ V diagonal, c = U @ rhs and U, V
+    unimodular; the row operations act on rhs as they go, so U is never built."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     D = [row[:] for row in matrix]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    c = list(rhs)
     V = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
+        c[i], c[j] = c[j], c[i]
 
     def swap_cols(i, j):
         for row in D:
@@ -254,7 +248,7 @@ def _diagonalize(matrix: list[list[int]]):
 
     def add_row(src, dst, q):  # dst += q * src
         D[dst] = [a + q * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
+        c[dst] += q * c[src]
 
     def add_col(src, dst, q):
         for row in D:
@@ -290,7 +284,7 @@ def _diagonalize(matrix: list[list[int]]):
         if dirty:
             continue  # remainder left behind; pick a smaller pivot
         t += 1
-    return D, U, V
+    return D, c, V
 
 
 def solve_linear_system(sys: LinearSystem) -> SolvabilityResult:
@@ -327,12 +321,9 @@ def solve_linear_system(sys: LinearSystem) -> SolvabilityResult:
             return SolvabilityResult("SAT", {})
         return SolvabilityResult("UNSAT")
 
-    D, U, V = _diagonalize(matrix)
-    m = len(matrix)
-    # transformed right-hand side
-    c = [sum(U[i][j] * rhs[j] for j in range(m)) for i in range(m)]
+    D, c, V = _diagonalize(matrix, rhs)
     z = [0] * n
-    for i in range(m):
+    for i in range(len(matrix)):
         d = D[i][i] if i < n else 0
         if d == 0:
             if c[i] != 0:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass
+from itertools import product as iproduct
 from typing import Iterable, Optional, Union
 
 from .abelian import abelianize, exponent_sum
@@ -868,12 +869,10 @@ PLACEHOLDER = "$"
 @dataclass(frozen=True)
 class TemplateDisjunct:
     equations: tuple[GroupTerm, ...]  # VarAtoms named "$0".."$k-1" are placeholders
-    locals: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class FormulaTemplate:
-    arity: int
     disjuncts: tuple[TemplateDisjunct, ...]
 
 
@@ -903,21 +902,20 @@ def integers_into_free_interpretation(source: Presentation, s: str,
     source.check_vertex(s)
     target = target or Presentation.free(["n"])
     ws = parse_word(source, s)
-    dom = FormulaTemplate(1, (TemplateDisjunct((
+    dom = FormulaTemplate((TemplateDisjunct((
         GroupTerm((VarAtom("$0"), ConstAtom(ws), VarAtom("$0", True), ConstAtom(ws.inverse()))),),),))
-    mult = FormulaTemplate(3, (TemplateDisjunct((
+    mult = FormulaTemplate((TemplateDisjunct((
         GroupTerm((VarAtom("$0"), VarAtom("$1"), VarAtom("$2", True))),),),))
-    eq = FormulaTemplate(2, (TemplateDisjunct((
+    eq = FormulaTemplate((TemplateDisjunct((
         GroupTerm((VarAtom("$0"), VarAtom("$1", True))),),),))
     return Interpretation(source, target, dom, mult, eq, ((target.vertices[0], s),))
 
 
-def _substitute(template: FormulaTemplate, args: list[Optional[VarAtom | ConstAtom]],
-                fresh) -> list[tuple[tuple[GroupTerm, ...], tuple[str, ...]]]:
+def _substitute(template: FormulaTemplate,
+                args: list[Optional[VarAtom | ConstAtom]]) -> list[tuple[GroupTerm, ...]]:
     """Instantiate the template on argument atoms (None means the identity)."""
     out = []
     for td in template.disjuncts:
-        rename = {loc: fresh() for loc in td.locals}
         eqs = []
         for term in td.equations:
             atoms = []
@@ -926,12 +924,10 @@ def _substitute(template: FormulaTemplate, args: list[Optional[VarAtom | ConstAt
                     arg = args[int(a.name[1:])]
                     if arg is not None:
                         atoms.append(arg.inverted() if a.inverse else arg)
-                elif isinstance(a, VarAtom) and a.name in rename:
-                    atoms.append(VarAtom(rename[a.name], a.inverse))
                 else:
                     atoms.append(a)
             eqs.append(GroupTerm(tuple(atoms)))
-        out.append((tuple(eqs), tuple(rename.values())))
+        out.append(tuple(eqs))
     return out
 
 
@@ -951,14 +947,6 @@ def rewrite_under_interpretation(interp: Interpretation, inst: Instance) -> Inst
     if inst.presentation != interp.target:
         raise InvalidPresentation("instance is not over the interpretation's target")
 
-    counter = 0
-
-    def fresh() -> str:
-        nonlocal counter
-        name = f"_i{counter}"
-        counter += 1
-        return name
-
     def map_atom(a) -> Optional[VarAtom | ConstAtom]:
         if isinstance(a, VarAtom):
             return a
@@ -967,33 +955,21 @@ def rewrite_under_interpretation(interp: Interpretation, inst: Instance) -> Inst
 
     new_disjuncts = []
     for d in inst.disjuncts:
-        items: list[list[tuple[tuple[GroupTerm, ...], tuple[str, ...]]]] = []
+        items: list[list[tuple[GroupTerm, ...]]] = []
         for v in inst.variables:
-            items.append(_substitute(interp.domain, [VarAtom(v)], fresh))
+            items.append(_substitute(interp.domain, [VarAtom(v)]))
         for term in d.equations:
             atoms = [map_atom(a) for a in term.atoms]
             atoms = [a for a in atoms if a is not None]
             if not atoms:
                 continue
             if len(atoms) == 1:
-                items.append(_substitute(interp.equality, [atoms[0], None], fresh))
+                items.append(_substitute(interp.equality, [atoms[0], None]))
             elif len(atoms) == 2:
-                items.append(_substitute(interp.equality, [atoms[0], atoms[1].inverted()], fresh))
+                items.append(_substitute(interp.equality, [atoms[0], atoms[1].inverted()]))
             else:
                 items.append(_substitute(interp.multiplication,
-                                         [atoms[0], atoms[1], atoms[2].inverted()], fresh))
-        from itertools import product as iproduct
-        for choice in iproduct(*items) if items else [()]:
-            eqs: list[GroupTerm] = []
-            local_names: list[str] = []
-            for ceqs, clocals in choice:
-                eqs.extend(ceqs)
-                local_names.extend(clocals)
-            new_disjuncts.append((tuple(eqs), tuple(local_names)))
-
-    all_locals: list[str] = []
-    for _, locs in new_disjuncts:
-        all_locals.extend(locs)
-    variables = tuple(inst.variables) + tuple(all_locals)
-    return Instance(interp.source, variables,
-                    tuple(Disjunct(eqs, ()) for eqs, _ in new_disjuncts))
+                                         [atoms[0], atoms[1], atoms[2].inverted()]))
+        for choice in iproduct(*items):
+            new_disjuncts.append(Disjunct(tuple(eq for ceqs in choice for eq in ceqs), ()))
+    return Instance(interp.source, inst.variables, tuple(new_disjuncts))

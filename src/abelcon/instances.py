@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .abelian import AbelVector, abelianize, exponent_sum, is_abelian_primitive
+from .abelian import abelianize, exponent_sum, is_abelian_primitive
 from .errors import (
     AbelconError,
     IncompleteAssignment,
@@ -33,9 +33,9 @@ from .words import (
     format_word,
     geodesic_length,
     multiply,
-    normalize,
     parse_int,
     parse_word,
+    product,
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -70,17 +70,10 @@ class GroupTerm:
         return {a.name for a in self.atoms if isinstance(a, VarAtom)}
 
     def evaluate(self, p: Presentation, asg: dict[str, NormalWord]) -> NormalWord:
-        """The product of the atoms' values, normalised once: an x^-1 atom
-        contributes the reversed, negated syllables of x's value."""
-        def pairs():
-            for a in self.atoms:
-                w = a.word if isinstance(a, ConstAtom) else asg[a.name]
-                _check(p, w)
-                if isinstance(a, VarAtom) and a.inverse:
-                    yield from ((v, -e) for v, e in reversed(w.syllables))
-                else:
-                    yield from w.syllables
-        return normalize(p, pairs())
+        """The product of the atoms' values, normalised once; an x^-1 atom
+        is x's value as an inverted factor."""
+        return product(p, ((a.word, False) if isinstance(a, ConstAtom) else (asg[a.name], a.inverse)
+                           for a in self.atoms))
 
     def inverse(self) -> "GroupTerm":
         return GroupTerm(tuple(a.inverted() for a in reversed(self.atoms)))
@@ -344,23 +337,27 @@ def shadow_unknown(var: str, vertex: str) -> str:
 
 
 def _term_rows(p: Presentation, terms: list[tuple[GroupTerm, int]]) -> list[LinearEquation]:
-    """Linear rows stating sum(sign * ab(term)) = 0, one row per vertex."""
-    var_counts: dict[tuple[str, str], int] = {}
-    const = AbelVector.zero(p)
+    """Linear rows stating sum(sign * ab(term)) = 0, one row per vertex.
+
+    Every occurrence of a variable adds the same sign at every vertex, so a
+    variable has one signed count, its coefficient in every row.
+    """
+    var_counts: dict[str, int] = {}
+    const = [0] * len(p.vertices)
     for term, sign in terms:
         for a in term.atoms:
             if isinstance(a, VarAtom):
-                s = -sign if a.inverse else sign
-                for v in p.vertices:
-                    var_counts[(a.name, v)] = var_counts.get((a.name, v), 0) + s
+                var_counts[a.name] = var_counts.get(a.name, 0) + (-sign if a.inverse else sign)
             else:
-                const = const + abelianize(p, a.word).scale(sign)
+                _check(p, a.word)
+                for v, e in a.word.syllables:
+                    const[p.index[v]] += sign * e
+    coeffs = [(name, c) for name, c in var_counts.items() if c]
     rows = []
-    for v in p.vertices:
-        coeffs = tuple((shadow_unknown(name, u), c)
-                       for (name, u), c in var_counts.items() if u == v and c)
+    for v, c in zip(p.vertices, const):
         k = p.order[v]
-        rows.append(LinearEquation(coeffs, -const[v], modulus=k))
+        rows.append(LinearEquation(tuple((shadow_unknown(name, v), n) for name, n in coeffs),
+                                   -(c if k is None else c % k), modulus=k))
     return rows
 
 

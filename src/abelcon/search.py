@@ -25,7 +25,7 @@ undecidable in general; exhausting a bound proves nothing beyond it.
 from __future__ import annotations
 
 import time
-from collections.abc import Set
+from collections.abc import Iterator, Set
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,6 +55,7 @@ from .words import (
     multiply,
     multiply_all,
     normalize,
+    product,
 )
 
 DEFAULT_CAP = 12
@@ -119,7 +120,7 @@ def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int,
                   for x in cayley_ball(link_pres, budget)]
     root_lens = [geodesic_length(p, b) for b in desc.cyclic_parts]
     ranges = [range(-(budget // L), budget // L + 1) for L in root_lens]
-    h, hinv = desc.conjugator, desc.conjugator.inverse()
+    h = desc.conjugator
     out = []
     for ms in _iproduct(*ranges):
         used = sum(abs(m) * L for m, L in zip(ms, root_lens))
@@ -129,7 +130,7 @@ def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int,
         for l in link_elems:
             if used + geodesic_length(p, l) > budget:
                 continue
-            x = multiply_all(p, (h, core, l, hinv))
+            x = product(p, ((h, False), (core, False), (l, False), (h, True)))
             if x in ball:
                 out.append(x)
     return frozenset(out)
@@ -241,32 +242,41 @@ def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
     variables = inst.variables
     nodes = 0
     found: Optional[dict[str, NormalWord]] = None
+    asg: dict[str, NormalWord] = {}
+    # depth-first over an explicit stack, one frame per assigned depth:
+    # (live disjuncts, their candidate sets, the values still to visit)
+    stack: list[tuple[list[_DisjunctState], list, Iterator[NormalWord]]] = []
 
-    def walk(depth: int, asg: dict[str, NormalWord], live: list[_DisjunctState]):
-        nonlocal nodes, found
+    def descend(live: list[_DisjunctState]) -> None:
+        nonlocal found
+        depth = len(stack)
         if depth == len(variables):
             found = dict(asg)  # every item of each live disjunct has been checked
             return
-        var = variables[depth]
         cands = [st.candidates(depth, asg) for st in live]
         if any(c is None for c in cands):
             order = ball
         else:  # candidates in ball order, by their ball index
             order = sorted(frozenset().union(*cands), key=ball.__getitem__)
-        for val in order:
+        stack.append((live, cands, iter(order)))
+
+    if live0:
+        descend(live0)
+    while stack and found is None:
+        depth = len(stack) - 1
+        var = variables[depth]
+        live, cands, values = stack[-1]
+        for val in values:
             asg[var] = val
             admitted = [st for st, c in zip(live, cands)
                         if (c is None or val in c) and st.constraints_hold(depth, asg)]
-            if not admitted:
-                continue
-            nodes += 1
-            walk(depth + 1, asg, admitted)
-            if found is not None:
-                return
-        asg.pop(var, None)
-
-    if live0:
-        walk(0, {}, live0)
+            if admitted:
+                nodes += 1
+                descend(admitted)
+                break
+        else:
+            stack.pop()
+            asg.pop(var, None)
     millis = int((time.monotonic() - start) * 1000)
     if found is not None:
         res = evaluate(inst, found)

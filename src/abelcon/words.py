@@ -13,16 +13,22 @@ sort of the syllables' dependence graph (Kahn's algorithm, min-heap on vertex
 index), O(n·|V| + n log |V|) for n syllables. The graph's sources and sinks
 are the syllables that cyclic reduction may move to the front and the back.
 
-A product of any number of factors is normalised once: `multiply_all` and
-powers push every factor's syllables onto one reduced list and sort it once,
-instead of sorting each intermediate product of a pairwise fold.
+Every product of normal words goes through one function, `product`, whose
+factors are (word, inverted) pairs: `multiply`, `multiply_all`, powers,
+conjugates and the evaluation of instance terms all call it. It copies the
+first factor's syllables, pushes every later syllable onto the one reduced
+list (an inverted factor reversed and negated) and sorts once. Its factors
+are valid already, so it checks only their presentation. `invert` reverses
+and negates one word directly and pushes nothing. `normalize` is the one
+entry point for raw (vertex, exponent) input and the only place that checks
+vertex names and integer exponents.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -213,12 +219,11 @@ class NormalWord:
 
     def __pow__(self, n: int) -> "NormalWord":
         """The n-th power, normalised once; a negative n powers the inverse."""
-        sy = self.syllables if n >= 0 else tuple((v, -e) for v, e in reversed(self.syllables))
-        return normalize(self.pres, chain.from_iterable(repeat(sy, abs(n))))
+        return product(self.pres, repeat((self, n < 0), abs(n)))
 
     def conjugate_by(self, h: "NormalWord") -> "NormalWord":
         """Return h^-1 * self * h."""
-        return multiply_all(self.pres, (h.inverse(), self, h))
+        return product(self.pres, ((h, True), (self, False), (h, False)))
 
     def __str__(self):
         return format_word(self)
@@ -380,25 +385,39 @@ def _check(p: Presentation, *words: NormalWord) -> None:
             raise PresentationMismatch("word built over a different presentation")
 
 
-def multiply(p: Presentation, a: NormalWord, b: NormalWord) -> NormalWord:
-    """Canonical form of the product a*b."""
-    _check(p, a, b)
-    syllables = list(a.syllables)
-    for v, e in b.syllables:
-        _push(p, syllables, v, e)
+def product(p: Presentation, factors: Iterable[tuple[NormalWord, bool]]) -> NormalWord:
+    """Canonical form of the product of the factors, left to right; a factor
+    (w, True) stands for w^-1.
+
+    The first factor's syllables are copied as they are, unless it is
+    inverted. Every later syllable is pushed onto the one reduced list, an
+    inverted factor's reversed and negated, and the list is sorted once. The
+    normal form is unique, so this equals the left fold of `multiply`.
+    """
+    syllables: list[Syllable] = []
+    first = True
+    for w, inverted in factors:
+        _check(p, w)
+        if inverted:
+            for v, e in reversed(w.syllables):
+                _push(p, syllables, v, -e)
+        elif first:
+            syllables.extend(w.syllables)
+        else:
+            for v, e in w.syllables:
+                _push(p, syllables, v, e)
+        first = False
     return NormalWord(p, _canonical_order(p, syllables))
 
 
-def multiply_all(p: Presentation, words: Iterable[NormalWord]) -> NormalWord:
-    """Canonical form of the product of the words, left to right.
+def multiply(p: Presentation, a: NormalWord, b: NormalWord) -> NormalWord:
+    """Canonical form of the product a*b."""
+    return product(p, ((a, False), (b, False)))
 
-    The product is normalised once: every factor's syllables go through one
-    `normalize`, which reduces as it pushes and sorts once at the end. The
-    normal form is unique, so this equals the left fold of `multiply`.
-    """
-    words = list(words)
-    _check(p, *words)
-    return normalize(p, (s for w in words for s in w.syllables))
+
+def multiply_all(p: Presentation, words: Iterable[NormalWord]) -> NormalWord:
+    """Canonical form of the product of the words, left to right, sorted once."""
+    return product(p, ((w, False) for w in words))
 
 
 def invert(p: Presentation, a: NormalWord) -> NormalWord:
@@ -631,9 +650,8 @@ class CentralizerDesc(NamedTuple):
     def generators(self, p: Presentation) -> list[NormalWord]:
         """Group elements generating the centralizer."""
         h = self.conjugator
-        hinv = h.inverse()
         links = [normalize(p, [(v, 1)]) for v in sorted(self.link_vertices, key=p.index.__getitem__)]
-        return [multiply_all(p, (h, b, hinv)) for b in (*self.cyclic_parts, *links)]
+        return [product(p, ((h, False), (b, False), (h, True))) for b in (*self.cyclic_parts, *links)]
 
     def contains(self, p: Presentation, x: NormalWord) -> bool:
         """Exact membership test for the described centralizer.

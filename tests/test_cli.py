@@ -95,6 +95,15 @@ def test_solve_witness(files, capsys):
     assert err.startswith("stats nodes=")
 
 
+def test_solve_more_variables_than_the_recursion_limit(files, capsys):
+    inst = files / "many.inst"
+    names = " ".join(f"X{i}" for i in range(1200))
+    inst.write_text(f"group f2.graph\nvars {names}\ndisjunct {{\n  eq X0 = 1\n}}\n")
+    code, out, _ = run(capsys, "solve", inst, "--bound", "0")
+    assert code == 0
+    assert out == "".join(f"X{i} = 1\n" for i in range(1200))
+
+
 def test_solve_unsat_by_shadow(files, capsys):
     inst = files / "item3.inst"
     inst.write_text("group f2.graph\nvars X Y\ndisjunct {\n"

@@ -3,10 +3,11 @@
 Every name a module imports must be used in that module. ``__init__.py``
 is exempt: its imports are the package's re-exports. Every module-level
 private function must be referenced somewhere in the package. A product of
-more than two factors goes through ``multiply_all``, which normalises once,
-never through a pairwise fold of ``multiply``. Every cache is bounded: an
-``lru_cache`` with an explicit integer ``maxsize``. Only ``search.py`` builds
-a Cayley ball: the word algebra constructs its answers directly.
+more than two factors goes through ``multiply_all`` or ``product``, which
+normalise once, never through a pairwise fold of ``multiply``. Every cache
+is bounded: an ``lru_cache`` with an explicit integer ``maxsize``. Only
+``search.py`` builds a Cayley ball: the word algebra constructs its answers
+directly.
 """
 
 import ast

@@ -9,6 +9,7 @@ from abelcon.errors import (
     IncompleteAssignment,
     InfiniteAbelianisation,
     ParseError,
+    PresentationMismatch,
     UnknownVariable,
 )
 from abelcon.instances import (
@@ -289,6 +290,15 @@ def test_shadow_paper_items_unsat():
     item2 = parse_instance(
         PAPER_23 % "expsum: 1 |X|_a -2 |Y|_a -1 |Y|_b = 0 ; expsum: 1 |X|_b -3 |Y|_b = 0")
     assert solve_linear_system(abelian_shadow(item2)[0]).status == "UNSAT"
+
+
+@pytest.mark.parametrize("names", ["xy", "ab"])
+def test_shadow_refuses_a_constant_over_another_presentation(gamma1, names):
+    other = Presentation.free(names)
+    term = GroupTerm((VarAtom("X"), ConstAtom(parse_word(other, names[0]))))
+    inst = Instance(gamma1, ("X",), (Disjunct((term,), ()),))
+    with pytest.raises(PresentationMismatch):
+        abelian_shadow(inst)
 
 
 def test_shadow_soundness_exhaustive(f2):

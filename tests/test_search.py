@@ -40,6 +40,16 @@ def test_search_identity_bound_zero():
     assert report.assignment["X"].is_identity()
 
 
+def test_search_walks_more_variables_than_the_recursion_limit():
+    names = " ".join(f"X{i}" for i in range(1200))
+    inst = parse_instance(F2_HEADER + f"vars {names}\ndisjunct {{\n  eq X0 = 1\n}}\n")
+    report = search(inst, 0)
+    assert report.verdict == WITNESS
+    assert len(report.assignment) == 1200
+    assert all(w.is_identity() for w in report.assignment.values())
+    assert report.nodes == 1200
+
+
 def test_search_unsat_by_shadow():
     inst = parse_instance(F2_HEADER + """
 vars X Y

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +68,12 @@ def test_normalize_involution(pentagon):
 def test_normalize_unknown_vertex(gamma1):
     with pytest.raises(UnknownVertex):
         normalize(gamma1, [("q", 1)])
+
+
+@pytest.mark.parametrize("exponent", [1.0, "1"])
+def test_normalize_rejects_a_non_integer_exponent(gamma1, exponent):
+    with pytest.raises(ParseError):
+        normalize(gamma1, [("a", exponent)])
 
 
 def test_parse_word_rejects_a_caret_without_exponent(f2):
@@ -181,11 +188,31 @@ def test_products_normalise_once_like_the_pairwise_fold(request, name):
             assert term.evaluate(p, {"X": val}).is_identity()
 
 
-def test_evaluate_sorts_a_product_with_inverted_atoms_once(gamma1, monkeypatch):
-    x, y = W(gamma1, "a b^2 c"), W(gamma1, "d^-1 a")
-    term = GroupTerm((VarAtom("X", True), ConstAtom(W(gamma1, "b c")), VarAtom("Y"),
+# each product path: (build from x, y and a term over X and Y, its raw word)
+PRODUCT_PATHS = {
+    "multiply": (lambda p, x, y, t: multiply(p, x, y),
+                 lambda x, y, c: [*x.syllables, *y.syllables]),
+    "multiply_all": (lambda p, x, y, t: multiply_all(p, [x, y, x]),
+                     lambda x, y, c: [*x.syllables, *y.syllables, *x.syllables]),
+    "power": (lambda p, x, y, t: x ** 3, lambda x, y, c: list(x.syllables) * 3),
+    "negative_power": (lambda p, x, y, t: x ** -3, lambda x, y, c: _inverse_raw(x.syllables) * 3),
+    "conjugate_by": (lambda p, x, y, t: x.conjugate_by(y),
+                     lambda x, y, c: [*_inverse_raw(y.syllables), *x.syllables, *y.syllables]),
+    "evaluate": (lambda p, x, y, t: t.evaluate(p, {"X": x, "Y": y}),
+                 lambda x, y, c: [*_inverse_raw(x.syllables), *c.syllables, *y.syllables,
+                                  *x.syllables, *_inverse_raw(y.syllables)]),
+}
+
+
+@pytest.mark.parametrize("path", PRODUCT_PATHS)
+def test_every_product_path_sorts_once_and_never_normalizes(gamma1, monkeypatch, path):
+    """Products of normal words go through `product`: one sort, and no trip
+    through `normalize`'s raw-input checks, whichever entry point builds them."""
+    build, raw = PRODUCT_PATHS[path]
+    x, y, c = W(gamma1, "a b^2 c"), W(gamma1, "d^-1 a"), W(gamma1, "b c")
+    term = GroupTerm((VarAtom("X", True), ConstAtom(c), VarAtom("Y"),
                       VarAtom("X"), VarAtom("Y", True)))
-    want = _fold(gamma1, [x.inverse(), W(gamma1, "b c"), y, x, y.inverse()])
+    want = oracle_normal_form(gamma1, raw(x, y, c))
     calls = []
     real = words_mod._canonical_order
 
@@ -193,8 +220,15 @@ def test_evaluate_sorts_a_product_with_inverted_atoms_once(gamma1, monkeypatch):
         calls.append(len(syllables))
         return real(p, syllables)
 
+    def refuse(p, word):
+        raise AssertionError("normalize called on a product of normal words")
+
     monkeypatch.setattr(words_mod, "_canonical_order", spy)
-    assert term.evaluate(gamma1, {"X": x, "Y": y}) == want
+    normalize_fn = words_mod.normalize
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("abelcon") and getattr(mod, "normalize", None) is normalize_fn:
+            monkeypatch.setattr(mod, "normalize", refuse)
+    assert build(gamma1, x, y, term).syllables == want
     assert len(calls) == 1
 
 
@@ -267,7 +301,7 @@ def _inverse_raw(raw):
 @pytest.mark.parametrize("name", LONG_WORD_PRESENTATIONS)
 def test_long_words_match_the_oracle(request, name):
     p = _long_word_presentation(request, name)
-    rng = random.Random(97)
+    rng, other = random.Random(97), random.Random(98)
     for _ in range(4):
         raw = _raw_word(rng, p, 100, 400)
         inv_raw = _inverse_raw(raw)
@@ -276,6 +310,12 @@ def test_long_words_match_the_oracle(request, name):
         assert invert(p, w).syllables == oracle_normal_form(p, inv_raw)
         for n in range(-3, 4):
             assert (w ** n).syllables == oracle_normal_form(p, (raw if n >= 0 else inv_raw) * abs(n))
+        h_raw = _raw_word(other, p, 100, 400)
+        h = normalize(p, h_raw)
+        assert w.conjugate_by(h).syllables == oracle_normal_form(p, _inverse_raw(h_raw) + raw + h_raw)
+        term = GroupTerm((VarAtom("X", True), ConstAtom(h), VarAtom("X"), VarAtom("Y", True)))
+        assert (term.evaluate(p, {"X": w, "Y": h}).syllables
+                == oracle_normal_form(p, inv_raw + h_raw + raw + _inverse_raw(h_raw)))
 
 
 @pytest.mark.parametrize("name", LONG_WORD_PRESENTATIONS)
