@@ -372,12 +372,12 @@ def _centralizer_lattice_rows(p: Presentation, var: str, w: NormalWord,
         desc = centralizer_generators(p, w)
     except AbelconError:
         return []
-    gens = desc.generators(p)
+    images = [abelianize(p, g) for g in desc.generators(p)]
     rows = []
     for v in p.vertices:
         coeffs = [(shadow_unknown(var, v), 1)]
-        for j, g in enumerate(gens):
-            c = abelianize(p, g)[v]
+        for j, image in enumerate(images):
+            c = image[v]
             if c:
                 coeffs.append((f"{tag}.lam{j}", -c))
         rows.append(LinearEquation(tuple(coeffs), 0, modulus=p.order[v]))

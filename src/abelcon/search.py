@@ -13,9 +13,12 @@ values of the next variable: the intersection of the pass sets of the
 equations that variable makes ground. The walk visits only the union of
 those candidates, sorted by ball index (the cached ball maps each element
 to its position), or the whole ball when some live disjunct has no such
-equation. Each visited value must also satisfy the constraints it makes
-ground. The shadow is solved once per disjunct, before the walk, and never
-again inside it. All checks are sound and every item is checked at the
+equation. A commutator [X, w] = 1 with w ground passes the ball elements
+that commute with w; these centralizer pass sets are cached per (word,
+bound) across searches, as the same few recur in every request. Each
+visited value must also satisfy the constraints it makes ground. The
+shadow is solved once per disjunct, before the walk, and never again
+inside it. All checks are sound and every item is checked at the
 depth where it becomes ground, so the first leaf reached is the first
 satisfying assignment in enumeration order; it is re-verified once, with
 `evaluate`, before it is returned. The compiled problems this runs on are
@@ -27,6 +30,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator, Set
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from itertools import product as _iproduct
@@ -59,6 +63,7 @@ from .words import (
 )
 
 DEFAULT_CAP = 12
+CENTRALIZER_SET_CACHE_SIZE = 256
 
 WITNESS = "Witness"
 NO_SOLUTION_UP_TO_BOUND = "NoSolutionUpToBound"
@@ -104,12 +109,17 @@ def _solved_value_set(p: Presentation, term: GroupTerm, var: str,
     return frozenset([val]) if val in ball else frozenset()
 
 
-def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int,
-                         ball: dict) -> Optional[Set]:
-    """All ball elements commuting with w, generated from the centralizer
-    description, or None when w has no description."""
+@lru_cache(maxsize=CENTRALIZER_SET_CACHE_SIZE)
+def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int) -> Optional[Set]:
+    """All elements of the bound ball commuting with w, generated from the
+    centralizer description, or None when w has no description.
+
+    Cached per (presentation, word, bound) across searches, as the same few
+    commutator checks recur in every request. The set holds the ball's own
+    element objects, so a cached set adds no copies of its members.
+    """
     if w.is_identity():
-        return ball.keys()
+        return cayley_ball(p, bound).keys()
     try:
         desc = centralizer_generators(p, w)
     except AbelconError:
@@ -121,6 +131,8 @@ def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int,
     root_lens = [geodesic_length(p, b) for b in desc.cyclic_parts]
     ranges = [range(-(budget // L), budget // L + 1) for L in root_lens]
     h = desc.conjugator
+    ball = cayley_ball(p, bound)
+    members = list(ball)
     out = []
     for ms in _iproduct(*ranges):
         used = sum(abs(m) * L for m, L in zip(ms, root_lens))
@@ -131,8 +143,9 @@ def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int,
             if used + geodesic_length(p, l) > budget:
                 continue
             x = product(p, ((h, False), (core, False), (l, False), (h, True)))
-            if x in ball:
-                out.append(x)
+            i = ball.get(x)
+            if i is not None:
+                out.append(members[i])
     return frozenset(out)
 
 
@@ -190,7 +203,7 @@ class _DisjunctState:
         if cached is None:
             shape = _commutator_shape(term)
             if shape is not None and shape[0] == var:
-                cached = _centralizer_in_ball(self.p, shape[1], self.bound, self.ball)
+                cached = _centralizer_in_ball(self.p, shape[1], self.bound)
         if cached is None:
             cached = frozenset(val for val in self.ball
                                if term.evaluate(self.p, {var: val}).is_identity())

@@ -18,13 +18,27 @@ reduction introduce, so their solution sets can be compared.
 ``least_conjugator`` and ``sphere_root`` are the Cayley-ball scans that
 cyclic reduction and root extraction once ran: the package now builds both
 answers directly and must agree with them.
+
+``ball_by_products`` is the Cayley-ball construction ``words.ball`` once
+ran: multiply every word of the last sphere by every generator, drop the
+elements already found and sort the rest by ``sort_key``. The package now
+extends each element by one letter and must list the same elements in the
+same order.
 """
 
 from collections import deque
 from itertools import product
 
 from abelcon.instances import VarAtom, evaluate, isolate_variable
-from abelcon.words import ball, geodesic_length, induced_subpresentation, normalize
+from abelcon.words import (
+    ball,
+    generator_words,
+    geodesic_length,
+    induced_subpresentation,
+    multiply,
+    normalize,
+    sort_key,
+)
 
 BLOCK = "#"  # anonymous blocker entry
 
@@ -125,6 +139,22 @@ def bfs_ball_normal_forms(pres, radius):
                     nxt.append(new)
         frontier = nxt
     return dist
+
+
+def ball_by_products(pres, radius):
+    """Every element of length <= radius, in length-then-lex order: each
+    sphere is the last one times every generator, less the elements already
+    found, sorted by ``sort_key``."""
+    gens = generator_words(pres)
+    frontier = [pres.identity()]
+    elements = list(frontier)
+    found = set(frontier)
+    for _ in range(radius):
+        new = {multiply(pres, w, g) for w in frontier for g in gens} - found
+        frontier = sorted(new, key=sort_key)
+        found.update(frontier)
+        elements.extend(frontier)
+    return elements
 
 
 def all_raw_words(pres, max_len):

@@ -5,12 +5,23 @@ import pytest
 from abelcon.errors import RadiusCapExceeded
 from abelcon.instances import parse_instance
 from abelcon.search import (
+    CENTRALIZER_SET_CACHE_SIZE,
     NO_SOLUTION_UP_TO_BOUND,
     UNSAT_BY_SHADOW,
     WITNESS,
+    _centralizer_in_ball,
     search,
 )
-from abelcon.words import format_word
+from abelcon.words import (
+    CENTRALIZER_CACHE_SIZE,
+    Presentation,
+    ball,
+    centralizer_generators,
+    format_word,
+    is_in_centralizer,
+    normalize,
+    parse_word,
+)
 
 from .oracle import naive_search
 
@@ -114,3 +125,61 @@ def test_witness_reverifies(f2):
     assert report.verdict == WITNESS
     from abelcon.instances import evaluate
     assert evaluate(inst, report.assignment).satisfied
+
+
+# ---------------------------------------------------------------------------
+# centralizer pass sets, cached per (presentation, word, bound)
+
+PATH5 = Presentation.raag("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+
+
+@pytest.mark.parametrize("name, radius", [("gamma1", 3), ("path", 2), ("f2", 4)])
+def test_centralizer_pass_set_matches_the_commutator_scan(request, name, radius):
+    p = PATH5 if name == "path" else request.getfixturevalue(name)
+    members = ball(p, radius)
+    own = {id(x) for x in members}
+    for w in members:
+        if w.is_identity():
+            continue
+        passing = _centralizer_in_ball(p, w, radius)
+        assert passing == {x for x in members if is_in_centralizer(p, w, x)}, format_word(w)
+        assert all(id(x) in own for x in passing), format_word(w)  # the ball's own objects
+        assert _centralizer_in_ball(p, w, radius) is passing
+
+
+def test_centralizer_pass_set_is_shared_by_equal_presentations():
+    p = Presentation.raag("abc", [("a", "b")])
+    twin = Presentation.raag("abc", [("a", "b")])
+    assert twin is not p and twin == p
+    w, tw = parse_word(p, "a c a"), parse_word(twin, "a c a")
+    assert _centralizer_in_ball(p, w, 3) is _centralizer_in_ball(twin, tw, 3)
+    assert centralizer_generators(p, w) is centralizer_generators(twin, tw)
+
+
+def test_centralizer_pass_set_is_none_on_finite_order_support(pentagon):
+    # no description: the search scans the ball instead
+    assert _centralizer_in_ball(pentagon, parse_word(pentagon, "a b"), 2) is None
+    assert _centralizer_in_ball(pentagon, pentagon.identity(), 2) == ball(pentagon, 2).keys()
+
+
+def test_shadow_and_search_share_one_centralizer_description():
+    c = "( a b^2 a b^-1 )"
+    inst = parse_instance(F2_HEADER + f"vars X\ndisjunct {{\n  eq X {c} X^-1 {c}^-1 = 1\n}}\n")
+    centralizer_generators.cache_clear()
+    _centralizer_in_ball.cache_clear()
+    assert search(inst, 3).verdict == WITNESS
+    info = centralizer_generators.cache_info()
+    assert (info.misses, info.hits) == (1, 1)  # the shadow's lattice rows, then the pass set
+
+
+def test_centralizer_caches_are_bounded():
+    z = Presentation.free("z")
+    assert centralizer_generators.cache_info().maxsize == CENTRALIZER_CACHE_SIZE
+    assert _centralizer_in_ball.cache_info().maxsize == CENTRALIZER_SET_CACHE_SIZE
+    for k in range(1, max(CENTRALIZER_CACHE_SIZE, CENTRALIZER_SET_CACHE_SIZE) + 5):
+        w = normalize(z, [("z", k)])
+        assert centralizer_generators(z, w).exponents == (k,)
+        assert len(_centralizer_in_ball(z, w, 1)) == 3
+    assert centralizer_generators.cache_info().currsize <= CENTRALIZER_CACHE_SIZE
+    assert _centralizer_in_ball.cache_info().currsize <= CENTRALIZER_SET_CACHE_SIZE
+    assert _centralizer_in_ball(z, normalize(z, [("z", 1)]), 1) == ball(z, 1).keys()  # rebuilt

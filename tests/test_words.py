@@ -38,6 +38,7 @@ from abelcon.instances import ConstAtom, GroupTerm, VarAtom, isolate_variable
 from .oracle import (
     Piling,
     all_raw_words,
+    ball_by_products,
     bfs_ball_normal_forms,
     least_conjugator,
     oracle_normal_form,
@@ -408,6 +409,35 @@ def test_ball_cache_is_bounded():
     assert len(ball(z, 0)) == 1  # evicted, and rebuilt the same
 
 
+# balls by one-letter extension against the product construction; Z/4 and
+# Z/6 store a^2 and b^3 as a^-2 and b^-3, so those extend the inverse letter
+BALL_GRAPHS = {
+    "mixed2": Presentation("abcd", [("a", "b"), ("b", "c"), ("c", "d")],
+                           {"a": 3, "b": 4, "c": None, "d": 2}),
+    "path5": Presentation.raag("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]),
+    "z4z6z": Presentation("abc", [("a", "b")], {"a": 4, "b": 6, "c": None}),
+}
+
+
+@pytest.mark.parametrize("name, radius", [
+    ("f2", 8), ("pentagon", 6), ("mixed2", 6), ("path5", 6), ("z4z6z", 7),
+    ("random9-0", 4), ("random9-1", 4), ("random9-2", 4)])
+def test_ball_matches_the_product_construction(request, name, radius):
+    p = BALL_GRAPHS.get(name) or _long_word_presentation(request, name)
+    built = ball.__wrapped__(p, radius)  # uncached: the largest has 209 149 elements
+    assert list(built) == ball_by_products(p, radius)
+    assert list(built.values()) == list(range(len(built)))
+
+
+def test_ball_holds_half_order_syllables_as_negative_letters():
+    p = BALL_GRAPHS["z4z6z"]
+    b = ball(p, 4)
+    for v, k in (("a", 2), ("b", 3)):
+        w = normalize(p, [(v, k)])
+        assert w.syllables == ((v, -k),) and w in b and geodesic_length(p, w) == k
+    assert normalize(p, [("a", 1), ("b", 3)]) in b
+
+
 # ---------------------------------------------------------------------------
 # cyclic reduction
 
@@ -504,6 +534,20 @@ def test_block_roots_match_the_sphere_scan(request, name):
         assert all(n % k == 0 for _, n in dec.blocks)
         for root, n in dec.blocks:
             assert (root, n) == sphere_root(p, root ** n), format_word(u)
+
+
+@pytest.mark.parametrize("name", ["gamma1", "f2", "gamma2"])
+def test_block_product_equals_the_input(request, name):
+    p = request.getfixturevalue(name)
+    if name == "gamma1":
+        elements = list(ball(p, 4))
+    else:
+        rng = random.Random(61)
+        elements = [normalize(p, _raw_word(rng, p, 1, 12)) for _ in range(300)]
+    for g in elements:
+        core, _ = cyclically_reduce(p, g)
+        dec = block_decomposition(p, core)
+        assert multiply_all(p, [r ** n for r, n in dec.blocks]) == core, format_word(g)
 
 
 def test_blocks_require_cyclically_reduced(fxy):
