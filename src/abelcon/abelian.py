@@ -9,7 +9,13 @@ fixed complement.
 
 Linear systems mix exact equations with congruences; solvability over Z is
 decided by diagonalizing the integer matrix with unimodular row and column
-operations (congruences get slack columns), so witnesses are exact.
+operations (congruences get slack columns), so witnesses are exact. A
+presolve runs first, in time linear in the nonzeros: it drops all-zero rows,
+fixes each unknown pinned by a one-unknown row and substitutes it, and
+removes each unknown with coefficient +-1 in a single row together with
+that row. Every step keeps solvability over Z exactly, so only the rows
+left, often none, go to the cubic diagonalization; the eliminated unknowns
+are back-substituted and the witness is checked against the original system.
 """
 
 from __future__ import annotations
@@ -287,53 +293,131 @@ def _diagonalize(matrix: list[list[int]], rhs: list[int]):
     return D, c, V
 
 
-def solve_linear_system(sys: LinearSystem) -> SolvabilityResult:
-    """Decide exact solvability over Z; a SAT result carries a verified witness."""
-    variables = sys.variables()
-    var_index = {v: i for i, v in enumerate(variables)}
-    rows = []
-    rhs = []
-    slack = 0
-    slack_cols: list[int] = []
-    for eq in sys.equations:
-        row = [0] * len(variables)
-        for var, c in eq.coeffs:
-            row[var_index[var]] += c
-        if eq.modulus is not None:
-            slack_cols.append(eq.modulus)
-            row_slack_index = slack
-            slack += 1
-        else:
-            row_slack_index = None
-        rows.append((row, row_slack_index))
-        rhs.append(eq.constant)
-    n = len(variables) + slack
-    matrix = []
-    for row, slack_idx in rows:
-        full = row + [0] * slack
-        if slack_idx is not None:
-            full[len(variables) + slack_idx] = slack_cols[slack_idx]
-        matrix.append(full)
-    if not matrix:
-        return SolvabilityResult("SAT", {})
-    if n == 0:
-        if all(c == 0 for c in rhs):
-            return SolvabilityResult("SAT", {})
-        return SolvabilityResult("UNSAT")
-
+def _diagonal_solution(matrix: list[list[int]], rhs: list[int]) -> Optional[list[int]]:
+    """An integer solution of matrix @ y = rhs by diagonalization, or None
+    when there is none. Every row has the same number of columns, at least one."""
+    n = len(matrix[0])
     D, c, V = _diagonalize(matrix, rhs)
     z = [0] * n
     for i in range(len(matrix)):
         d = D[i][i] if i < n else 0
         if d == 0:
             if c[i] != 0:
-                return SolvabilityResult("UNSAT")
+                return None
         else:
             if c[i] % d:
-                return SolvabilityResult("UNSAT")
+                return None
             z[i] = c[i] // d
-    y = [sum(V[i][j] * z[j] for j in range(n)) for i in range(n)]
-    witness = {v: y[var_index[v]] for v in variables}
+    return [sum(V[i][j] * z[j] for j in range(n)) for i in range(n)]
+
+
+def _presolve(rows: list[dict[int, int]], rhs: list[int], n: int):
+    """Eliminate what needs no diagonalization, in time linear in the nonzeros.
+
+    rows[r] maps unknown -> nonzero coefficient; rows and rhs are updated in
+    place. Until the worklists are empty: an all-zero row is dropped (None,
+    i.e. no solution, when its constant is not 0); a one-unknown row a*x = c
+    fixes x = c/a (None when a does not divide c) and x is substituted into
+    the other rows; an unknown with coefficient +-1 in exactly one row takes
+    that row with it, as any values of the row's other unknowns leave it
+    solvable for x. Returns the remaining rows' indices and the eliminations
+    in order, each (x, None, value) for a fixed x or (x, row, None) for an x
+    to solve from its row once the row's other unknowns are known.
+    """
+    cols: list[set[int]] = [set() for _ in range(n)]
+    for r, row in enumerate(rows):
+        for j in row:
+            cols[j].add(r)
+    alive = [True] * len(rows)
+    steps: list[tuple[int, Optional[int], Optional[int]]] = []
+    row_work = list(range(len(rows)))
+    col_work = list(range(n))
+    while row_work or col_work:
+        if row_work:
+            r = row_work.pop()
+            row = rows[r]
+            if not alive[r] or len(row) > 1:
+                continue
+            alive[r] = False
+            if not row:
+                if rhs[r]:
+                    return None
+                continue
+            (j, a), = row.items()
+            if rhs[r] % a:
+                return None
+            x = rhs[r] // a
+            steps.append((j, None, x))
+            cols[j].discard(r)
+            for s in cols[j]:
+                rhs[s] -= rows[s].pop(j) * x
+                row_work.append(s)
+            cols[j].clear()
+        else:
+            j = col_work.pop()
+            if len(cols[j]) != 1:
+                continue
+            r = next(iter(cols[j]))
+            if abs(rows[r][j]) != 1:
+                continue
+            alive[r] = False
+            steps.append((j, r, None))
+            for i in rows[r]:
+                cols[i].discard(r)
+                col_work.append(i)
+    return [r for r in range(len(rows)) if alive[r]], steps
+
+
+def solve_linear_system(sys: LinearSystem) -> SolvabilityResult:
+    """Decide exact solvability over Z; a SAT result carries a verified witness.
+
+    A congruence gets a slack unknown (sum(a*x) + k*s = c), the system is
+    presolved, and only the rows left are diagonalized; the eliminated
+    unknowns are then back-substituted in reverse order.
+    """
+    variables = sys.variables()
+    var_index = {v: i for i, v in enumerate(variables)}
+    n = len(variables)
+    rows: list[dict[int, int]] = []
+    rhs: list[int] = []
+    for eq in sys.equations:
+        row: dict[int, int] = {}
+        for var, c in eq.coeffs:
+            j = var_index[var]
+            row[j] = row.get(j, 0) + c
+        row = {j: c for j, c in row.items() if c}
+        if eq.modulus is not None:
+            row[n] = eq.modulus
+            n += 1
+        rows.append(row)
+        rhs.append(eq.constant)
+    presolved = _presolve(rows, rhs, n)
+    if presolved is None:
+        return SolvabilityResult("UNSAT")
+    core, steps = presolved
+    values = [0] * n
+    if core:
+        unknowns = sorted({j for r in core for j in rows[r]})
+        at = {j: i for i, j in enumerate(unknowns)}
+        matrix = []
+        for r in core:
+            full = [0] * len(unknowns)
+            for j, c in rows[r].items():
+                full[at[j]] = c
+            matrix.append(full)
+        y = _diagonal_solution(matrix, [rhs[r] for r in core])
+        if y is None:
+            return SolvabilityResult("UNSAT")
+        for j, v in zip(unknowns, y):
+            values[j] = v
+    for j, r, x in reversed(steps):
+        if r is None:
+            values[j] = x
+        else:  # the coefficient of j is +-1, its own inverse
+            row = rows[r]
+            rest = sum(c * values[i] for i, c in row.items() if i != j)
+            values[j] = (rhs[r] - rest) * row[j]
+    witness = {v: values[var_index[v]] for v in variables}
     if not sys.holds(witness):
-        raise AssertionError("diagonalization produced a bad witness")
+        raise AssertionError("presolve and diagonalization produced a bad witness")
     return SolvabilityResult("SAT", witness)

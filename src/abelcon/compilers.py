@@ -458,7 +458,7 @@ class CompiledReduction:
             "decode": {k: list(v) for k, v in self.decode.items()},
             "recipes": [[name, expr] for name, expr in self.recipes],
         }
-        return json.dumps(doc, indent=1)
+        return json.dumps(doc)
 
     @classmethod
     def from_sidecar_json(cls, text: str, instance: Instance) -> "CompiledReduction":

@@ -336,11 +336,16 @@ def shadow_unknown(var: str, vertex: str) -> str:
     return f"{var}.{vertex}"
 
 
-def _term_rows(p: Presentation, terms: list[tuple[GroupTerm, int]]) -> list[LinearEquation]:
-    """Linear rows stating sum(sign * ab(term)) = 0, one row per vertex.
+def linear_form(p: Presentation, terms: list[tuple[GroupTerm, int]]
+                ) -> tuple[tuple[tuple[str, int], ...], tuple[int, ...]]:
+    """sum(sign * ab(term)) as a linear form: the signed count of each
+    variable, then the constant atoms' raw exponent sums per vertex.
 
     Every occurrence of a variable adds the same sign at every vertex, so a
-    variable has one signed count, its coefficient in every row.
+    variable has one signed count; variables whose count is 0 are left out.
+    The sums are unreduced. A constant over another presentation raises
+    PresentationMismatch. The shadow's rows and the search's constraint
+    checks both read this form, so they agree by construction.
     """
     var_counts: dict[str, int] = {}
     const = [0] * len(p.vertices)
@@ -352,7 +357,20 @@ def _term_rows(p: Presentation, terms: list[tuple[GroupTerm, int]]) -> list[Line
                 _check(p, a.word)
                 for v, e in a.word.syllables:
                     const[p.index[v]] += sign * e
-    coeffs = [(name, c) for name, c in var_counts.items() if c]
+    return tuple((name, c) for name, c in var_counts.items() if c), tuple(const)
+
+
+def abelian_sides(con: Union[AbEq, Coset]) -> list[tuple[GroupTerm, int]]:
+    """Signed terms whose abelian images sum to 0 exactly when con holds."""
+    if isinstance(con, AbEq):
+        return [(con.lhs, 1), (con.rhs, -1)]
+    return [(var_term(con.variable), 1), (const_term(con.rep), -1)]
+
+
+def _term_rows(p: Presentation, terms: list[tuple[GroupTerm, int]]) -> list[LinearEquation]:
+    """Linear rows stating sum(sign * ab(term)) = 0, one row per vertex;
+    a variable's signed count is its coefficient in every row."""
+    coeffs, const = linear_form(p, terms)
     rows = []
     for v, c in zip(p.vertices, const):
         k = p.order[v]
@@ -409,17 +427,14 @@ def disjunct_shadow(p: Presentation, d: Disjunct) -> LinearSystem:
         if shape is not None and not shape[1].is_identity():
             rows.extend(_centralizer_lattice_rows(p, shape[0], shape[1], f"eq{i}"))
     for con in d.constraints:
-        if isinstance(con, AbEq):
-            rows.extend(_term_rows(p, [(con.lhs, 1), (con.rhs, -1)]))
+        if isinstance(con, (AbEq, Coset)):
+            rows.extend(_term_rows(p, abelian_sides(con)))
         elif isinstance(con, ExpSumEq):
             coeffs = {}
             for c, var, vertex in con.terms:
                 key = shadow_unknown(var, vertex)
                 coeffs[key] = coeffs.get(key, 0) + c
             rows.append(LinearEquation(tuple(coeffs.items()), con.constant))
-        elif isinstance(con, Coset):
-            rows.extend(_term_rows(p, [(var_term(con.variable), 1),
-                                       (const_term(con.rep), -1)]))
         # LengthEq contributes nothing: lengths are not linear in ab coordinates
     rows = [r for r in rows if r.coeffs or r.constant]
     return LinearSystem(tuple(rows))

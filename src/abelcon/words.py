@@ -199,12 +199,26 @@ class NormalWord:
     equality and hashing are syntactic on the syllable tuple.
     """
 
-    __slots__ = ("pres", "syllables", "_hash")
+    __slots__ = ("pres", "syllables", "_hash", "_sums")
 
     def __init__(self, pres: Presentation, syllables: tuple[Syllable, ...]):
         self.pres = pres
         self.syllables = syllables
         self._hash = hash((pres._hash, syllables))
+        self._sums: Optional[tuple[int, ...]] = None
+
+    def exponent_sums(self) -> tuple[int, ...]:
+        """The raw exponent sum at each vertex, in declaration order; computed
+        on first use and kept. Unreduced: at a vertex of order k, two words
+        with equal abelian images may have sums that differ by multiples of k."""
+        sums = self._sums
+        if sums is None:
+            acc = [0] * len(self.pres.vertices)
+            index = self.pres.index
+            for v, e in self.syllables:
+                acc[index[v]] += e
+            self._sums = sums = tuple(acc)
+        return sums
 
     def __eq__(self, other):
         return (isinstance(other, NormalWord) and self.pres == other.pres

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import abelcon.abelian as abelian_mod
 from abelcon.abelian import (
     AbelVector,
     CrossExpSum,
@@ -20,6 +21,7 @@ from abelcon.abelian import (
     solve_linear_system,
 )
 from abelcon.errors import NotAbelianPrimitive
+from abelcon.instances import abelian_shadow, parse_instance
 from abelcon.words import Presentation, ball, multiply, normalize, parse_word
 
 
@@ -207,3 +209,82 @@ def test_two_var_exact_rank(rows):
     res = solve_linear_system(sys)
     if res.status == "SAT":
         assert sys.holds(res.witness)
+
+
+def _verdict_by_diagonalization_alone(sys):
+    """Solvability from one diagonalization of the whole system, congruences
+    as slack columns: the solver before it presolved."""
+    variables = sys.variables()
+    slacks = [eq.modulus for eq in sys.equations if eq.modulus is not None]
+    n = len(variables) + len(slacks)
+    if n == 0:
+        return all(eq.constant == 0 for eq in sys.equations)
+    matrix, s = [], 0
+    for eq in sys.equations:
+        row = [0] * n
+        for var, c in eq.coeffs:
+            row[variables.index(var)] += c
+        if eq.modulus is not None:
+            row[len(variables) + s] = eq.modulus
+            s += 1
+        matrix.append(row)
+    return abelian_mod._diagonal_solution(matrix, [eq.constant for eq in sys.equations]) is not None
+
+
+def _mixed_system(rng):
+    """Exact rows and congruences; unit coefficients, one-unknown rows,
+    repeated unknowns, zero coefficients and empty rows all come up often."""
+    variables = [f"v{i}" for i in range(rng.randrange(1, 7))]
+    eqs = []
+    for _ in range(rng.randrange(1, 7)):
+        coeffs = tuple((rng.choice(variables), rng.choice((-3, -2, -1, -1, 0, 1, 1, 2, 4)))
+                       for _ in range(rng.randrange(0, len(variables) + 1)))
+        eqs.append(LinearEquation(coeffs, rng.randrange(-6, 7), rng.choice((None, None, 2, 3, 4))))
+    return LinearSystem(tuple(eqs))
+
+
+def test_presolve_keeps_the_verdict_of_diagonalization_alone():
+    rng = random.Random(2024)
+    verdicts = set()
+    for trial in range(10_000):
+        sys = _mixed_system(rng)
+        res = solve_linear_system(sys)
+        assert bool(res) == _verdict_by_diagonalization_alone(sys), (trial, sys)
+        if res:
+            assert sys.holds(res.witness), (trial, sys)
+        verdicts.add(res.status)
+    assert verdicts == {"SAT", "UNSAT"}
+
+
+def test_presolve_settles_pinned_variables_without_diagonalizing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("reached _diagonalize")
+
+    monkeypatch.setattr(abelian_mod, "_diagonalize", refuse)
+    names = [f"X{i}" for i in range(400)]
+    text = ("graph {\n  vertex a inf\n  vertex b inf\n}\nvars " + " ".join(names)
+            + "\ndisjunct {\n" + "".join(f"  eq {x} = 1\n" for x in names) + "}\n")
+    shadow, = abelian_shadow(parse_instance(text))
+    assert len(shadow.equations) == 800
+    res = solve_linear_system(shadow)
+    assert res and set(res.witness.values()) == {0}
+    # a unit coefficient in a single row, and a one-unknown congruence's slack
+    sys = parse_linear_system("1 x 2 y = 7\n3 y = 6\n2 z 1 w = 1 mod 4\n")
+    assert sys.holds(solve_linear_system(sys).witness)
+    assert not solve_linear_system(parse_linear_system("2 x = 3\n1 x 1 y = 0\n"))
+    assert not solve_linear_system(parse_linear_system("1 x -1 x = 1\n"))
+
+
+def test_presolve_hands_the_rest_to_diagonalization(monkeypatch):
+    seen = []
+    real = abelian_mod._diagonalize
+
+    def spy(matrix, rhs):
+        seen.append(len(matrix))
+        return real(matrix, rhs)
+
+    monkeypatch.setattr(abelian_mod, "_diagonalize", spy)
+    # x = 1 is fixed and substituted; the two rows left have no unit singleton
+    sys = parse_linear_system("1 x = 1\n2 y 3 z 1 x = 5\n4 y 6 z = 8\n")
+    res = solve_linear_system(sys)
+    assert res and sys.holds(res.witness) and seen == [2]

@@ -196,6 +196,17 @@ def test_sidecar_round_trip(fs):
     assert decode_solution(cr2, asg) == {"x": 1, "y": 4, "z": 4}
 
 
+def test_sidecar_is_compact_and_the_indented_layout_still_loads(fs):
+    cr = compile_h10_free(parse_h10(XY_EQ_Z), fs)
+    text = cr.sidecar_json()
+    assert "\n" not in text
+    doc = json.loads(text)
+    inst2 = parse_instance(print_instance(cr.instance))
+    for layout in (text, json.dumps(doc, indent=1)):  # the layout written before
+        cr2 = CompiledReduction.from_sidecar_json(layout, inst2)
+        assert (cr2.decode, cr2.recipes, cr2.atomized) == (cr.decode, cr.recipes, cr.atomized)
+
+
 def test_sidecar_unknown_atom_kind_is_a_parse_error(fs):
     cr = compile_h10_free(parse_h10(XY_EQ_Z), fs)
     doc = json.loads(cr.sidecar_json())

@@ -1,4 +1,6 @@
+import importlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -183,3 +185,41 @@ def test_centralizer_caches_are_bounded():
     assert centralizer_generators.cache_info().currsize <= CENTRALIZER_CACHE_SIZE
     assert _centralizer_in_ball.cache_info().currsize <= CENTRALIZER_SET_CACHE_SIZE
     assert _centralizer_in_ball(z, normalize(z, [("z", 1)]), 1) == ball(z, 1).keys()  # rebuilt
+
+
+def test_the_walk_makes_no_group_word_constraint_check(monkeypatch):
+    """Constraints are checked on cached exponent sums: neither abelianize
+    nor _constraint_holds runs per node, and only the witness re-check,
+    `evaluate`, calls them."""
+    instances_mod = importlib.import_module("abelcon.instances")
+    search_mod = importlib.import_module("abelcon.search")
+    calls = Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(instances_mod, "_constraint_holds")
+    spy(instances_mod, "abelianize")
+    spy(search_mod, "evaluate")
+    body = ("vars X Y\ndisjunct {{\n  eq X X^-1 = 1\n  expsum: 1 |X|_a -1 |Y|_b = 0\n"
+            "  len: 1 |X| 1 |Y| = {n}\n  ab: X Y = ( {w} )\n}}\n")
+    runs = {}
+    for bound, n, w in ((2, 4, "a^3 b^3"), (3, 4, "a^3 b^3"), (3, 4, "a b")):
+        calls.clear()
+        report = search(parse_instance(F2_HEADER + body.format(n=n, w=w)), bound)
+        runs[bound, n, w] = report.verdict, report.nodes, dict(calls)
+    # exhausted walks (|X| + |Y| = 4 is too short for a^3 b^3): whatever the
+    # number of nodes, not one call
+    for key in ((2, 4, "a^3 b^3"), (3, 4, "a^3 b^3")):
+        verdict, nodes, seen = runs[key]
+        assert verdict == NO_SOLUTION_UP_TO_BOUND and nodes > 10 and not seen, runs
+    assert runs[3, 4, "a^3 b^3"][1] > runs[2, 4, "a^3 b^3"][1]
+    # a witness: one evaluate, checking each constraint once, 2 images per ab:
+    verdict, nodes, seen = runs[3, 4, "a b"]
+    assert verdict == WITNESS
+    assert seen == {"evaluate": 1, "_constraint_holds": 3, "abelianize": 2}, runs
