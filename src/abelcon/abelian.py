@@ -60,12 +60,6 @@ class AbelVector:
     def __add__(self, other: "AbelVector") -> "AbelVector":
         return AbelVector(self.pres, [a + b for a, b in zip(self.coords, other.coords)])
 
-    def __neg__(self) -> "AbelVector":
-        return AbelVector(self.pres, [-a for a in self.coords])
-
-    def __sub__(self, other: "AbelVector") -> "AbelVector":
-        return self + (-other)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
@@ -84,10 +78,7 @@ class AbelVector:
 def abelianize(p: Presentation, a: NormalWord) -> AbelVector:
     """Sum of syllable exponents per vertex, reduced at finite-order vertices."""
     _check(p, a)
-    coords = [0] * len(p.vertices)
-    for v, e in a.syllables:
-        coords[p.index[v]] += e
-    return AbelVector(p, coords)
+    return AbelVector(p, a.exponent_sums())
 
 
 def is_abelian_primitive(p: Presentation, v: str) -> bool:
@@ -105,7 +96,7 @@ def exponent_sum(p: Presentation, a: NormalWord, v: str) -> int:
     """The Z coordinate of ab(a) at an infinite-order vertex; additive in a."""
     _check(p, a)
     _require_primitive(p, v)
-    return sum(e for u, e in a.syllables if u == v)
+    return a.exponent_sums()[p.index[v]]
 
 
 def in_K(p: Presentation, a: NormalWord, vertices) -> bool:

@@ -55,10 +55,12 @@ from .instances import (
     Instance,
     VarAtom,
     _FreshNames,
+    abelian_sides,
     commutator_term,
     const_term,
     evaluate,
     is_short,
+    linear_form,
     var_term,
 )
 from .words import (
@@ -492,7 +494,8 @@ class CompiledReduction:
                 instance.presentation.check_vertex(ref)
             return cls(instance=instance, decode=decode, recipes=recipes, atomized=atomized,
                        source=source, mode=doc["mode"])
-        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError,
+                RecursionError) as exc:
             raise ParseError(f"malformed sidecar: {exc!r}") from exc
 
 
@@ -513,7 +516,8 @@ def witness_h10(cr: CompiledReduction, int_solution: dict[str, int]) -> dict[str
     for name, expr in cr.recipes:
         try:
             groups[name] = _word_expr(expr, ints, groups, p)
-        except (KeyError, TypeError, IndexError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError, AttributeError,
+                RecursionError) as exc:
             raise RecipeError(f"recipe for {name!r} cannot be evaluated: {exc!r}") from exc
     result = evaluate(cr.instance, groups)
     if not result.satisfied:
@@ -841,10 +845,8 @@ def reduce_finite_ab(inst: Instance) -> Instance:
                 continue
             combined = con.lhs * con.rhs.inverse()
             var_atoms = [a for a in combined.atoms if isinstance(a, VarAtom)]
-            const_vec = abelianize(p, GroupTerm(
-                tuple(a for a in combined.atoms if isinstance(a, ConstAtom))).evaluate(p, {}))
-            target = -const_vec
-            rep = normalize(p, [(v, target[v]) for v in p.vertices])
+            _, const = linear_form(p, abelian_sides(con))
+            rep = normalize(p, [(v, -c % p.order[v]) for v, c in zip(p.vertices, const)])
             if len(var_atoms) == 1 and not var_atoms[0].inverse:
                 cons.append(Coset(var_atoms[0].name, rep))
                 continue
@@ -866,14 +868,9 @@ def reduce_finite_ab(inst: Instance) -> Instance:
 PLACEHOLDER = "$"
 
 
-@dataclass(frozen=True)
-class TemplateDisjunct:
-    equations: tuple[GroupTerm, ...]  # VarAtoms named "$0".."$k-1" are placeholders
-
-
-@dataclass(frozen=True)
-class FormulaTemplate:
-    disjuncts: tuple[TemplateDisjunct, ...]
+# A formula template: a disjunction of systems of equations, each system a
+# tuple of terms; VarAtoms named "$0".."$k-1" are placeholders
+Template = tuple[tuple[GroupTerm, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -886,13 +883,13 @@ class Interpretation:
     """
     source: Presentation
     target: Presentation
-    domain: FormulaTemplate
-    multiplication: FormulaTemplate
-    equality: FormulaTemplate
-    vertex_map: tuple[tuple[str, str], ...]  # target vertex -> source word text
+    domain: Template
+    multiplication: Template
+    equality: Template
+    vertex_map: tuple[tuple[str, NormalWord], ...]  # target vertex -> source word
 
     def map_constant(self, w: NormalWord) -> NormalWord:
-        table = {v: parse_word(self.source, text) for v, text in self.vertex_map}
+        table = dict(self.vertex_map)
         return multiply_all(self.source, [table[v] ** e for v, e in w.syllables])
 
 
@@ -902,22 +899,20 @@ def integers_into_free_interpretation(source: Presentation, s: str,
     source.check_vertex(s)
     target = target or Presentation.free(["n"])
     ws = parse_word(source, s)
-    dom = FormulaTemplate((TemplateDisjunct((
-        GroupTerm((VarAtom("$0"), ConstAtom(ws), VarAtom("$0", True), ConstAtom(ws.inverse()))),),),))
-    mult = FormulaTemplate((TemplateDisjunct((
-        GroupTerm((VarAtom("$0"), VarAtom("$1"), VarAtom("$2", True))),),),))
-    eq = FormulaTemplate((TemplateDisjunct((
-        GroupTerm((VarAtom("$0"), VarAtom("$1", True))),),),))
-    return Interpretation(source, target, dom, mult, eq, ((target.vertices[0], s),))
+    dom = ((GroupTerm((VarAtom("$0"), ConstAtom(ws), VarAtom("$0", True),
+                       ConstAtom(ws.inverse()))),),)
+    mult = ((GroupTerm((VarAtom("$0"), VarAtom("$1"), VarAtom("$2", True))),),)
+    eq = ((GroupTerm((VarAtom("$0"), VarAtom("$1", True))),),)
+    return Interpretation(source, target, dom, mult, eq, ((target.vertices[0], ws),))
 
 
-def _substitute(template: FormulaTemplate,
+def _substitute(template: Template,
                 args: list[Optional[VarAtom | ConstAtom]]) -> list[tuple[GroupTerm, ...]]:
     """Instantiate the template on argument atoms (None means the identity)."""
     out = []
-    for td in template.disjuncts:
+    for system in template:
         eqs = []
-        for term in td.equations:
+        for term in system:
             atoms = []
             for a in term.atoms:
                 if isinstance(a, VarAtom) and a.name.startswith(PLACEHOLDER):

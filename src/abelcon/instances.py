@@ -5,6 +5,11 @@ An instance is a disjunction of systems; each system has group equations
 abelianisation equalities, linear exponent-sum equations, linear length
 equations, and commutator-subgroup coset membership. Instances are immutable;
 evaluation is pure.
+
+Abelianisation is a homomorphism, so ab:, coset: and expsum: constraints are
+linear rows on the values' exponent sums (`constraint_rows`), which the
+shadow solves and the search checks (`compile_constraint`);
+`_constraint_holds` re-checks by multiplying words, independently of both.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .abelian import abelianize, exponent_sum, is_abelian_primitive
 from .errors import (
@@ -225,6 +230,27 @@ def _constraint_holds(p: Presentation, con: Constraint, asg: dict[str, NormalWor
     raise TypeError(f"unknown constraint {con!r}")
 
 
+def compile_constraint(p: Presentation, con: Constraint
+                       ) -> Callable[[dict[str, NormalWord]], bool]:
+    """con as a check on the values' exponent sums (kept on each word once
+    computed): each of its `constraint_rows` holds, exactly or mod k; len:
+    sums geodesic lengths instead. No word is multiplied."""
+    if isinstance(con, LengthEq):
+        return lambda asg: (sum(c * geodesic_length(p, asg[var]) for c, var in con.terms)
+                            == con.constant)
+    rows = constraint_rows(p, con)
+
+    def holds(asg: dict[str, NormalWord]) -> bool:
+        for coeffs, const, k in rows:
+            t = -const
+            for var, i, c in coeffs:
+                t += c * asg[var].exponent_sums()[i]
+            if t if k is None else t % k:
+                return False
+        return True
+    return holds
+
+
 def evaluate(inst: Instance, asg: dict[str, NormalWord]) -> EvalResult:
     """Check the assignment against each disjunct; report per-item outcomes."""
     missing = [v for v in inst.variables if v not in asg]
@@ -339,13 +365,12 @@ def shadow_unknown(var: str, vertex: str) -> str:
 def linear_form(p: Presentation, terms: list[tuple[GroupTerm, int]]
                 ) -> tuple[tuple[tuple[str, int], ...], tuple[int, ...]]:
     """sum(sign * ab(term)) as a linear form: the signed count of each
-    variable, then the constant atoms' raw exponent sums per vertex.
+    variable, then the sum of the constant atoms' exponent-sum vectors.
 
     Every occurrence of a variable adds the same sign at every vertex, so a
     variable has one signed count; variables whose count is 0 are left out.
     The sums are unreduced. A constant over another presentation raises
-    PresentationMismatch. The shadow's rows and the search's constraint
-    checks both read this form, so they agree by construction.
+    PresentationMismatch.
     """
     var_counts: dict[str, int] = {}
     const = [0] * len(p.vertices)
@@ -355,8 +380,7 @@ def linear_form(p: Presentation, terms: list[tuple[GroupTerm, int]]
                 var_counts[a.name] = var_counts.get(a.name, 0) + (-sign if a.inverse else sign)
             else:
                 _check(p, a.word)
-                for v, e in a.word.syllables:
-                    const[p.index[v]] += sign * e
+                const = [c + sign * e for c, e in zip(const, a.word.exponent_sums())]
     return tuple((name, c) for name, c in var_counts.items() if c), tuple(const)
 
 
@@ -367,16 +391,38 @@ def abelian_sides(con: Union[AbEq, Coset]) -> list[tuple[GroupTerm, int]]:
     return [(var_term(con.variable), 1), (const_term(con.rep), -1)]
 
 
-def _term_rows(p: Presentation, terms: list[tuple[GroupTerm, int]]) -> list[LinearEquation]:
-    """Linear rows stating sum(sign * ab(term)) = 0, one row per vertex;
-    a variable's signed count is its coefficient in every row."""
-    coeffs, const = linear_form(p, terms)
-    rows = []
-    for v, c in zip(p.vertices, const):
-        k = p.order[v]
-        rows.append(LinearEquation(tuple((shadow_unknown(name, v), n) for name, n in coeffs),
-                                   -(c if k is None else c % k), modulus=k))
-    return rows
+# sum(c * |var|_vertex) over the (var, vertex index, c) coefficients equals
+# the constant: exactly when the modulus is None, mod the modulus otherwise
+Row = tuple[tuple[tuple[str, int, int], ...], int, Optional[int]]
+
+
+def _image_rows(p: Presentation, terms: list[tuple[GroupTerm, int]]) -> list[Row]:
+    """Rows stating sum(sign * ab(term)) = 0, one per vertex: each variable's
+    signed count is its coefficient, and the constant is reduced mod k at a
+    vertex of order k."""
+    counts, const = linear_form(p, terms)
+    return [(tuple((name, i, n) for name, n in counts), -(c if k is None else c % k), k)
+            for i, (c, k) in enumerate(zip(const, (p.order[v] for v in p.vertices)))]
+
+
+def constraint_rows(p: Presentation, con: Constraint) -> list[Row]:
+    """The linear rows on the variables' exponent sums that state con.
+
+    ab: and coset: give one row per vertex from their linear form. expsum:
+    gives one exact row, a repeated (variable, vertex) summed into one
+    coefficient, kept when it sums to 0. len: gives none, as lengths are not
+    linear in exponent sums. The shadow and the search's compiled checks
+    both read these rows, so they agree by construction.
+    """
+    if isinstance(con, LengthEq):
+        return []
+    if isinstance(con, ExpSumEq):
+        coeffs: dict[tuple[str, int], int] = {}
+        for c, var, vertex in con.terms:
+            key = (var, p.index[vertex])
+            coeffs[key] = coeffs.get(key, 0) + c
+        return [(tuple((var, i, c) for (var, i), c in coeffs.items()), con.constant, None)]
+    return _image_rows(p, abelian_sides(con))
 
 
 def _centralizer_lattice_rows(p: Presentation, var: str, w: NormalWord,
@@ -419,24 +465,28 @@ def _commutator_shape(term: GroupTerm):
 
 
 def disjunct_shadow(p: Presentation, d: Disjunct) -> LinearSystem:
-    """Necessary linear conditions on the ab coordinates of a disjunct's solutions."""
+    """Necessary linear conditions on the ab coordinates of a disjunct's solutions.
+
+    An equation term = 1 gives the rows of ab(term) = 0, then, for a
+    commutator, its centralizer lattice rows; each constraint gives its
+    `constraint_rows`. The unknown X.v is the exponent sum of X at v; rows
+    with no unknown and constant 0 are left out.
+    """
     rows: list[LinearEquation] = []
+
+    def add(new: list[Row]) -> None:
+        for coeffs, const, k in new:
+            if coeffs or const:
+                rows.append(LinearEquation(tuple((shadow_unknown(var, p.vertices[i]), c)
+                                                 for var, i, c in coeffs), const, modulus=k))
+
     for i, term in enumerate(d.equations):
-        rows.extend(_term_rows(p, [(term, 1)]))
+        add(_image_rows(p, [(term, 1)]))
         shape = _commutator_shape(term)
         if shape is not None and not shape[1].is_identity():
             rows.extend(_centralizer_lattice_rows(p, shape[0], shape[1], f"eq{i}"))
     for con in d.constraints:
-        if isinstance(con, (AbEq, Coset)):
-            rows.extend(_term_rows(p, abelian_sides(con)))
-        elif isinstance(con, ExpSumEq):
-            coeffs = {}
-            for c, var, vertex in con.terms:
-                key = shadow_unknown(var, vertex)
-                coeffs[key] = coeffs.get(key, 0) + c
-            rows.append(LinearEquation(tuple(coeffs.items()), con.constant))
-        # LengthEq contributes nothing: lengths are not linear in ab coordinates
-    rows = [r for r in rows if r.coeffs or r.constant]
+        add(constraint_rows(p, con))
     return LinearSystem(tuple(rows))
 
 
@@ -535,7 +585,7 @@ class _Parser:
                 try:
                     with open(path, encoding="utf-8") as fh:
                         self.pres = Presentation.from_text(fh.read())
-                except OSError as exc:
+                except (OSError, UnicodeDecodeError) as exc:
                     self.fail(f"cannot read graph file {path!r}: {exc}", i)
             elif line == "graph {":
                 block = []

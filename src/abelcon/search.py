@@ -18,23 +18,23 @@ that commute with w; these centralizer pass sets are cached per (word,
 bound) across searches, as the same few recur in every request. Each
 visited value must also satisfy the constraints it makes ground. These are
 checked as integer sums, never by multiplying words: abelianisation is a
-homomorphism, so each disjunct compiles an ab: or coset: constraint once
-into a signed count per variable plus a constant exponent-sum vector, the
-same linear form its shadow rows come from, and a node adds up the values'
-exponent-sum vectors (each kept on its word once computed), reducing mod k
-at each vertex of order k; expsum: reads single coordinates and len: sums
-geodesic lengths. The shadow is solved once per disjunct, before the walk,
-and never again inside it. All checks are sound and every item is checked
-at the depth where it becomes ground, so the first leaf reached is the
-first satisfying assignment in enumeration order; it is re-verified once,
-with `evaluate`, before it is returned. The compiled problems this runs on
-are undecidable in general; exhausting a bound proves nothing beyond it.
+homomorphism, so each disjunct compiles every constraint once
+(`instances.compile_constraint`) from the same rows its shadow comes from
+(`instances.constraint_rows`), and a node sums the values' exponent sums
+(each kept on its word once computed) against each row, mod k at a vertex
+of order k; len: sums geodesic lengths. The shadow is solved once per
+disjunct, before the walk, and never again inside it. All checks are sound
+and every item is checked at the depth where it becomes ground, so the
+first leaf reached is the first satisfying assignment in enumeration
+order; it is re-verified once, with `evaluate`, before it is returned. The
+compiled problems this runs on are undecidable in general; exhausting a
+bound proves nothing beyond it.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterator, Set
+from collections.abc import Iterator, Set
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -44,22 +44,16 @@ from itertools import product as _iproduct
 from .abelian import solve_linear_system
 from .errors import AbelconError, RadiusCapExceeded
 from .instances import (
-    AbEq,
     ConstAtom,
-    Constraint,
-    Coset,
-    ExpSumEq,
     GroupTerm,
     Instance,
-    LengthEq,
     VarAtom,
     _commutator_shape,
     abelian_shadow,
-    abelian_sides,
+    compile_constraint,
     constraint_variables,
     evaluate,
     isolate_variable,
-    linear_form,
 )
 from .words import (
     NormalWord,
@@ -161,39 +155,6 @@ def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int) -> Optional
     return frozenset(out)
 
 
-def _compile_constraint(p: Presentation, con: Constraint
-                        ) -> Callable[[dict[str, NormalWord]], bool]:
-    """The constraint as integer arithmetic on the values' exponent sums.
-
-    ab: and coset: read sum(count * sums(value)) + const from their linear
-    form and hold when it is 0 at each infinite-order vertex and 0 mod k at
-    each vertex of order k; expsum: reads one coordinate per term; len: sums
-    geodesic lengths. Each value's sums are computed once and kept on it.
-    """
-    if isinstance(con, (AbEq, Coset)):
-        counts, const = linear_form(p, abelian_sides(con))
-        names = [name for name, _ in counts]
-        ns = [n for _, n in counts]
-        coords = [(i, c, p.order[v]) for i, (v, c) in enumerate(zip(p.vertices, const))]
-
-        def holds(asg: dict[str, NormalWord]) -> bool:
-            images = [asg[name].exponent_sums() for name in names]
-            for i, c, k in coords:
-                t = c + sum(n * image[i] for n, image in zip(ns, images))
-                if t if k is None else t % k:
-                    return False
-            return True
-        return holds
-    if isinstance(con, ExpSumEq):
-        terms = [(c, var, p.index[vertex]) for c, var, vertex in con.terms]
-        return lambda asg: (sum(c * asg[var].exponent_sums()[i] for c, var, i in terms)
-                            == con.constant)
-    if isinstance(con, LengthEq):
-        return lambda asg: (sum(c * geodesic_length(p, asg[var]) for c, var in con.terms)
-                            == con.constant)
-    raise TypeError(f"unknown constraint {con!r}")
-
-
 class _DisjunctState:
     """Per-disjunct pruning data threaded through the depth-first walk."""
 
@@ -221,7 +182,7 @@ class _DisjunctState:
         for i, vs in enumerate(con_vars):
             if vs:
                 self.con_at[max(depth_of[v] for v in vs)].append(i)
-        self.checks = [_compile_constraint(p, c) for c in d.constraints]
+        self.checks = [compile_constraint(p, c) for c in d.constraints]
         self.ground_failed = (
             any(not t.evaluate(p, {}).is_identity()
                 for t, vs in zip(d.equations, eq_vars) if not vs)

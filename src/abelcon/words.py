@@ -269,12 +269,15 @@ def format_word(w: NormalWord) -> str:
 
 def parse_int(text: str, message: str, line: Optional[int] = None) -> int:
     """Read an integer as every printer writes one: an optional ``-`` and ASCII
-    digits. Anything else (``+``, ``_``, spaces, non-ASCII digits) raises
-    ParseError(message)."""
+    digits. Anything else (``+``, ``_``, spaces, non-ASCII digits), or more
+    digits than the interpreter converts, raises ParseError(message)."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise ParseError(message, line=line)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(message, line=line) from None
 
 
 def parse_word(p: Presentation, text: str) -> NormalWord:
@@ -411,20 +414,23 @@ def product(p: Presentation, factors: Iterable[tuple[NormalWord, bool]]) -> Norm
     """Canonical form of the product of the factors, left to right; a factor
     (w, True) stands for w^-1.
 
-    The first factor's syllables are copied as they are, unless it is
-    inverted. Every later syllable is pushed onto the one reduced list, an
-    inverted factor's reversed and negated, and the list is sorted once. The
-    normal form is unique, so this equals the left fold of `multiply`.
+    The first factor's syllables are copied, an inverted one's reversed and
+    negated, as either is already reduced. Every later syllable is pushed
+    onto the one reduced list, an inverted factor's reversed and negated, and
+    the list is sorted once. The normal form is unique, so this equals the
+    left fold of `multiply`.
     """
     syllables: list[Syllable] = []
     first = True
     for w, inverted in factors:
         _check(p, w)
-        if inverted:
+        if first and inverted:
+            syllables = [Syllable(v, p.reduce_exponent(v, -e)) for v, e in reversed(w.syllables)]
+        elif first:
+            syllables = list(w.syllables)
+        elif inverted:
             for v, e in reversed(w.syllables):
                 _push(p, syllables, v, -e)
-        elif first:
-            syllables.extend(w.syllables)
         else:
             for v, e in w.syllables:
                 _push(p, syllables, v, e)
@@ -444,9 +450,7 @@ def multiply_all(p: Presentation, words: Iterable[NormalWord]) -> NormalWord:
 
 def invert(p: Presentation, a: NormalWord) -> NormalWord:
     """Canonical form of the inverse."""
-    _check(p, a)
-    syllables = [Syllable(v, p.reduce_exponent(v, -e)) for v, e in reversed(a.syllables)]
-    return NormalWord(p, _canonical_order(p, syllables))
+    return product(p, ((a, True),))
 
 
 def geodesic_length(p: Presentation, a: NormalWord) -> int:

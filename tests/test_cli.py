@@ -138,6 +138,26 @@ def test_unknown_file_exit_code(files, capsys):
     assert code == 3 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("normalize", "{bad}", "a"),
+    ("shadow", "{bad}"),
+    ("shadow", "{group_ref}"),
+    ("compile-h10", "{bad}", "--target", "{f2}", "--out", "{out}", "--sidecar", "{out}"),
+    ("decode", "{inst}", "{dec}", "--assignment", "{bad}"),
+], ids=["graph", "instance", "group-file", "h10", "assignment"])
+def test_a_file_that_is_not_utf8_is_an_error(files, capsys, argv):
+    bad = files / "bad.txt"
+    bad.write_bytes(b"vertex a inf\nvertex \xff b inf\n")
+    group_ref = files / "ref.inst"
+    group_ref.write_text("group bad.txt\nvars X\ndisjunct {\n  eq X a = 1\n}\n")
+    inst, dec = _compiled_sum(files, capsys)
+    paths = dict(bad=bad, group_ref=group_ref, f2=files / "f2.graph", out=files / "out",
+                 inst=inst, dec=dec, asg=files / "asg.txt")
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_compile_verify_pipeline(files, capsys):
     h10 = files / "xyz.h10"
     h10.write_text("1*x*y -1*z = 0\n")
@@ -212,6 +232,125 @@ def test_reduce_finite_ab_cli(files, capsys):
     assert code == 0 and "coset: X in a b * G'" in out
 
 
+# Inputs and outputs of the shadow and reduce-finite-ab commands, recorded
+# once; they cover lattice rows, mod-k constants, a cancelled variable, an
+# expsum: row whose repeated coefficient sums to 0, and coset rows.
+GOLDEN_MIXED = ('graph {\n'
+                '  vertex p 3\n'
+                '  vertex q 4\n'
+                '  vertex r inf\n'
+                '  vertex t inf\n'
+                '  edge p r\n'
+                '  edge q t\n'
+                '  edge r t\n'
+                '}\n'
+                'vars X Y\n'
+                'disjunct {\n'
+                '  eq X r X^-1 r^-1 = 1\n'
+                '  eq X Y ( p q^2 ) = 1\n'
+                '  ab: X X^-1 Y = ( p^-1 q r^3 )\n'
+                '  ab: X ( p q ) = ( q^-1 t ) Y^-1\n'
+                '  expsum: 2 |X|_r -1 |Y|_t 1 |X|_r -3 |X|_r = 4\n'
+                '  len: 1 |X| -1 |Y| = 1\n'
+                '}\n'
+                'disjunct {\n'
+                '  eq X Y^-1 = 1\n'
+                '  expsum: 1 |Y|_t = -2\n'
+                '}\n')
+GOLDEN_PENTAGON = ('graph {\n'
+                   '  vertex a 2\n'
+                   '  vertex b 2\n'
+                   '  vertex c 2\n'
+                   '  vertex d 2\n'
+                   '  vertex e 2\n'
+                   '  edge a b\n'
+                   '  edge b c\n'
+                   '  edge c d\n'
+                   '  edge d e\n'
+                   '  edge e a\n'
+                   '}\n'
+                   'vars X Y\n'
+                   'disjunct {\n'
+                   '  eq X X = 1\n'
+                   '  ab: X Y = ( a c d )\n'
+                   "  coset: Y in b e * G'\n"
+                   '  len: 2 |X| -1 |Y| = 0\n'
+                   '}\n')
+GOLDEN = [
+    (GOLDEN_MIXED, "shadow", 0,
+     ('disjunct 0: UNSAT\n'
+      '1 X.p -1 eq0.lam1 = 0 mod 3\n'
+      '1 X.q = 0 mod 4\n'
+      '1 X.r -1 eq0.lam0 = 0\n'
+      '1 X.t -1 eq0.lam2 = 0\n'
+      '1 X.p 1 Y.p = -1 mod 3\n'
+      '1 X.q 1 Y.q = -2 mod 4\n'
+      '1 X.r 1 Y.r = 0\n'
+      '1 X.t 1 Y.t = 0\n'
+      '1 Y.p = -1 mod 3\n'
+      '1 Y.q = -3 mod 4\n'
+      '1 Y.r = 3\n'
+      '1 Y.t = 0\n'
+      '1 X.p 1 Y.p = -1 mod 3\n'
+      '1 X.q 1 Y.q = -2 mod 4\n'
+      '1 X.r 1 Y.r = 0\n'
+      '1 X.t 1 Y.t = 1\n'
+      '0 X.r -1 Y.t = 4\n'
+      'disjunct 1: SAT\n'
+      '1 X.p -1 Y.p = 0 mod 3\n'
+      '1 X.q -1 Y.q = 0 mod 4\n'
+      '1 X.r -1 Y.r = 0\n'
+      '1 X.t -1 Y.t = 0\n'
+      '1 Y.t = -2\n')),
+    (GOLDEN_PENTAGON, "shadow", 0,
+     ('disjunct 0: SAT\n'
+      '2 X.a = 0 mod 2\n'
+      '2 X.b = 0 mod 2\n'
+      '2 X.c = 0 mod 2\n'
+      '2 X.d = 0 mod 2\n'
+      '2 X.e = 0 mod 2\n'
+      '1 X.a 1 Y.a = -1 mod 2\n'
+      '1 X.b 1 Y.b = 0 mod 2\n'
+      '1 X.c 1 Y.c = -1 mod 2\n'
+      '1 X.d 1 Y.d = -1 mod 2\n'
+      '1 X.e 1 Y.e = 0 mod 2\n'
+      '1 Y.a = 0 mod 2\n'
+      '1 Y.b = -1 mod 2\n'
+      '1 Y.c = 0 mod 2\n'
+      '1 Y.d = 0 mod 2\n'
+      '1 Y.e = -1 mod 2\n')),
+    (GOLDEN_PENTAGON, "reduce-finite-ab", 0,
+     ('graph {\n'
+      '  vertex a 2\n'
+      '  vertex b 2\n'
+      '  vertex c 2\n'
+      '  vertex d 2\n'
+      '  vertex e 2\n'
+      '  edge a b\n'
+      '  edge a e\n'
+      '  edge b c\n'
+      '  edge c d\n'
+      '  edge d e\n'
+      '}\n'
+      'vars X Y _z0\n'
+      'disjunct {\n'
+      '  eq X^2 = 1\n'
+      '  eq X Y _z0^-1 = 1\n'
+      "  coset: _z0 in a c d * G'\n"
+      "  coset: Y in b e * G'\n"
+      '  len: 2 |X| -1 |Y| = 0\n'
+      '}\n')),
+]
+
+
+@pytest.mark.parametrize("text, command, code, expected", GOLDEN,
+                         ids=["shadow-mixed", "shadow-pentagon", "reduce-pentagon"])
+def test_shadow_and_reduction_output_is_pinned(files, capsys, text, command, code, expected):
+    inst = files / "golden.inst"
+    inst.write_text(text)
+    assert run(capsys, command, inst)[:2] == (code, expected)
+
+
 def test_deterministic_output(files, capsys):
     code1, out1, _ = run(capsys, "weak-modules", files / "gamma1.graph")
     code2, out2, _ = run(capsys, "weak-modules", files / "gamma1.graph")
@@ -247,6 +386,18 @@ def _decode_x_from(entry):
     return corrupt
 
 
+def _first_recipe_nested(levels):
+    """The first recipe wrapped in `levels` inversions, written out by hand:
+    json.dumps itself refuses to nest that deep."""
+    def corrupt(text):
+        doc = json.loads(text)
+        inner = json.dumps(doc["recipes"][0][1])
+        doc["recipes"][0][1] = "@"
+        nested = '{"op": "inv", "arg": ' * levels + inner + "}" * levels
+        return json.dumps(doc).replace('"@"', nested, 1)
+    return corrupt
+
+
 def _without_atoms(text):
     doc = json.loads(text)
     del doc["atoms"]
@@ -276,6 +427,10 @@ BAD_INPUTS = {
                             ("witness", "{inst}", "{dec}", "--solution", "x=2,y=3")),
     "decode-names-a-non-variable": (_decode_x_from(["nope", "a"]),
                                     ("decode", "{inst}", "{dec}", "--assignment", "{asg}")),
+    "sidecar-not-utf8": (lambda text: b"\xff" + text.encode(),
+                         ("witness", "{inst}", "{dec}", "--solution", "x=2,y=3")),
+    "recipe-nested-1800-deep": (_first_recipe_nested(1800),
+                                ("witness", "{inst}", "{dec}", "--solution", "x=2,y=3")),
 }
 
 
@@ -288,7 +443,16 @@ def test_bad_input_is_an_error_not_a_no(files, capsys, case):
     assert code == 0
     asg.write_text(out)
     if corrupt is not None:
-        dec.write_text(corrupt(dec.read_text()))
+        data = corrupt(dec.read_text())
+        dec.write_bytes(data if isinstance(data, bytes) else data.encode())
     code, _, err = run(capsys, *(a.format(inst=inst, dec=dec, asg=asg) for a in argv))
     assert code == 3
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_a_recipe_nested_800_deep_still_evaluates(files, capsys):
+    inst, dec = _compiled_sum(files, capsys)
+    _, expected, _ = run(capsys, "witness", inst, dec, "--solution", "x=2,y=3")
+    dec.write_text(_first_recipe_nested(800)(dec.read_text()))  # an even number: no change
+    code, out, _ = run(capsys, "witness", inst, dec, "--solution", "x=2,y=3")
+    assert code == 0 and out == expected

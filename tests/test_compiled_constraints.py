@@ -1,14 +1,14 @@
 """Differential tests of the search's compiled constraint checks.
 
 The search checks ab:, expsum:, coset: and len: constraints as integer sums
-on each value's exponent-sum vector (`search._compile_constraint`).
+on each value's exponent-sum vector (`instances.compile_constraint`, which
+reads the rows of `instances.constraint_rows`, as the abelian shadow does).
 `instances._constraint_holds` evaluates the same constraints by multiplying
 group words and abelianising the product. The two must agree on every value,
 or every pair of values, of small balls over F2, the pentagon right-angled
 Coxeter group, a Z/3, Z/4, Z graph and the all-torsion Z/3 * Z/4.
 """
 
-import importlib
 from itertools import product
 
 import pytest
@@ -20,13 +20,11 @@ from abelcon.instances import (
     GroupTerm,
     VarAtom,
     _constraint_holds,
+    compile_constraint,
     constraint_variables,
     parse_instance,
 )
 from abelcon.words import Presentation, ball, parse_word
-
-# the package's ``search`` attribute is the function, not the module
-search_mod = importlib.import_module("abelcon.search")
 
 PENTAGON = Presentation.racg("abcde", [(u, v) for u, v in zip("abcde", "bcdea")])
 F2 = Presentation.free("ab")
@@ -82,7 +80,7 @@ def test_compiled_checks_agree_with_constraint_holds(p, radius, lines):
     values = list(ball(p, radius))
     cons = _disjunct(p, lines).constraints
     for con in cons:
-        check = search_mod._compile_constraint(p, con)
+        check = compile_constraint(p, con)
         held = 0
         for x, y in product(values, repeat=2):
             asg = {"X": x, "Y": y}
@@ -100,15 +98,15 @@ def test_finite_order_sums_that_differ_by_the_order_are_equal():
         k_minus_one = parse_word(p, "p q p")
         assert minus_one.exponent_sums()[0] == -1 and k_minus_one.exponent_sums()[0] == k - 1
         con = _disjunct(p, ["ab: X = Y"]).constraints[0]
-        check = search_mod._compile_constraint(p, con)
+        check = compile_constraint(p, con)
         asg = {"X": minus_one, "Y": parse_word(p, "p q p q^-1")}
         assert check(asg) and _constraint_holds(p, con, asg)
     q_word = parse_word(TORSION, "q p q p q")  # q-sum 3 against -1 at order 4
     con = _disjunct(TORSION, ["coset: X in q^-1 p^-1 * G'"]).constraints[0]
-    assert search_mod._compile_constraint(TORSION, con)({"X": q_word, "Y": q_word})
+    assert compile_constraint(TORSION, con)({"X": q_word, "Y": q_word})
     # a difference that is not a multiple of the order still separates
     con = _disjunct(MIXED, ["ab: X = ( p q )"]).constraints[0]
-    assert not search_mod._compile_constraint(MIXED, con)({"X": parse_word(MIXED, "p q^-1")})
+    assert not compile_constraint(MIXED, con)({"X": parse_word(MIXED, "p q^-1")})
 
 
 def test_exponent_sums_are_computed_once_and_kept():
@@ -121,7 +119,7 @@ def test_exponent_sums_are_computed_once_and_kept():
 def test_a_constant_over_another_presentation_is_a_mismatch():
     # an equal presentation built separately is the same group
     con = AbEq(GroupTerm((VarAtom("X"),)), GroupTerm((ConstAtom(parse_word(F2, "a")),)))
-    assert search_mod._compile_constraint(Presentation.free("ab"), con)({"X": parse_word(F2, "a")})
+    assert compile_constraint(Presentation.free("ab"), con)({"X": parse_word(F2, "a")})
     foreign = AbEq(GroupTerm((VarAtom("X"),)), GroupTerm((ConstAtom(parse_word(PENTAGON, "a")),)))
     with pytest.raises(PresentationMismatch):
-        search_mod._compile_constraint(F2, foreign)
+        compile_constraint(F2, foreign)

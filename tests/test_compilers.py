@@ -14,6 +14,7 @@ from abelcon.compilers import (
     Monomial,
     Polynomial,
     ProdDef,
+    RecipeError,
     SumDef,
     atomize,
     compile_h10_free,
@@ -214,6 +215,21 @@ def test_sidecar_unknown_atom_kind_is_a_parse_error(fs):
     prod["kind"] = "product"
     with pytest.raises(ParseError, match="unknown sidecar atom kind 'product'"):
         CompiledReduction.from_sidecar_json(json.dumps(doc), cr.instance)
+
+
+def test_a_recipe_nested_too_deep_is_a_typed_error(fs):
+    cr = compile_h10_free(parse_h10(XY_EQ_Z), fs)
+    name, expr = cr.recipes[0]
+    for _ in range(100_000):  # deeper than any recursion limit
+        expr = {"op": "inv", "arg": expr}
+    cr.recipes = ((name, expr),) + cr.recipes[1:]
+    with pytest.raises(RecipeError, match="cannot be evaluated"):
+        witness_h10(cr, {"x": 1, "y": 4, "z": 4})
+    doc = json.loads(compile_h10_free(parse_h10(XY_EQ_Z), fs).sidecar_json())
+    doc["recipes"][0][1] = "@"
+    nested = '{"op": "inv", "arg": ' * 100_000 + '{"op": "word", "text": "s1"}' + "}" * 100_000
+    with pytest.raises(ParseError, match="malformed sidecar"):
+        CompiledReduction.from_sidecar_json(json.dumps(doc).replace('"@"', nested), cr.instance)
 
 
 def test_compiled_instance_text_round_trip(fs):

@@ -7,7 +7,9 @@ more than two factors goes through ``multiply_all`` or ``product``, which
 normalise once, never through a pairwise fold of ``multiply``. Every cache
 is bounded: an ``lru_cache`` with an explicit integer ``maxsize``. Only
 ``search.py`` builds a Cayley ball: the word algebra constructs its answers
-directly.
+directly. ``search.py`` names no constraint class and neither ``linear_form``
+nor ``abelian_sides``: ``instances.compile_constraint`` is its one view of a
+constraint.
 """
 
 import ast
@@ -221,3 +223,51 @@ def scan(p, g):
 def test_only_search_builds_cayley_balls(path):
     calls = _ball_calls(ast.parse(path.read_text(encoding="utf-8")), path.name)
     assert not calls, f"{path.name}: builds a Cayley ball outside search.py, lines {calls}"
+
+
+# what search.py leaves to instances.compile_constraint
+CONSTRAINT_NAMES = {"AbEq", "Coset", "ExpSumEq", "LengthEq", "linear_form", "abelian_sides"}
+
+
+def _lines_naming(tree: ast.Module, names: set[str]) -> list[int]:
+    """Lines naming one of names: as a name, an attribute, an imported name
+    under any alias, or inside a string annotation."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found = {node.id}
+        elif isinstance(node, ast.Attribute):
+            found = {node.attr}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found = {a.name.rpartition(".")[2] for a in node.names}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                expr = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            found = {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+        else:
+            continue
+        if found & names:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_constraint_name_check_sees_every_spelling():
+    code = """
+from .instances import AbEq as Eq, compile_constraint
+from . import instances
+from abelcon.instances import linear_form
+
+def check(con: "Coset", p):
+    if isinstance(con, instances.ExpSumEq):
+        return abelian_sides(con)
+    return compile_constraint(p, con), "a LengthEq in prose"
+"""
+    assert _lines_naming(ast.parse(code), CONSTRAINT_NAMES) == [2, 4, 6, 7, 8]
+
+
+def test_search_names_no_constraint_class():
+    path = SRC / "search.py"
+    lines = _lines_naming(ast.parse(path.read_text(encoding="utf-8")), CONSTRAINT_NAMES)
+    assert not lines, f"search.py: use instances.compile_constraint, lines {lines}"

@@ -134,6 +134,13 @@ def test_round_trip_group_file(tmp_path, gamma1):
     assert parse_instance(print_instance(inst), base_dir=str(tmp_path)) == inst
 
 
+def test_a_group_file_that_is_not_utf8_is_a_parse_error(tmp_path):
+    (tmp_path / "g.graph").write_bytes(b"vertex a inf\nvertex \xff b inf\n")
+    text = "group g.graph\nvars X\ndisjunct {\n  eq X a = 1\n}\n"
+    with pytest.raises(ParseError, match="cannot read graph file"):
+        parse_instance(text, base_dir=str(tmp_path))
+
+
 def test_coset_requires_finite_ab(pentagon, f2):
     text = "vars X\ndisjunct {\n  eq X = 1\n  coset: X in a b * G'\n}\n"
     inst = parse_instance(text, presentation=pentagon)

@@ -76,6 +76,9 @@ LOOSE_INTEGERS = [
     ("instance-body", "eq 2_0*X = 1"),
     ("instance-body", "expsum: 1_0 |X|_a = 1"),
     ("instance-body", "len: 1 |X| = \u0663"),
+    # more digits than int() converts
+    ("word", "a^" + "9" * 5000),
+    ("h10", "9" * 5000 + "*x -2 = 0\n"),
 ]
 
 
