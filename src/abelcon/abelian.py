@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import NotAbelianPrimitive, ParseError
-from .words import NormalWord, Presentation, _check, parse_int
+from .words import NormalWord, Presentation, _check, format_int, parse_int
 
 
 class AbelVector:
@@ -216,8 +216,8 @@ def parse_linear_system(text: str) -> LinearSystem:
 def format_linear_system(sys: LinearSystem) -> str:
     lines = []
     for eq in sys.equations:
-        parts = [f"{c} {v}" for v, c in eq.coeffs] or ["0 _"]
-        line = " ".join(parts) + f" = {eq.constant}"
+        parts = [f"{format_int(c)} {v}" for v, c in eq.coeffs] or ["0 _"]
+        line = " ".join(parts) + f" = {format_int(eq.constant)}"
         if eq.modulus is not None:
             line += f" mod {eq.modulus}"
         lines.append(line)

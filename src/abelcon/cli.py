@@ -35,6 +35,7 @@ from .search import (
 from .words import (
     Presentation,
     centralizer_generators,
+    format_int,
     format_word,
     geodesic_length,
     parse_int,
@@ -191,12 +192,12 @@ def _dispatch(args) -> int:
 
     if cmd == "length":
         p = _load_graph(args.graph)
-        print(geodesic_length(p, parse_word(p, " ".join(args.word))))
+        print(format_int(geodesic_length(p, parse_word(p, " ".join(args.word)))))
         return EXIT_OK
 
     if cmd == "absum":
         p = _load_graph(args.graph)
-        print(exponent_sum(p, parse_word(p, " ".join(args.word)), args.vertex))
+        print(format_int(exponent_sum(p, parse_word(p, " ".join(args.word)), args.vertex)))
         return EXIT_OK
 
     if cmd == "weak-modules":
@@ -214,11 +215,11 @@ def _dispatch(args) -> int:
     if cmd == "centralizer":
         p = _load_graph(args.graph)
         desc = centralizer_generators(p, parse_word(p, " ".join(args.word)))
-        print(f"conjugator {format_word(desc.conjugator)}")
-        for root, exp in zip(desc.cyclic_parts, desc.exponents):
-            print(f"cyclic {format_word(root)} exponent {exp}")
-        link = ",".join(sorted(desc.link_vertices, key=p.index.__getitem__))
-        print("link {" + link + "}")
+        lines = [f"conjugator {format_word(desc.conjugator)}"]
+        lines += [f"cyclic {format_word(root)} exponent {format_int(exp)}"
+                  for root, exp in zip(desc.cyclic_parts, desc.exponents)]
+        lines.append("link {" + ",".join(sorted(desc.link_vertices, key=p.index.__getitem__)) + "}")
+        print("\n".join(lines))
         return EXIT_OK
 
     if cmd == "flatten":

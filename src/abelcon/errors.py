@@ -21,10 +21,6 @@ class NotCyclicallyReduced(AbelconError):
     """Operation requires a cyclically reduced element."""
 
 
-class FiniteOrderVertexInSupport(AbelconError):
-    """Operation is only defined when every support vertex has infinite order."""
-
-
 class IdentityElement(AbelconError):
     """Operation is not defined for the identity."""
 
@@ -87,3 +83,7 @@ class DecodeInconsistency(AbelconError):
 
 class RadiusCapExceeded(AbelconError):
     """Requested ball radius lies outside 0..cap."""
+
+
+class IntegerTooLong(AbelconError):
+    """An integer has more digits than the interpreter converts to text."""

@@ -19,9 +19,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
-from .abelian import abelianize, exponent_sum, is_abelian_primitive
+from .abelian import AbelVector, abelianize, exponent_sum, is_abelian_primitive
 from .errors import (
-    AbelconError,
     IncompleteAssignment,
     InfiniteAbelianisation,
     NotAbelianPrimitive,
@@ -429,21 +428,25 @@ def _centralizer_lattice_rows(p: Presentation, var: str, w: NormalWord,
                               tag: str) -> list[LinearEquation]:
     """Rows confining ab(var) to the lattice spanned by ab of C(w)'s generators.
 
-    Sound strengthening of the shadow for a commutator equation [var, w] = 1;
-    only emitted when the centralizer description applies.
+    Sound strengthening of the shadow for a commutator equation [var, w] = 1,
+    emitted only when every vertex of w's support has infinite order; rows
+    for a torsion support would be sound too, but would change verdicts.
+    Abelianisation kills the conjugator, so the images come straight from
+    the cached description, in `generators`' order: each cyclic part's
+    exponent sums, then the unit vector of each link vertex.
     """
-    try:
-        desc = centralizer_generators(p, w)
-    except AbelconError:
+    if any(p.order[v] is not None for v, _ in w.syllables):
         return []
-    images = [abelianize(p, g) for g in desc.generators(p)]
+    desc = centralizer_generators(p, w)
+    images = [AbelVector(p, b.exponent_sums()).coords for b in desc.cyclic_parts]
+    images += [tuple(int(u == v) for v in p.vertices)
+               for u in sorted(desc.link_vertices, key=p.index.__getitem__)]
     rows = []
-    for v in p.vertices:
+    for i, v in enumerate(p.vertices):
         coeffs = [(shadow_unknown(var, v), 1)]
         for j, image in enumerate(images):
-            c = image[v]
-            if c:
-                coeffs.append((f"{tag}.lam{j}", -c))
+            if image[i]:
+                coeffs.append((f"{tag}.lam{j}", -image[i]))
         rows.append(LinearEquation(tuple(coeffs), 0, modulus=p.order[v]))
     return rows
 

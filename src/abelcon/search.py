@@ -14,8 +14,11 @@ equations that variable makes ground. The walk visits only the union of
 those candidates, sorted by ball index (the cached ball maps each element
 to its position), or the whole ball when some live disjunct has no such
 equation. A commutator [X, w] = 1 with w ground passes the ball elements
-that commute with w; these centralizer pass sets are cached per (word,
-bound) across searches, as the same few recur in every request. Each
+that commute with w, generated from w's centralizer description
+(`words.centralizer_generators`, in any vertex orders) with no scan of the
+ball; these centralizer pass sets are cached per (word, bound) across
+searches, as the same few recur in every request. Only an equation that is
+neither solved for the variable nor such a commutator scans the ball. Each
 visited value must also satisfy the constraints it makes ground. These are
 checked as integer sums, never by multiplying words: abelianisation is a
 homomorphism, so each disjunct compiles every constraint once
@@ -42,7 +45,7 @@ from typing import Optional
 from itertools import product as _iproduct
 
 from .abelian import solve_linear_system
-from .errors import AbelconError, RadiusCapExceeded
+from .errors import RadiusCapExceeded
 from .instances import (
     ConstAtom,
     GroupTerm,
@@ -116,26 +119,33 @@ def _solved_value_set(p: Presentation, term: GroupTerm, var: str,
 
 
 @lru_cache(maxsize=CENTRALIZER_SET_CACHE_SIZE)
-def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int) -> Optional[Set]:
-    """All elements of the bound ball commuting with w, generated from the
-    centralizer description, or None when w has no description.
+def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int) -> Set:
+    """All elements of the bound ball commuting with w, generated from its
+    centralizer description, in any vertex orders.
 
+    An element x of the ball conjugated back, h^-1 x h, is a product of
+    commuting pieces of total length at most bound + 2|h|: a power of each
+    cyclic part and a word on the link. A cyclic part on one finite-order
+    vertex takes only its distinct powers, `reduce_exponent`'s range.
     Cached per (presentation, word, bound) across searches, as the same few
     commutator checks recur in every request. The set holds the ball's own
     element objects, so a cached set adds no copies of its members.
     """
     if w.is_identity():
         return cayley_ball(p, bound).keys()
-    try:
-        desc = centralizer_generators(p, w)
-    except AbelconError:
-        return None
+    desc = centralizer_generators(p, w)
     budget = bound + 2 * geodesic_length(p, desc.conjugator)
     link_pres = induced_subpresentation(p, desc.link_vertices)
     link_elems = [normalize(p, [(v, e) for v, e in x.syllables])
                   for x in cayley_ball(link_pres, budget)]
     root_lens = [geodesic_length(p, b) for b in desc.cyclic_parts]
-    ranges = [range(-(budget // L), budget // L + 1) for L in root_lens]
+    ranges = []
+    for b, L in zip(desc.cyclic_parts, root_lens):
+        lo, hi = -(budget // L), budget // L
+        k = p.order[b.syllables[0].vertex] if len(b.syllables) == 1 else None
+        if k is not None:  # b = v^±1 at a vertex of order k
+            lo, hi = max(lo, -(k // 2)), min(hi, (k - 1) // 2)
+        ranges.append(range(lo, hi + 1))
     h = desc.conjugator
     ball = cayley_ball(p, bound)
     members = list(ball)
@@ -210,9 +220,9 @@ class _DisjunctState:
             shape = _commutator_shape(term)
             if shape is not None and shape[0] == var:
                 cached = _centralizer_in_ball(self.p, shape[1], self.bound)
-        if cached is None:
-            cached = frozenset(val for val in self.ball
-                               if term.evaluate(self.p, {var: val}).is_identity())
+            else:
+                cached = frozenset(val for val in self.ball
+                                   if term.evaluate(self.p, {var: val}).is_identity())
         self._memo[key] = cached
         return cached
 

@@ -34,14 +34,16 @@ appended, and a parent's children come in generator order.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import repeat
+from itertools import product as _iproduct, repeat
+from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
-    FiniteOrderVertexInSupport,
     IdentityElement,
+    IntegerTooLong,
     InvalidPresentation,
     NotCyclicallyReduced,
     ParseError,
@@ -255,7 +257,8 @@ class NormalWord:
 
 
 def format_word(w: NormalWord) -> str:
-    """Render a word in the ``name`` / ``name^k`` syntax; identity prints as 1."""
+    """Render a word in the ``name`` / ``name^k`` syntax; identity prints as 1.
+    An exponent too long to convert to text raises IntegerTooLong."""
     if not w.syllables:
         return "1"
     parts = []
@@ -263,8 +266,17 @@ def format_word(w: NormalWord) -> str:
         if e == 1 or w.pres.order[v] == 2:
             parts.append(v)
         else:
-            parts.append(f"{v}^{e}")
+            parts.append(f"{v}^{format_int(e)}")
     return " ".join(parts)
+
+
+def format_int(n: int) -> str:
+    """Decimal text of n; IntegerTooLong when it has more digits than the
+    interpreter converts to text (`sys.get_int_max_str_digits`)."""
+    try:
+        return str(n)
+    except ValueError:
+        raise IntegerTooLong(f"integer of more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def parse_int(text: str, message: str, line: Optional[int] = None) -> int:
@@ -653,44 +665,67 @@ def induced_subpresentation(p: Presentation, vertices) -> Presentation:
 
 
 def _extract_root(p: Presentation, w: NormalWord) -> tuple[NormalWord, int]:
-    """Maximal n with w = u^n, for w in a right-angled Artin group.
+    """Maximal n with w = u^n, for a cyclically reduced w whose support is one
+    non-commutation component.
 
-    For a cyclically reduced w = u^n the copies of u do not cancel, so each
-    vertex's letters in w are those of the n copies one after another, and
-    u is the subword made of the first 1/n of each vertex's letters.
-    Roots are unique, as right-angled Artin groups are bi-orderable
-    (Duchamp-Krob 1992), so the first n that passes from the top is maximal.
+    The copies of u in u^n do not cancel, so each vertex's letters in w are
+    those of the n copies one after another, and u is the subword made of
+    the first 1/n of each vertex's letters; n divides the gcd of the letter
+    counts. One sign can be lost: at a vertex of order 2k, the syllables of
+    two copies that merge into v^k are stored as v^-k (`reduce_exponent`),
+    so the letters a syllable of half order gives up to u when it is split
+    may have either sign. Both are tried, the positive one first, as in ball
+    order.
+
+    The first n that passes from the top is maximal. A single syllable v^e
+    gives u = v^±1 and n = |e| directly; u generates the vertex group. Over
+    two or more vertices, the centralizer of w in the subgroup its support
+    generates is infinite cyclic (Barkauskas, Centralizers in graph products
+    of groups, J. Algebra 312, 2007), so every root of w there is a power of
+    one generator and u is unique. Over right-angled Artin groups this also
+    follows from bi-orderability (Duchamp-Krob 1992).
     """
-    total = geodesic_length(p, w)
-    if total == 0:
+    if w.is_identity():
         raise IdentityElement("identity has no root decomposition")
-    counts = {v: sum(abs(e) for u, e in w.syllables if u == v) for v in support(p, w)}
-    for n in range(total, 1, -1):
-        if any(c % n for c in counts.values()):
+    if len(w.syllables) == 1:  # v^e, read off; v^-k at order 2k is v^k
+        v, e = w.syllables[0]
+        return normalize(p, [(v, 1 if e > 0 or p.order[v] == -2 * e else -1)]), abs(e)
+    counts: dict[str, int] = {}
+    for v, e in w.syllables:
+        counts[v] = counts.get(v, 0) + abs(e)
+    common = gcd(*counts.values())
+    for n in range(common, 1, -1):
+        if common % n:
             continue
         left = {v: c // n for v, c in counts.items()}
         prefix = []
+        split = []  # positions of a split syllable of half order
         for v, e in w.syllables:
             k = min(abs(e), left[v])
             if k:
+                if k < abs(e) and p.order[v] == 2 * abs(e):
+                    split.append(len(prefix))
                 prefix.append((v, k if e > 0 else -k))
                 left[v] -= k
-        u = normalize(p, prefix)
-        if u ** n == w:
-            return u, n
+        for signs in _iproduct((1, -1), repeat=len(split)):
+            signed = list(prefix)
+            for i, sign in zip(split, signs):
+                v, k = prefix[i]
+                signed[i] = (v, sign * abs(k))
+            u = normalize(p, signed)
+            if u ** n == w:
+                return u, n
     return w, 1
 
 
 def block_decomposition(p: Presentation, c: NormalWord) -> BlockDecomposition:
-    """Split a cyclically reduced element into commuting maximal-root blocks."""
+    """Split a cyclically reduced element into commuting maximal-root blocks,
+    one per non-commutation component of its support, in any vertex orders.
+    A single vertex v gives the block (v^±1, n), as `_extract_root` does."""
     _check(p, c)
     if not is_cyclically_reduced(p, c):
         raise NotCyclicallyReduced("block decomposition needs a cyclically reduced input")
     supp = support(p, c)
-    for v in supp:
-        if p.order[v] is not None:
-            raise FiniteOrderVertexInSupport(
-                f"block decomposition is only defined for infinite-order support; {v} has order {p.order[v]}")
     blocks = []
     for comp in _noncommutation_components(p, supp):
         word = normalize(p, [(v, e) for v, e in c.syllables if v in comp])
@@ -707,7 +742,9 @@ class CentralizerDesc(NamedTuple):
 
     The centralizer is ``h (prod_i <cyclic_parts[i]> x <link_vertices>) h^-1``
     where h is ``conjugator`` (so g = h core h^-1 with core cyclically reduced).
-    ``exponents[i]`` is the block exponent of cyclic_parts[i] in the core.
+    ``exponents[i]`` is the block exponent of cyclic_parts[i] in the core. A
+    cyclic part on one vertex is v^±1, so it generates the whole vertex group,
+    finite or not.
     """
     conjugator: NormalWord
     cyclic_parts: tuple[NormalWord, ...]
@@ -749,19 +786,20 @@ class CentralizerDesc(NamedTuple):
 def centralizer_generators(p: Presentation, g: NormalWord) -> CentralizerDesc:
     """Describe C(g) via the block decomposition of a cyclically reduced conjugate.
 
-    Only valid when every support vertex has infinite order (the block
-    machinery is a right-angled Artin group theorem); callers in the general
-    case must fall back to :func:`is_in_centralizer`. Cached per (presentation,
-    word), so the shadow's lattice rows and the search's pass sets share one
-    description; the CENTRALIZER_CACHE_SIZE most recently used are kept.
+    For a cyclically reduced core, C(core) is the subgroup of the link (the
+    vertices adjacent to every support vertex) times one factor per
+    non-commutation component of the support: a single vertex contributes
+    its whole vertex group, and a larger component the cyclic group of its
+    root (Barkauskas, Centralizers in graph products of groups, J. Algebra
+    312, 2007). This holds in every graph product of cyclic groups, finite
+    vertex orders included. C(g) is that conjugated back by h. Cached per
+    (presentation, word), so the shadow's lattice rows and the search's pass
+    sets share one description; the CENTRALIZER_CACHE_SIZE most recently
+    used are kept.
     """
     _check(p, g)
     if g.is_identity():
         raise IdentityElement("centralizer description needs g != 1")
-    for v in support(p, g):
-        if p.order[v] is not None:
-            raise FiniteOrderVertexInSupport(
-                f"centralizer theorem needs infinite-order support; {v} is finite")
     core, h = cyclically_reduce(p, g)
     dec = block_decomposition(p, core)
     roots = tuple(r for r, _ in dec.blocks)

@@ -72,6 +72,19 @@ def test_centralizer(files, capsys):
     assert out == "conjugator 1\ncyclic a exponent 1\nlink {b}\n"
 
 
+PENTAGON = "".join(f"vertex {v} 2\n" for v in "abcde") + "edge a b\nedge b c\nedge c d\nedge d e\nedge e a\n"
+MIXED = "vertex p 3\nvertex q 4\nvertex r inf\nvertex t inf\nedge p r\nedge q t\nedge r t\n"
+
+
+@pytest.mark.parametrize("graph, word, expected", [
+    (PENTAGON, "a c a c", "conjugator 1\ncyclic a c exponent 2\nlink {b}\n"),
+    (MIXED, "q p q q p q", "conjugator 1\ncyclic q p q exponent 2\nlink {}\n"),
+], ids=["pentagon", "mixed"])
+def test_centralizer_on_finite_order_support(files, capsys, graph, word, expected):
+    (files / "torsion.graph").write_text(graph)
+    assert run(capsys, "centralizer", files / "torsion.graph", *word.split())[:2] == (0, expected)
+
+
 def test_centralizer_of_a_long_primitive_word(files, capsys):
     code, out, _ = run(capsys, "centralizer", files / "f2.graph", "a", "b^39")
     assert code == 0
@@ -276,6 +289,20 @@ GOLDEN_PENTAGON = ('graph {\n'
                    "  coset: Y in b e * G'\n"
                    '  len: 2 |X| -1 |Y| = 0\n'
                    '}\n')
+# [X, w] with w of finite-order support: no lattice rows
+GOLDEN_PENTAGON_COMMUTATOR = ('graph {\n'
+                              + "".join(f"  {line}\n" for line in PENTAGON.splitlines())
+                              + '}\n'
+                              'vars X Y\n'
+                              'disjunct {\n'
+                              '  eq X ( a c ) X^-1 ( a c )^-1 = 1\n'
+                              '  eq Y b Y^-1 b^-1 = 1\n'
+                              '  ab: X Y = ( a b d )\n'
+                              '}\n'
+                              'disjunct {\n'
+                              '  eq X ( a c a c ) X^-1 ( a c a c )^-1 = 1\n'
+                              "  coset: X in c * G'\n"
+                              '}\n')
 GOLDEN = [
     (GOLDEN_MIXED, "shadow", 0,
      ('disjunct 0: UNSAT\n'
@@ -340,11 +367,25 @@ GOLDEN = [
       "  coset: Y in b e * G'\n"
       '  len: 2 |X| -1 |Y| = 0\n'
       '}\n')),
+    (GOLDEN_PENTAGON_COMMUTATOR, "shadow", 0,
+     ('disjunct 0: SAT\n'
+      '1 X.a 1 Y.a = -1 mod 2\n'
+      '1 X.b 1 Y.b = -1 mod 2\n'
+      '1 X.c 1 Y.c = 0 mod 2\n'
+      '1 X.d 1 Y.d = -1 mod 2\n'
+      '1 X.e 1 Y.e = 0 mod 2\n'
+      'disjunct 1: SAT\n'
+      '1 X.a = 0 mod 2\n'
+      '1 X.b = 0 mod 2\n'
+      '1 X.c = -1 mod 2\n'
+      '1 X.d = 0 mod 2\n'
+      '1 X.e = 0 mod 2\n')),
 ]
 
 
 @pytest.mark.parametrize("text, command, code, expected", GOLDEN,
-                         ids=["shadow-mixed", "shadow-pentagon", "reduce-pentagon"])
+                         ids=["shadow-mixed", "shadow-pentagon", "reduce-pentagon",
+                              "shadow-pentagon-commutator"])
 def test_shadow_and_reduction_output_is_pinned(files, capsys, text, command, code, expected):
     inst = files / "golden.inst"
     inst.write_text(text)
@@ -431,6 +472,10 @@ BAD_INPUTS = {
                          ("witness", "{inst}", "{dec}", "--solution", "x=2,y=3")),
     "recipe-nested-1800-deep": (_first_recipe_nested(1800),
                                 ("witness", "{inst}", "{dec}", "--solution", "x=2,y=3")),
+    # each token parses, but the merged exponent has 4301 digits
+    "normalize-4301-digit-exponent": (None, ("normalize", "{graph}", "a^" + "9" * 4300,
+                                             "a^" + "9" * 4300)),
+    "length-4301-digits": (None, ("length", "{graph}", "a^" + "9" * 4300, "a^" + "9" * 4300)),
 }
 
 
@@ -445,7 +490,8 @@ def test_bad_input_is_an_error_not_a_no(files, capsys, case):
     if corrupt is not None:
         data = corrupt(dec.read_text())
         dec.write_bytes(data if isinstance(data, bytes) else data.encode())
-    code, _, err = run(capsys, *(a.format(inst=inst, dec=dec, asg=asg) for a in argv))
+    code, _, err = run(capsys, *(a.format(inst=inst, dec=dec, asg=asg, graph=files / "f2.graph")
+                                 for a in argv))
     assert code == 3
     assert err.startswith("error: ") and "Traceback" not in err
 

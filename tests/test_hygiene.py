@@ -9,7 +9,8 @@ is bounded: an ``lru_cache`` with an explicit integer ``maxsize``. Only
 ``search.py`` builds a Cayley ball: the word algebra constructs its answers
 directly. ``search.py`` names no constraint class and neither ``linear_form``
 nor ``abelian_sides``: ``instances.compile_constraint`` is its one view of a
-constraint.
+constraint. Every error class in ``errors.py`` but the base ``AbelconError``
+is raised somewhere in the package.
 """
 
 import ast
@@ -271,3 +272,46 @@ def test_search_names_no_constraint_class():
     path = SRC / "search.py"
     lines = _lines_naming(ast.parse(path.read_text(encoding="utf-8")), CONSTRAINT_NAMES)
     assert not lines, f"search.py: use instances.compile_constraint, lines {lines}"
+
+
+def _raised_names(tree: ast.Module) -> set[str]:
+    """Names a raise statement raises: the class itself or a call of it,
+    bare or as ``<module>.Name``, an import alias resolved to its name."""
+    aliases = {a.asname: a.name for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names if a.asname}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+            names.add(aliases.get(name, name))
+    return names
+
+
+def test_the_raise_check_sees_every_spelling():
+    code = """
+from .errors import ParseError as PE, UnknownVertex, EmptySet
+from . import errors
+
+def f(x):
+    if x == 1:
+        raise PE("bad") from None
+    if x == 2:
+        raise UnknownVertex
+    if x == 3:
+        raise errors.RankTooSmall("small")
+    try:
+        return EmptySet("only built, never raised")
+    except ValueError:
+        raise
+"""
+    assert _raised_names(ast.parse(code)) == {"ParseError", "UnknownVertex", "RankTooSmall"}
+
+
+def test_every_error_class_is_raised():
+    classes = {node.name for node in ast.parse((SRC / "errors.py").read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ClassDef)} - {"AbelconError"}
+    raised = set()
+    for path in SRC.glob("*.py"):
+        raised |= _raised_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert classes <= raised, f"error classes nothing raises: {sorted(classes - raised)}"

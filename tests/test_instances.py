@@ -324,7 +324,7 @@ def test_shadow_refuted_paper_item_has_no_solutions_at_bound_4():
 
 
 def test_shadow_centralizer_bug_is_not_swallowed(f2, monkeypatch):
-    # only typed "centralizer not defined here" errors drop the lattice rows
+    # no error from the centralizer description is caught: it propagates
     def broken(p, w):
         raise AssertionError("centralizer generators do not commute with w")
 

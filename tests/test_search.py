@@ -26,6 +26,7 @@ from abelcon.words import (
 )
 
 from .oracle import naive_search
+from .test_words import MIXED, PQRT, Z4_Z6_Z, _long_word_presentation
 
 F2_HEADER = "graph {\n  vertex a inf\n  vertex b inf\n}\n"
 
@@ -133,11 +134,14 @@ def test_witness_reverifies(f2):
 # centralizer pass sets, cached per (presentation, word, bound)
 
 PATH5 = Presentation.raag("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+GRAPHS = {"path": PATH5, "mixed": MIXED, "z4-z6-z": Z4_Z6_Z}
 
 
-@pytest.mark.parametrize("name, radius", [("gamma1", 3), ("path", 2), ("f2", 4)])
+@pytest.mark.parametrize("name, radius", [
+    ("gamma1", 3), ("path", 2), ("f2", 4), ("pentagon", 3), ("mixed", 3), ("z4-z6-z", 3),
+    ("random9-0", 2), ("random9-1", 2), ("random9-2", 2)])
 def test_centralizer_pass_set_matches_the_commutator_scan(request, name, radius):
-    p = PATH5 if name == "path" else request.getfixturevalue(name)
+    p = GRAPHS.get(name) or _long_word_presentation(request, name)
     members = ball(p, radius)
     own = {id(x) for x in members}
     for w in members:
@@ -158,10 +162,19 @@ def test_centralizer_pass_set_is_shared_by_equal_presentations():
     assert centralizer_generators(p, w) is centralizer_generators(twin, tw)
 
 
-def test_centralizer_pass_set_is_none_on_finite_order_support(pentagon):
-    # no description: the search scans the ball instead
-    assert _centralizer_in_ball(pentagon, parse_word(pentagon, "a b"), 2) is None
-    assert _centralizer_in_ball(pentagon, pentagon.identity(), 2) == ball(pentagon, 2).keys()
+def test_centralizer_pass_set_on_finite_order_support_equals_the_scan(pentagon):
+    members = ball(pentagon, 2)
+    for text in ("a b", "a c", "a c a c"):
+        w = parse_word(pentagon, text)
+        assert _centralizer_in_ball(pentagon, w, 2) == {
+            x for x in members if is_in_centralizer(pentagon, w, x)}, text
+    assert _centralizer_in_ball(pentagon, pentagon.identity(), 2) == members.keys()
+    # (q p q)^2 = q p q^-2 p q: its root q p q lies in the radius-6 ball
+    w = parse_word(PQRT, "q p q") ** 2
+    members = ball(PQRT, 6)
+    passing = _centralizer_in_ball(PQRT, w, 6)
+    assert passing == {x for x in members if is_in_centralizer(PQRT, w, x)}
+    assert parse_word(PQRT, "q p q") in passing and len(passing) == 5
 
 
 def test_shadow_and_search_share_one_centralizer_description():

@@ -4,9 +4,8 @@ Seeded instances over the pentagon right-angled Coxeter group, a graph with
 vertex orders 3, 4 and inf, and two random 4-vertex RAAGs. The equations are
 shaped to send every pass-set computation of the walk down each of its
 paths: a single occurrence solved outright, a commutator with a ground word
-of infinite-order support (centralizer), a commutator touching a finite-order
-vertex (centralizer undefined, falls back to a scan), and a repeated
-variable in a non-commutator equation (scan).
+(centralizer, on infinite-order and on finite-order support alike), and a
+repeated variable in a non-commutator equation (scan).
 """
 
 import importlib
@@ -73,7 +72,7 @@ def _instances(name, p, seed):
     # a single occurrence: solved outright
     out.append((f"vars X\ndisjunct {{\n  eq X {w}^-1 = 1\n  {ab_or_coset('X', w)}\n}}\n", 2))
     out.append((f"vars X Y\ndisjunct {{\n  eq X {w} Y^-1 {w2} = 1\n  {expsum('Y')}\n}}\n", 1))
-    # a commutator with a ground side: centralizer, or its fallback to a scan
+    # a commutator with a ground side: centralizer, on either support
     for support in (inf, fin):
         if support:
             c = _word(rng, p, support)
@@ -115,10 +114,17 @@ def test_search_matches_naive_oracle_on_every_pass_set_path(monkeypatch):
             return result
         return wrapped
 
+    def centralizer_spy(fn):
+        def wrapped(p, w, bound):
+            paths["centralizer"] += 1
+            paths["torsion"] += any(p.order[v] is not None for v, _ in w.syllables)
+            return fn(p, w, bound)
+        return wrapped
+
     monkeypatch.setattr(search_mod, "_solved_value_set",
                         spy(search_mod._solved_value_set, "solved", "unsolved"))
     monkeypatch.setattr(search_mod, "_centralizer_in_ball",
-                        spy(search_mod._centralizer_in_ball, "centralizer", "fallback"))
+                        centralizer_spy(search_mod._centralizer_in_ball))
     verdicts = Counter()
     checked = 0
     for name, p in _groups():
@@ -138,8 +144,8 @@ def test_search_matches_naive_oracle_on_every_pass_set_path(monkeypatch):
     assert checked >= 60
     assert all(verdicts[v] for v in (WITNESS, NO_SOLUTION_UP_TO_BOUND, UNSAT_BY_SHADOW)), verdicts
     scans = paths["unsolved"] - paths["centralizer"]
-    assert paths["solved"] and paths["centralizer"] and paths["fallback"], paths
-    assert scans > paths["fallback"], paths  # some scans are not centralizer fallbacks
+    assert paths["solved"] and paths["centralizer"] and paths["torsion"], paths
+    assert scans > 0, paths  # equations neither solved nor commutators
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abelcon.errors import (
-    FiniteOrderVertexInSupport,
     IdentityElement,
     NotCyclicallyReduced,
     ParseError,
@@ -555,9 +554,36 @@ def test_blocks_require_cyclically_reduced(fxy):
         block_decomposition(fxy, W(fxy, "x y x^-1"))
 
 
-def test_blocks_reject_finite_order(pentagon):
-    with pytest.raises(FiniteOrderVertexInSupport):
-        block_decomposition(pentagon, W(pentagon, "a c"))
+# the benchmark's mixed graph: Z/3, Z/4, Z, Z
+PQRT = Presentation("pqrt", [("p", "r"), ("q", "t"), ("r", "t")],
+                    {"p": 3, "q": 4, "r": None, "t": None})
+Z6_Z3 = Presentation("vp", [], {"v": 6, "p": 3})
+Z4_Z6_Z = Presentation("uvw", [("u", "w")], {"u": 4, "v": 6, "w": None})
+
+
+@pytest.mark.parametrize("name", ["pentagon", "mixed", "z4-z6-z"])
+def test_blocks_on_finite_order_support_match_the_sphere_scan(request, name):
+    p = {"mixed": MIXED, "z4-z6-z": Z4_Z6_Z}.get(name) or request.getfixturevalue(name)
+    torsion = 0
+    for g in ball(p, 4):
+        core, _ = cyclically_reduce(p, g)
+        dec = block_decomposition(p, core)
+        assert multiply_all(p, [r ** n for r, n in dec.blocks]) == core, format_word(g)
+        for root, n in dec.blocks:
+            assert (root, n) == sphere_root(p, root ** n), format_word(g)
+        torsion += any(p.order[v] is not None for v in support(p, core))
+    assert torsion > 50
+
+
+@pytest.mark.parametrize("p, text, root", [(PQRT, "q p q", "q p q"), (Z6_Z3, "v p v^2", "v p v^2")],
+                         ids=["mixed", "z6-z3"])
+def test_root_of_a_square_split_at_half_order(p, text, root):
+    # (q p q)^2 = q p q^-2 p q: the merged q^2 is stored as q^-2, so the
+    # letters the root takes from it have the other sign
+    w = W(p, text) ** 2
+    dec = block_decomposition(p, w)
+    assert [(format_word(r), n) for r, n in dec.blocks] == [(root, 2)]
+    assert (W(p, root), 2) == sphere_root(p, w)
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +610,15 @@ def test_centralizer_square(fxy):
     assert desc.link_vertices == frozenset()
 
 
-def test_centralizer_rejects_identity_and_torsion(gamma1, pentagon):
+def test_centralizer_rejects_identity_and_describes_torsion(gamma1, pentagon):
     with pytest.raises(IdentityElement):
         centralizer_generators(gamma1, gamma1.identity())
-    with pytest.raises(FiniteOrderVertexInSupport):
-        centralizer_generators(pentagon, parse_word(pentagon, "a"))
+    a = parse_word(pentagon, "a")
+    desc = centralizer_generators(pentagon, a)  # C(a) = <a> x <b, e>
+    assert [format_word(w) for w in desc.cyclic_parts] == ["a"]
+    assert desc.link_vertices == {"b", "e"}
+    for x in ball(pentagon, 3):
+        assert desc.contains(pentagon, x) == is_in_centralizer(pentagon, a, x), format_word(x)
 
 
 def test_is_in_centralizer(gamma1):
@@ -617,18 +647,18 @@ def _expressible_by_short_products(p, desc, x):
     return False
 
 
-def test_centralizer_description_matches_commutator_test(gamma1):
-    radius = 3
-    elements = ball(gamma1, radius)
-    for g in elements:
-        if g.is_identity():
-            continue
-        desc = centralizer_generators(gamma1, g)
-        for x in desc.generators(gamma1):
-            assert is_in_centralizer(gamma1, g, x)
-        for x in elements:
-            assert desc.contains(gamma1, x) == is_in_centralizer(gamma1, g, x), (
-                format_word(g), format_word(x))
+def test_centralizer_description_matches_commutator_test(gamma1, pentagon):
+    for p in (gamma1, pentagon, MIXED):
+        elements = ball(p, 3)
+        for g in elements:
+            if g.is_identity():
+                continue
+            desc = centralizer_generators(p, g)
+            for x in desc.generators(p):
+                assert is_in_centralizer(p, g, x)
+            for x in elements:
+                assert desc.contains(p, x) == is_in_centralizer(p, g, x), (
+                    format_word(g), format_word(x))
 
 
 def test_centralizer_membership_reconstructed_from_generators(gamma1):
