@@ -1,24 +1,19 @@
 """Equations with abelianisation constraints in graph products of cyclic groups.
 
 Exact normal-form arithmetic, defining-graph combinatorics, abelianisation
-and exponent-sum calculus, an instance language with abelian-shadow pruning,
+and exponent sums, an instance language with abelian-shadow pruning,
 compilers from integer polynomial systems, and a bounded search solver.
 """
 
 from .abelian import (
     AbelVector,
-    CrossExpSum,
-    DiagonalExpSums,
     LinearEquation,
     LinearSystem,
-    SameExpSums,
     SolvabilityResult,
     abelianize,
     exponent_sum,
-    in_K,
     is_abelian_primitive,
     parse_linear_system,
-    relation_holds,
     solve_linear_system,
 )
 from .compilers import (
@@ -75,7 +70,6 @@ from .words import (
     geodesic_length,
     invert,
     is_cyclically_reduced,
-    is_in_centralizer,
     multiply,
     normalize,
     parse_word,

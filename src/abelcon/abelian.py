@@ -5,7 +5,9 @@ of the vertex groups: one Z coordinate per infinite-order vertex and one
 Z/k coordinate per finite-order vertex. A vertex induces a well-defined
 exponent-sum homomorphism to Z exactly when its order is infinite (its image
 then generates a Z direct factor); we treat the remaining coordinates as the
-fixed complement.
+fixed complement. The paper's predicates on these maps (|g|_s = |h|_t,
+membership in K_S, ab(u) = ab(v)) are instance constraints, stated once as
+linear rows by `instances.constraint_rows`.
 
 Linear systems mix exact equations with congruences; solvability over Z is
 decided by diagonalizing the integer matrix with unimodular row and column
@@ -49,19 +51,8 @@ class AbelVector:
     def __getitem__(self, vertex: str) -> int:
         return self.coords[self.pres.index[vertex]]
 
-    @property
-    def free_part(self) -> dict[str, int]:
-        return {v: self[v] for v in self.pres.vertices if self.pres.order[v] is None}
-
-    @property
-    def torsion_part(self) -> dict[str, int]:
-        return {v: self[v] for v in self.pres.vertices if self.pres.order[v] is not None}
-
     def __add__(self, other: "AbelVector") -> "AbelVector":
         return AbelVector(self.pres, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     def __eq__(self, other):
         return (isinstance(other, AbelVector) and self.pres == other.pres
@@ -97,48 +88,6 @@ def exponent_sum(p: Presentation, a: NormalWord, v: str) -> int:
     _check(p, a)
     _require_primitive(p, v)
     return a.exponent_sums()[p.index[v]]
-
-
-def in_K(p: Presentation, a: NormalWord, vertices) -> bool:
-    """Membership in the normal subgroup of elements with zero exponent-sum on the set."""
-    return all(exponent_sum(p, a, v) == 0 for v in vertices)
-
-
-@dataclass(frozen=True)
-class SameExpSums:
-    """|g|_x = |h|_x for every x in the vertex tuple."""
-    vertices: tuple[str, ...]
-    g: NormalWord
-    h: NormalWord
-
-
-@dataclass(frozen=True)
-class CrossExpSum:
-    """|g|_s = |h|_t for two distinct distinguished vertices."""
-    s: str
-    t: str
-    g: NormalWord
-    h: NormalWord
-
-
-@dataclass(frozen=True)
-class DiagonalExpSums:
-    """|g|_u = |g|_v for every pair u, v in the vertex tuple."""
-    vertices: tuple[str, ...]
-    g: NormalWord
-
-
-def relation_holds(p: Presentation, rel) -> bool:
-    """Evaluate one of the exponent-sum relations exactly."""
-    if isinstance(rel, SameExpSums):
-        return all(exponent_sum(p, rel.g, v) == exponent_sum(p, rel.h, v)
-                   for v in rel.vertices)
-    if isinstance(rel, CrossExpSum):
-        return exponent_sum(p, rel.g, rel.s) == exponent_sum(p, rel.h, rel.t)
-    if isinstance(rel, DiagonalExpSums):
-        sums = [exponent_sum(p, rel.g, v) for v in rel.vertices]
-        return all(s == sums[0] for s in sums)
-    raise TypeError(f"unknown relation {rel!r}")
 
 
 # ---------------------------------------------------------------------------

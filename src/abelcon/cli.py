@@ -22,7 +22,7 @@ from .compilers import (
     reduce_finite_ab,
     witness_h10,
 )
-from .errors import AbelconError
+from .errors import AbelconError, ParseError
 from .graphs import direct_product_decomposition, weak_modules
 from .instances import abelian_shadow, flatten, parse_instance, print_instance
 from .search import (
@@ -69,7 +69,10 @@ def _parse_int_solution(text: str) -> dict[str, int]:
     out = {}
     for piece in text.split(","):
         name, _, value = piece.partition("=")
-        out[name.strip()] = parse_int(value.strip(), f"bad integer value in {piece.strip()!r}")
+        name = name.strip()
+        if name in out:
+            raise ParseError(f"{name!r} is given twice in {text!r}")
+        out[name] = parse_int(value.strip(), f"bad integer value in {piece.strip()!r}")
     return out
 
 

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Iterable, Optional, Union
 
 from .abelian import abelianize, exponent_sum
 from .errors import (
-    AbelconError,
     AbelianTarget,
     DecodeInconsistency,
     InfiniteAbelianisation,
@@ -43,6 +42,7 @@ from .errors import (
     NotFlattened,
     ParseError,
     RankTooSmall,
+    RecipeError,
 )
 from .graphs import direct_product_decomposition, nonadjacent_weak_module_pair, star_link
 from .instances import (
@@ -185,18 +185,16 @@ class EqDef:
 
 H10Atom = Union[ConstDef, SumDef, ProdDef, EqDef]
 
-# the sidecar's "kind" of each atom class; its other keys are the class's fields
-_ATOM_KINDS = {"const": ConstDef, "sum": SumDef, "prod": ProdDef, "eq": EqDef}
-
 
 @dataclass(frozen=True)
 class AtomizedH10:
     source_vars: tuple[str, ...]
-    all_vars: tuple[str, ...]  # source first, fresh in creation order
     atoms: tuple[H10Atom, ...]
 
     def extend_solution(self, values: dict[str, int]) -> dict[str, int]:
-        """Evaluate fresh variables from a source solution; atoms are ordered."""
+        """Evaluate the fresh variables from values of every source variable;
+        atoms are ordered, so each sum or product defines a fresh variable
+        from known ones. A constant or equality atom that fails raises."""
         out = dict(values)
         for atom in self.atoms:
             if isinstance(atom, ConstDef):
@@ -206,38 +204,13 @@ class AtomizedH10:
                             f"{atom.var} = {out[atom.var]} but must equal {atom.value}")
                 else:
                     out[atom.var] = atom.value
-            elif isinstance(atom, (SumDef, ProdDef)):
-                left, right = out[atom.left], out[atom.right]
-                val = left + right if isinstance(atom, SumDef) else left * right
-                if atom.var in out:
-                    if out[atom.var] != val:
-                        raise NotAnIntegerSolution(f"inconsistent value for {atom.var}")
-                else:
-                    out[atom.var] = val
-            else:
-                a, b = out.get(atom.left), out.get(atom.right)
-                if a is None and b is not None:
-                    out[atom.left] = b
-                elif b is None and a is not None:
-                    out[atom.right] = a
-                elif a != b:
-                    raise NotAnIntegerSolution(f"{atom.left} != {atom.right}")
-        return out
-
-    def holds(self, values: dict[str, int]) -> bool:
-        for atom in self.atoms:
-            if isinstance(atom, ConstDef):
-                if values[atom.var] != atom.value:
-                    return False
             elif isinstance(atom, SumDef):
-                if values[atom.var] != values[atom.left] + values[atom.right]:
-                    return False
+                out[atom.var] = out[atom.left] + out[atom.right]
             elif isinstance(atom, ProdDef):
-                if values[atom.var] != values[atom.left] * values[atom.right]:
-                    return False
-            elif values[atom.left] != values[atom.right]:
-                return False
-        return True
+                out[atom.var] = out[atom.left] * out[atom.right]
+            elif out[atom.left] != out[atom.right]:
+                raise NotAnIntegerSolution(f"{atom.left} != {atom.right}")
+        return out
 
 
 def atomize(h: H10Instance) -> AtomizedH10:
@@ -248,13 +221,11 @@ def atomize(h: H10Instance) -> AtomizedH10:
     the source and fresh variables are determined by the source variables.
     """
     atoms: list[H10Atom] = []
-    fresh_vars: list[str] = []
     counters = {"p": 0, "s": 0, "k": 0}
 
     def fresh(kind: str) -> str:
         name = f"_{kind}{counters[kind]}"
         counters[kind] += 1
-        fresh_vars.append(name)
         return name
 
     def const_var(value: int) -> str:
@@ -304,16 +275,11 @@ def atomize(h: H10Instance) -> AtomizedH10:
             left = side_value(pos)
             right = side_value(neg)
             atoms.append(EqDef(left, right))
-    source = h.variables()
-    return AtomizedH10(source, source + tuple(fresh_vars), tuple(atoms))
+    return AtomizedH10(h.variables(), tuple(atoms))
 
 
 # ---------------------------------------------------------------------------
 # witness recipes: serializable expressions rebuilding group assignments
-
-
-class RecipeError(AbelconError):
-    """A witness recipe in a sidecar cannot be evaluated."""
 
 
 def _int_expr(expr, ints: dict[str, int], groups: dict[str, NormalWord], p: Presentation) -> int:
@@ -448,15 +414,10 @@ class CompiledReduction:
     mode: str
 
     def sidecar_json(self) -> str:
-        kind_of = {cls: kind for kind, cls in _ATOM_KINDS.items()}
-        atoms = [{"kind": kind_of[type(a)], **asdict(a)} for a in self.atomized.atoms]
         doc = {
-            "format": "h10-reduction-sidecar-v1",
+            "format": "h10-reduction-sidecar-v2",
             "mode": self.mode,
             "h10": print_h10(self.source),
-            "source_vars": list(self.atomized.source_vars),
-            "all_vars": list(self.atomized.all_vars),
-            "atoms": atoms,
             "decode": {k: list(v) for k, v in self.decode.items()},
             "recipes": [[name, expr] for name, expr in self.recipes],
         }
@@ -464,24 +425,15 @@ class CompiledReduction:
 
     @classmethod
     def from_sidecar_json(cls, text: str, instance: Instance) -> "CompiledReduction":
-        """Read a sidecar; malformed JSON, a missing field, an unknown atom kind,
-        atoms that are not the atomization of its h10 system, or a decode or
-        recipe entry that names no instance variable raises ParseError."""
+        """Read a v1 or v2 sidecar, atomizing its h10 system (a v1 file's stored
+        atomization is ignored). Malformed JSON, a missing field, or a decode
+        or recipe entry that names no instance variable raises ParseError."""
         try:
             doc = json.loads(text)
-            if doc.get("format") != "h10-reduction-sidecar-v1":
+            if doc.get("format") not in ("h10-reduction-sidecar-v1", "h10-reduction-sidecar-v2"):
                 raise ParseError("unrecognized sidecar format")
-            atoms = []
-            for a in doc["atoms"]:
-                fields = dict(a)
-                kind = fields.pop("kind")
-                if kind not in _ATOM_KINDS:
-                    raise ParseError(f"unknown sidecar atom kind {kind!r}")
-                atoms.append(_ATOM_KINDS[kind](**fields))
-            atomized = AtomizedH10(tuple(doc["source_vars"]), tuple(doc["all_vars"]), tuple(atoms))
             source = parse_h10(doc["h10"])
-            if atomized != atomize(source):
-                raise ParseError("sidecar atoms are not the atomization of its h10 system")
+            atomized = atomize(source)
             decode = {k: (v[0], v[1]) for k, v in doc["decode"].items()}
             if set(decode) != set(atomized.source_vars):
                 raise ParseError("sidecar decode must name exactly the source variables")
@@ -894,10 +846,9 @@ class Interpretation:
 
 
 def integers_into_free_interpretation(source: Presentation, s: str,
-                                      target: Optional[Presentation] = None) -> Interpretation:
+                                      target: Presentation) -> Interpretation:
     """The infinite cyclic subgroup <s> of a free group as a copy of (Z, +)."""
     source.check_vertex(s)
-    target = target or Presentation.free(["n"])
     ws = parse_word(source, s)
     dom = ((GroupTerm((VarAtom("$0"), ConstAtom(ws), VarAtom("$0", True),
                        ConstAtom(ws.inverse()))),),)

@@ -34,15 +34,11 @@ class NotAbelianPrimitive(AbelconError):
 
 
 class ParseError(AbelconError):
-    """Malformed textual input; carries line/column where available."""
+    """Malformed textual input; carries the line where available."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.column = column
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", col {column})" if column is not None else ")")
-        super().__init__(message + where)
+        super().__init__(message if line is None else f"{message} (line {line})")
 
 
 class UnknownVariable(AbelconError):
@@ -86,4 +82,9 @@ class RadiusCapExceeded(AbelconError):
 
 
 class IntegerTooLong(AbelconError):
-    """An integer has more digits than the interpreter converts to text."""
+    """An integer is too large to convert or expand: more digits than the
+    interpreter converts to text, or a power or multiplier above sys.maxsize."""
+
+
+class RecipeError(AbelconError):
+    """A witness recipe in a sidecar cannot be evaluated."""

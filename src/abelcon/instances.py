@@ -33,6 +33,7 @@ from .words import (
     NormalWord,
     Presentation,
     _check,
+    _repeat_count,
     centralizer_generators,
     format_word,
     geodesic_length,
@@ -196,20 +197,9 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class DisjunctReport:
-    equations: tuple[bool, ...]
-    constraints: tuple[bool, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(self.equations) and all(self.constraints)
-
-
-@dataclass(frozen=True)
 class EvalResult:
     satisfied: bool
     disjunct: Optional[int]
-    reports: tuple[DisjunctReport, ...]
 
     def __bool__(self):
         return self.satisfied
@@ -251,21 +241,17 @@ def compile_constraint(p: Presentation, con: Constraint
 
 
 def evaluate(inst: Instance, asg: dict[str, NormalWord]) -> EvalResult:
-    """Check the assignment against each disjunct; report per-item outcomes."""
+    """The first disjunct the assignment satisfies: every equation, then every
+    constraint, checked by multiplying words (`_constraint_holds`)."""
     missing = [v for v in inst.variables if v not in asg]
     if missing:
         raise IncompleteAssignment(f"missing values for {missing}")
     p = inst.presentation
-    reports = []
-    satisfied = None
     for i, d in enumerate(inst.disjuncts):
-        eq_ok = tuple(t.evaluate(p, asg).is_identity() for t in d.equations)
-        con_ok = tuple(_constraint_holds(p, c, asg) for c in d.constraints)
-        rep = DisjunctReport(eq_ok, con_ok)
-        reports.append(rep)
-        if rep.ok and satisfied is None:
-            satisfied = i
-    return EvalResult(satisfied is not None, satisfied, tuple(reports))
+        if (all(t.evaluate(p, asg).is_identity() for t in d.equations)
+                and all(_constraint_holds(p, c, asg) for c in d.constraints)):
+            return EvalResult(True, i)
+    return EvalResult(False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +563,16 @@ class _Parser:
     def parse(self) -> Instance:
         i = 0
         n = len(self.lines)
+        has_section = False
         while i < n:
             line = self.lines[i].split("#", 1)[0].strip()
             i += 1
             if not line:
                 continue
+            if line.startswith("group ") or line == "graph {":
+                if has_section:
+                    self.fail("a second group/graph section", i)
+                has_section = True
             if line.startswith("group "):
                 self.graph_ref = line[len("group "):].strip()
                 path = os.path.join(self.base_dir, self.graph_ref)
@@ -699,7 +690,7 @@ class _Parser:
             if name in self.variables:
                 if exp == 0:
                     return [], coeff
-                return [VarAtom(name, exp < 0)] * abs(exp), coeff
+                return [VarAtom(name, exp < 0)] * _repeat_count(exp), coeff
             if name == "1":
                 return [], coeff
             try:
@@ -712,7 +703,7 @@ class _Parser:
             factors, coeff = take_factor()
             if coeff < 0:
                 factors = [a.inverted() for a in reversed(factors)]
-            atoms.extend(factors * abs(coeff))
+            atoms.extend(factors * _repeat_count(coeff))
         return GroupTerm(tuple(atoms))
 
     def parse_linear(self, kind: str, text: str, ln: int, item: str,

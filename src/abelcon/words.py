@@ -243,7 +243,7 @@ class NormalWord:
 
     def __pow__(self, n: int) -> "NormalWord":
         """The n-th power, normalised once; a negative n powers the inverse."""
-        return product(self.pres, repeat((self, n < 0), abs(n)))
+        return product(self.pres, repeat((self, n < 0), _repeat_count(n)))
 
     def conjugate_by(self, h: "NormalWord") -> "NormalWord":
         """Return h^-1 * self * h."""
@@ -277,6 +277,13 @@ def format_int(n: int) -> str:
         return str(n)
     except ValueError:
         raise IntegerTooLong(f"integer of more than {sys.get_int_max_str_digits()} digits") from None
+
+
+def _repeat_count(n: int) -> int:
+    """|n| as a count of copies to expand; IntegerTooLong above sys.maxsize."""
+    if abs(n) > sys.maxsize:
+        raise IntegerTooLong(f"count of more than {sys.maxsize} copies")
+    return abs(n)
 
 
 def parse_int(text: str, message: str, line: Optional[int] = None) -> int:
@@ -671,11 +678,14 @@ def _extract_root(p: Presentation, w: NormalWord) -> tuple[NormalWord, int]:
     The copies of u in u^n do not cancel, so each vertex's letters in w are
     those of the n copies one after another, and u is the subword made of
     the first 1/n of each vertex's letters; n divides the gcd of the letter
-    counts. One sign can be lost: at a vertex of order 2k, the syllables of
-    two copies that merge into v^k are stored as v^-k (`reduce_exponent`),
-    so the letters a syllable of half order gives up to u when it is split
-    may have either sign. Both are tried, the positive one first, as in ball
-    order.
+    counts. Over two or more vertices n is also at most the syllable count:
+    for v, x in the support that do not commute, v-letters of copies i and
+    i+1 merge only if v is first and last in u, and then they keep the
+    x-letters of the copies apart, so v or x has n syllables or more. One
+    sign can be lost: at a vertex of order 2k, the syllables of two copies
+    that merge into v^k are stored as v^-k (`reduce_exponent`), so the
+    letters a syllable of half order gives up to u when it is split may have
+    either sign. Both are tried, the positive one first, as in ball order.
 
     The first n that passes from the top is maximal. A single syllable v^e
     gives u = v^±1 and n = |e| directly; u generates the vertex group. Over
@@ -694,7 +704,7 @@ def _extract_root(p: Presentation, w: NormalWord) -> tuple[NormalWord, int]:
     for v, e in w.syllables:
         counts[v] = counts.get(v, 0) + abs(e)
     common = gcd(*counts.values())
-    for n in range(common, 1, -1):
+    for n in range(min(common, len(w.syllables)), 1, -1):
         if common % n:
             continue
         left = {v: c // n for v, c in counts.items()}
@@ -806,9 +816,3 @@ def centralizer_generators(p: Presentation, g: NormalWord) -> CentralizerDesc:
     exps = tuple(n for _, n in dec.blocks)
     link = frozenset.intersection(*[p.adj[v] for v in support(p, core)]) if core.syllables else frozenset()
     return CentralizerDesc(h, roots, exps, link)
-
-
-def is_in_centralizer(p: Presentation, g: NormalWord, x: NormalWord) -> bool:
-    """Direct commutator test: true iff x g x^-1 g^-1 = 1."""
-    _check(p, g, x)
-    return multiply(p, x, g) == multiply(p, g, x)

@@ -13,11 +13,15 @@ same first assignment.
 
 ``forced_extension`` extends an assignment of an instance's variables to
 the fresh variables that flattening and the finite-abelianisation
-reduction introduce, so their solution sets can be compared.
+reduction introduce, so their solution sets can be compared;
+``disjunct_holds`` checks one disjunct of the result.
 
 ``least_conjugator`` and ``sphere_root`` are the Cayley-ball scans that
 cyclic reduction and root extraction once ran: the package now builds both
 answers directly and must agree with them.
+
+``is_in_centralizer`` is the direct commutator test that centralizer
+descriptions are checked against.
 
 ``ball_by_products`` is the Cayley-ball construction ``words.ball`` once
 ran: multiply every word of the last sphere by every generator, drop the
@@ -27,6 +31,7 @@ same order.
 """
 
 from collections import deque
+from dataclasses import replace
 from itertools import product
 
 from abelcon.instances import VarAtom, evaluate, isolate_variable
@@ -208,6 +213,11 @@ def forced_extension(inst_flat, disjunct, base):
     return asg
 
 
+def disjunct_holds(inst, disjunct, asg):
+    """True iff asg satisfies the given disjunct of inst (not just some disjunct)."""
+    return evaluate(replace(inst, disjuncts=(inst.disjuncts[disjunct],)), asg).satisfied
+
+
 def _movable(pres, syllables, i, later):
     """True iff syllable i commutes past every syllable before it (after it, if later)."""
     others = syllables[i + 1:] if later else syllables[:i]
@@ -256,3 +266,8 @@ def sphere_root(pres, w):
                 if u ** n == w:
                     return u, n
     return w, 1
+
+
+def is_in_centralizer(pres, g, x):
+    """Direct commutator test: true iff x g x^-1 g^-1 = 1."""
+    return multiply(pres, x, g) == multiply(pres, g, x)

@@ -44,13 +44,18 @@ from abelcon.words import (
     centralizer_generators,
     format_word,
     geodesic_length,
-    is_in_centralizer,
     multiply,
     normalize,
     parse_word,
 )
 
-from .oracle import all_raw_words, forced_extension, oracle_normal_form
+from .oracle import (
+    all_raw_words,
+    disjunct_holds,
+    forced_extension,
+    is_in_centralizer,
+    oracle_normal_form,
+)
 
 
 def report(criterion, detail=""):
@@ -228,7 +233,7 @@ def _projected_solution_set(original, derived, bound):
         base = dict(zip(original.variables, values))
         for di in range(len(derived.disjuncts)):
             ext = forced_extension(derived, di, base)
-            if ext is not None and evaluate(derived, ext).reports[di].ok:
+            if ext is not None and disjunct_holds(derived, di, ext):
                 out.add(tuple(base[v] for v in original.variables))
                 break
     return out

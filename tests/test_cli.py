@@ -91,6 +91,15 @@ def test_centralizer_of_a_long_primitive_word(files, capsys):
     assert out == "conjugator 1\ncyclic a b^39 exponent 1\nlink {}\n"
 
 
+@pytest.mark.parametrize("copies", [1, 2])
+def test_centralizer_with_300_digit_exponents(files, capsys, copies):
+    """The root search is bounded by the syllables, not the exponents."""
+    m = "8" * 300
+    code, out, _ = run(capsys, "centralizer", files / "f2.graph", *[f"a^{m}", f"b^{m}"] * copies)
+    assert code == 0
+    assert out == f"conjugator 1\ncyclic a^{m} b^{m} exponent {copies}\nlink {{}}\n"
+
+
 @pytest.mark.parametrize("line", ["varsX Y", "disjunctive {"])
 def test_glued_instance_keyword_exits_3(files, capsys, line):
     inst = files / "glued.inst"
@@ -439,10 +448,24 @@ def _first_recipe_nested(levels):
     return corrupt
 
 
-def _without_atoms(text):
+def _without_h10(text):
     doc = json.loads(text)
-    del doc["atoms"]
+    del doc["h10"]
     return json.dumps(doc)
+
+
+BIG = "1" + "0" * 300  # above sys.maxsize: no count of copies this large is expanded
+
+# instance files some cases below read, written next to the graphs
+BAD_INSTANCES = {
+    "variable-power.inst": f"group f2.graph\nvars X\ndisjunct {{\n  eq X^{BIG} = 1\n}}\n",
+    "multiplier.inst": f"group f2.graph\nvars X\ndisjunct {{\n  eq {BIG}*X = 1\n}}\n",
+    "word-power.inst": f"group f2.graph\nvars X\ndisjunct {{\n  eq X ( a b )^{BIG} = 1\n}}\n",
+    # the disjunct is read over F2, then the presentation would change under it
+    "second-group.inst": "group f2.graph\nvars X\ndisjunct {\n  eq X = 1\n}\ngroup gamma1.graph\n",
+    "group-then-graph.inst": "group f2.graph\ngraph {\nvertex a inf\n}\nvars X\n"
+                             "disjunct {\n  eq X = 1\n}\n",
+}
 
 
 BAD_INPUTS = {
@@ -453,8 +476,8 @@ BAD_INPUTS = {
                                        "--hint", "x=two,y=3")),
     "sidecar-not-json": (lambda text: "not json {", ("witness", "{inst}", "{dec}",
                                                      "--solution", "x=2,y=3")),
-    "sidecar-without-atoms": (_without_atoms, ("witness", "{inst}", "{dec}",
-                                               "--solution", "x=2,y=3")),
+    "sidecar-without-h10": (_without_h10, ("witness", "{inst}", "{dec}",
+                                           "--solution", "x=2,y=3")),
     "recipe-unknown-op": (_first_recipe({"op": "bogus"}), ("witness", "{inst}", "{dec}",
                                                          "--solution", "x=2,y=3")),
     "witness-underscore-integer": (None, ("witness", "{inst}", "{dec}",
@@ -476,6 +499,18 @@ BAD_INPUTS = {
     "normalize-4301-digit-exponent": (None, ("normalize", "{graph}", "a^" + "9" * 4300,
                                              "a^" + "9" * 4300)),
     "length-4301-digits": (None, ("length", "{graph}", "a^" + "9" * 4300, "a^" + "9" * 4300)),
+    # x + y = 5 holds, but the witness would be s1^x
+    "witness-301-digit-solution": (None, ("witness", "{inst}", "{dec}",
+                                          "--solution", f"x={BIG},y={5 - int(BIG)}")),
+    "solve-variable-power-301-digits": (None, ("solve", "{dir}/variable-power.inst", "--bound", "1")),
+    "solve-multiplier-301-digits": (None, ("solve", "{dir}/multiplier.inst", "--bound", "1")),
+    "solve-word-power-301-digits": (None, ("solve", "{dir}/word-power.inst", "--bound", "1")),
+    "solve-second-group-section": (None, ("solve", "{dir}/second-group.inst", "--bound", "1")),
+    "flatten-group-then-graph": (None, ("flatten", "{dir}/group-then-graph.inst")),
+    "witness-solution-names-x-twice": (None, ("witness", "{inst}", "{dec}",
+                                              "--solution", "x=2,y=3,x=2")),
+    "verify-hint-names-x-twice": (None, ("verify", "{inst}", "{dec}", "--bound", "1",
+                                         "--hint", "x=2,y=3,x=2")),
 }
 
 
@@ -490,8 +525,10 @@ def test_bad_input_is_an_error_not_a_no(files, capsys, case):
     if corrupt is not None:
         data = corrupt(dec.read_text())
         dec.write_bytes(data if isinstance(data, bytes) else data.encode())
-    code, _, err = run(capsys, *(a.format(inst=inst, dec=dec, asg=asg, graph=files / "f2.graph")
-                                 for a in argv))
+    for name, text in BAD_INSTANCES.items():
+        (files / name).write_text(text)
+    code, _, err = run(capsys, *(a.format(inst=inst, dec=dec, asg=asg, graph=files / "f2.graph",
+                                          dir=files) for a in argv))
     assert code == 3
     assert err.startswith("error: ") and "Traceback" not in err
 

@@ -2,9 +2,12 @@
 
 Every name a module imports must be used in that module. ``__init__.py``
 is exempt: its imports are the package's re-exports. Every module-level
-private function must be referenced somewhere in the package. A product of
-more than two factors goes through ``multiply_all`` or ``product``, which
-normalise once, never through a pairwise fold of ``multiply``. Every cache
+private function must be referenced somewhere in the package, and every
+public module-level function or class outside ``__init__.py`` somewhere in
+the package outside its own definition, but for the ``LIBRARY_API`` names
+kept for callers of the library. A product of more than two factors goes
+through ``multiply_all`` or ``product``, which normalise once, never
+through a pairwise fold of ``multiply``. Every cache
 is bounded: an ``lru_cache`` with an explicit integer ``maxsize``. Only
 ``search.py`` builds a Cayley ball: the word algebra constructs its answers
 directly. ``search.py`` names no constraint class and neither ``linear_form``
@@ -80,6 +83,46 @@ def test_no_unreferenced_private_functions():
             and node.name.startswith("_") and not node.name.startswith("__")
             and node.name not in used]
     assert not dead, f"private functions nothing in the package references: {dead}"
+
+
+# public names no module calls, kept on purpose for callers of the library
+LIBRARY_API = {
+    "vertex_leq": "the paper's star preorder on vertices",
+    "parse_linear_system": "the reader of the text format_linear_system writes",
+    "integers_into_free_interpretation": "the paper's copy of (Z, +) in a free group by equations",
+    "rewrite_under_interpretation": "the paper's interpretability by equations",
+}
+
+
+def _unreferenced_public_names(trees: dict[str, ast.Module]) -> list[str]:
+    """``module:line name`` of each public module-level function or class
+    that no top-level statement of any module but its own definition names."""
+    refs = {id(node): _referenced_names(node) | _attribute_names(node)
+            for tree in trees.values() for node in tree.body}
+    out = []
+    for name, tree in sorted(trees.items()):
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and not any(node.name in names for key, names in refs.items()
+                                if key != id(node))):
+                out.append(f"{name}:{node.lineno} {node.name}")
+    return out
+
+
+def test_the_public_name_check_flags_a_planted_unused_function():
+    trees = {"a.py": ast.parse("def used():\n    return 1\n\n\ndef unused():\n    return unused()\n"),
+             "b.py": ast.parse("from .a import used\n\nX = used()\n")}
+    assert _unreferenced_public_names(trees) == ["a.py:5 unused"]
+
+
+def test_every_public_name_is_used_in_the_package():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    found = {entry.rpartition(" ")[2]: entry for entry in _unreferenced_public_names(trees)}
+    dead = sorted(entry for name, entry in found.items() if name not in LIBRARY_API)
+    assert not dead, f"public names nothing in the package uses (delete, or list in LIBRARY_API): {dead}"
+    stale = sorted(set(LIBRARY_API) - set(found))
+    assert not stale, f"LIBRARY_API names that are gone or now used in the package: {stale}"
 
 
 def _is_multiply(node) -> bool:

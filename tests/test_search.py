@@ -20,12 +20,11 @@ from abelcon.words import (
     ball,
     centralizer_generators,
     format_word,
-    is_in_centralizer,
     normalize,
     parse_word,
 )
 
-from .oracle import naive_search
+from .oracle import is_in_centralizer, naive_search
 from .test_words import MIXED, PQRT, Z4_Z6_Z, _long_word_presentation
 
 F2_HEADER = "graph {\n  vertex a inf\n  vertex b inf\n}\n"

@@ -23,7 +23,6 @@ from abelcon.words import (
     geodesic_length,
     invert,
     is_cyclically_reduced,
-    is_in_centralizer,
     multiply,
     multiply_all,
     normalize,
@@ -39,6 +38,7 @@ from .oracle import (
     all_raw_words,
     ball_by_products,
     bfs_ball_normal_forms,
+    is_in_centralizer,
     least_conjugator,
     oracle_normal_form,
     sphere_root,
