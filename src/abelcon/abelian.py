@@ -9,15 +9,13 @@ fixed complement. The paper's predicates on these maps (|g|_s = |h|_t,
 membership in K_S, ab(u) = ab(v)) are instance constraints, stated once as
 linear rows by `instances.constraint_rows`.
 
-Linear systems mix exact equations with congruences; solvability over Z is
-decided by diagonalizing the integer matrix with unimodular row and column
-operations (congruences get slack columns), so witnesses are exact. A
-presolve runs first, in time linear in the nonzeros: it drops all-zero rows,
-fixes each unknown pinned by a one-unknown row and substitutes it, and
-removes each unknown with coefficient +-1 in a single row together with
-that row. Every step keeps solvability over Z exactly, so only the rows
-left, often none, go to the cubic diagonalization; the eliminated unknowns
-are back-substituted and the witness is checked against the original system.
+Linear systems mix exact equations with congruences. `solve_linear_system`
+decides solvability over Z by sparse unimodular elimination, row by row
+(Bradley, Math. Comp. 25, 1971): a congruence is an exact row with a slack
+unknown, each step fixes, solves for or changes one unknown and substitutes
+it only into the rows that hold it, so blocks of rows that share no unknown
+never meet. The steps are undone into an exact witness, which is checked
+against the original system.
 """
 
 from __future__ import annotations
@@ -173,151 +171,29 @@ def format_linear_system(sys: LinearSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _diagonalize(matrix: list[list[int]], rhs: list[int]):
-    """Return (D, c, V) with D = U @ M @ V diagonal, c = U @ rhs and U, V
-    unimodular; the row operations act on rhs as they go, so U is never built."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    D = [row[:] for row in matrix]
-    c = list(rhs)
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        c[i], c[j] = c[j], c[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):  # dst += q * src
-        D[dst] = [a + q * b for a, b in zip(D[dst], D[src])]
-        c[dst] += q * c[src]
-
-    def add_col(src, dst, q):
-        for row in D:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < min(m, n):
-        # pivot: smallest nonzero magnitude in the remaining block
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j] and (pivot is None or abs(D[i][j]) < abs(D[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        dirty = False
-        for i in range(t + 1, m):
-            if D[i][t]:
-                q = -(D[i][t] // D[t][t])
-                add_row(t, i, q)
-                if D[i][t]:
-                    dirty = True
-        for j in range(t + 1, n):
-            if D[t][j]:
-                q = -(D[t][j] // D[t][t])
-                add_col(t, j, q)
-                if D[t][j]:
-                    dirty = True
-        if dirty:
-            continue  # remainder left behind; pick a smaller pivot
-        t += 1
-    return D, c, V
-
-
-def _diagonal_solution(matrix: list[list[int]], rhs: list[int]) -> Optional[list[int]]:
-    """An integer solution of matrix @ y = rhs by diagonalization, or None
-    when there is none. Every row has the same number of columns, at least one."""
-    n = len(matrix[0])
-    D, c, V = _diagonalize(matrix, rhs)
-    z = [0] * n
-    for i in range(len(matrix)):
-        d = D[i][i] if i < n else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d:
-                return None
-            z[i] = c[i] // d
-    return [sum(V[i][j] * z[j] for j in range(n)) for i in range(n)]
-
-
-def _presolve(rows: list[dict[int, int]], rhs: list[int], n: int):
-    """Eliminate what needs no diagonalization, in time linear in the nonzeros.
-
-    rows[r] maps unknown -> nonzero coefficient; rows and rhs are updated in
-    place. Until the worklists are empty: an all-zero row is dropped (None,
-    i.e. no solution, when its constant is not 0); a one-unknown row a*x = c
-    fixes x = c/a (None when a does not divide c) and x is substituted into
-    the other rows; an unknown with coefficient +-1 in exactly one row takes
-    that row with it, as any values of the row's other unknowns leave it
-    solvable for x. Returns the remaining rows' indices and the eliminations
-    in order, each (x, None, value) for a fixed x or (x, row, None) for an x
-    to solve from its row once the row's other unknowns are known.
-    """
-    cols: list[set[int]] = [set() for _ in range(n)]
-    for r, row in enumerate(rows):
-        for j in row:
-            cols[j].add(r)
-    alive = [True] * len(rows)
-    steps: list[tuple[int, Optional[int], Optional[int]]] = []
-    row_work = list(range(len(rows)))
-    col_work = list(range(n))
-    while row_work or col_work:
-        if row_work:
-            r = row_work.pop()
-            row = rows[r]
-            if not alive[r] or len(row) > 1:
-                continue
-            alive[r] = False
-            if not row:
-                if rhs[r]:
-                    return None
-                continue
-            (j, a), = row.items()
-            if rhs[r] % a:
-                return None
-            x = rhs[r] // a
-            steps.append((j, None, x))
-            cols[j].discard(r)
-            for s in cols[j]:
-                rhs[s] -= rows[s].pop(j) * x
-                row_work.append(s)
-            cols[j].clear()
-        else:
-            j = col_work.pop()
-            if len(cols[j]) != 1:
-                continue
-            r = next(iter(cols[j]))
-            if abs(rows[r][j]) != 1:
-                continue
-            alive[r] = False
-            steps.append((j, r, None))
-            for i in rows[r]:
-                cols[i].discard(r)
-                col_work.append(i)
-    return [r for r in range(len(rows)) if alive[r]], steps
-
-
 def solve_linear_system(sys: LinearSystem) -> SolvabilityResult:
     """Decide exact solvability over Z; a SAT result carries a verified witness.
 
-    A congruence gets a slack unknown (sum(a*x) + k*s = c), the system is
-    presolved, and only the rows left are diagonalized; the eliminated
-    unknowns are then back-substituted in reverse order.
+    Sparse unimodular elimination, one row at a time in order. A congruence
+    sum(a*x) = c mod k is the exact row sum(a*x) + k*s = c with a slack
+    unknown s. While a row is not empty, its pivot is the unknown of least
+    |coefficient| a, ties going to the unknown held by the fewest rows:
+    - the only unknown left is fixed to c/a, or there is no solution when a
+      does not divide c;
+    - a pivot with a = +-1 is solved from its row;
+    - any other pivot p takes the unimodular change x_p = y - sum((b // a)*x)
+      over the row's other unknowns x with coefficients b, for a fresh y.
+      The other coefficients drop to b mod a, so the pivot of the next step
+      is smaller.
+    Each step substitutes its expression for the pivot in every row that
+    holds it, so rows sharing no unknown are never touched together. A row
+    left empty with a constant other than 0 has no solution. The steps are
+    undone in reverse with every unknown that stayed free set to 0, and the
+    witness is checked against the original system.
     """
     variables = sys.variables()
     var_index = {v: i for i, v in enumerate(variables)}
-    n = len(variables)
+    cols: list[set[int]] = [set() for _ in variables]  # unknown -> rows holding it
     rows: list[dict[int, int]] = []
     rhs: list[int] = []
     for eq in sys.equations:
@@ -327,37 +203,60 @@ def solve_linear_system(sys: LinearSystem) -> SolvabilityResult:
             row[j] = row.get(j, 0) + c
         row = {j: c for j, c in row.items() if c}
         if eq.modulus is not None:
-            row[n] = eq.modulus
-            n += 1
+            row[len(cols)] = eq.modulus
+            cols.append(set())
+        for j in row:
+            cols[j].add(len(rows))
         rows.append(row)
         rhs.append(eq.constant)
-    presolved = _presolve(rows, rhs, n)
-    if presolved is None:
-        return SolvabilityResult("UNSAT")
-    core, steps = presolved
-    values = [0] * n
-    if core:
-        unknowns = sorted({j for r in core for j in rows[r]})
-        at = {j: i for i, j in enumerate(unknowns)}
-        matrix = []
-        for r in core:
-            full = [0] * len(unknowns)
-            for j, c in rows[r].items():
-                full[at[j]] = c
-            matrix.append(full)
-        y = _diagonal_solution(matrix, [rhs[r] for r in core])
-        if y is None:
+    steps: list[tuple[int, int, int, dict[int, int]]] = []  # x_p = a*(c - sum(e*x))
+    for r in range(len(rows)):
+        row = rows[r]
+        while row:
+            if len(row) == 1:  # a*x_p = c: divide the row by a
+                (p, a), = row.items()
+                if rhs[r] % a:
+                    return SolvabilityResult("UNSAT")
+                rhs[r] //= a
+                a = 1
+            else:
+                p = None
+                for j, b in row.items():
+                    if (p is None or abs(b) < abs(a)
+                            or abs(b) == abs(a) and len(cols[j]) < len(cols[p])):
+                        p, a = j, b
+            if a in (1, -1):  # solve the row for x_p and retire it
+                for j in row:
+                    cols[j].discard(r)
+                del row[p]
+                rest, row = row, {}
+                c, rhs[r] = rhs[r], 0
+            else:  # x_p = y - sum((b // a)*x) for a fresh unknown y
+                rest = {i: b // a for i, b in row.items() if i != p}
+                rest[len(cols)] = -1
+                cols.append(set())
+                c, a = 0, 1
+            steps.append((p, a, c, rest))
+            for s in cols[p]:
+                other = rows[s]
+                f = other.pop(p) * a
+                rhs[s] -= f * c
+                for i, e in rest.items():
+                    v = other.get(i, 0) - f * e
+                    if v:
+                        other[i] = v
+                        cols[i].add(s)
+                    else:
+                        del other[i]
+                        cols[i].discard(s)
+        if rhs[r]:
             return SolvabilityResult("UNSAT")
-        for j, v in zip(unknowns, y):
-            values[j] = v
-    for j, r, x in reversed(steps):
-        if r is None:
-            values[j] = x
-        else:  # the coefficient of j is +-1, its own inverse
-            row = rows[r]
-            rest = sum(c * values[i] for i, c in row.items() if i != j)
-            values[j] = (rhs[r] - rest) * row[j]
+    values = [0] * len(cols)
+    for p, a, c, rest in reversed(steps):
+        if rest:
+            c -= sum(e * values[i] for i, e in rest.items())
+        values[p] = a * c
     witness = {v: values[var_index[v]] for v in variables}
     if not sys.holds(witness):
-        raise AssertionError("presolve and diagonalization produced a bad witness")
+        raise AssertionError("elimination produced a bad witness")
     return SolvabilityResult("SAT", witness)

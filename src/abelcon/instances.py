@@ -418,8 +418,8 @@ def _centralizer_lattice_rows(p: Presentation, var: str, w: NormalWord,
     emitted only when every vertex of w's support has infinite order; rows
     for a torsion support would be sound too, but would change verdicts.
     Abelianisation kills the conjugator, so the images come straight from
-    the cached description, in `generators`' order: each cyclic part's
-    exponent sums, then the unit vector of each link vertex.
+    the cached description: each cyclic part's exponent sums, then the unit
+    vector of each link vertex.
     """
     if any(p.order[v] is not None for v, _ in w.syllables):
         return []

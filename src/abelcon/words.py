@@ -34,6 +34,7 @@ appended, and a parent's children come in generator order.
 
 from __future__ import annotations
 
+import operator
 import sys
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -242,7 +243,12 @@ class NormalWord:
         return invert(self.pres, self)
 
     def __pow__(self, n: int) -> "NormalWord":
-        """The n-th power, normalised once; a negative n powers the inverse."""
+        """The n-th power, normalised once; a negative n powers the inverse.
+        A one-syllable base v^e has the closed form v^(e*n), for any n."""
+        if len(self.syllables) == 1:
+            (v, e), = self.syllables
+            e = self.pres.reduce_exponent(v, e * operator.index(n))
+            return NormalWord(self.pres, (Syllable(v, e),) if e else ())
         return product(self.pres, repeat((self, n < 0), _repeat_count(n)))
 
     def conjugate_by(self, h: "NormalWord") -> "NormalWord":
@@ -760,36 +766,6 @@ class CentralizerDesc(NamedTuple):
     cyclic_parts: tuple[NormalWord, ...]
     exponents: tuple[int, ...]
     link_vertices: frozenset[str]
-
-    def generators(self, p: Presentation) -> list[NormalWord]:
-        """Group elements generating the centralizer."""
-        h = self.conjugator
-        links = [normalize(p, [(v, 1)]) for v in sorted(self.link_vertices, key=p.index.__getitem__)]
-        return [product(p, ((h, False), (b, False), (h, True))) for b in (*self.cyclic_parts, *links)]
-
-    def contains(self, p: Presentation, x: NormalWord) -> bool:
-        """Exact membership test for the described centralizer.
-
-        Conjugate x back, split its syllables by block support (the pieces
-        pairwise commute), and require each piece to be a power of its root
-        with the remainder supported on the link.
-        """
-        y = x.conjugate_by(self.conjugator)
-        supports = [support(p, b) for b in self.cyclic_parts]
-        allowed = frozenset().union(*supports, self.link_vertices) if supports else self.link_vertices
-        if not support(p, y) <= allowed:
-            return False
-        for b, vs in zip(self.cyclic_parts, supports):
-            piece = normalize(p, [(v, e) for v, e in y.syllables if v in vs])
-            if piece.is_identity():
-                continue
-            lb, lp = geodesic_length(p, b), geodesic_length(p, piece)
-            if lp % lb:
-                return False
-            m = lp // lb
-            if piece != b ** m and piece != b ** (-m):
-                return False
-        return True
 
 
 @lru_cache(maxsize=CENTRALIZER_CACHE_SIZE)

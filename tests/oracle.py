@@ -21,18 +21,26 @@ cyclic reduction and root extraction once ran: the package now builds both
 answers directly and must agree with them.
 
 ``is_in_centralizer`` is the direct commutator test that centralizer
-descriptions are checked against.
+descriptions are checked against, through ``centralizer_generating_words``
+and ``in_described_centralizer``, which read a description as generators
+and as a membership test.
 
 ``ball_by_products`` is the Cayley-ball construction ``words.ball`` once
 ran: multiply every word of the last sphere by every generator, drop the
 elements already found and sort the rest by ``sort_key``. The package now
 extends each element by one letter and must list the same elements in the
 same order.
+
+``diagonal_solution`` is the dense reference for linear systems over Z: it
+diagonalizes the whole integer matrix with unimodular row and column
+operations, where ``abelcon.abelian.solve_linear_system`` eliminates sparse
+rows one at a time. Their verdicts must agree.
 """
 
 from collections import deque
 from dataclasses import replace
 from itertools import product
+from typing import Optional
 
 from abelcon.instances import VarAtom, evaluate, isolate_variable
 from abelcon.words import (
@@ -41,8 +49,10 @@ from abelcon.words import (
     geodesic_length,
     induced_subpresentation,
     multiply,
+    multiply_all,
     normalize,
     sort_key,
+    support,
 )
 
 BLOCK = "#"  # anonymous blocker entry
@@ -271,3 +281,114 @@ def sphere_root(pres, w):
 def is_in_centralizer(pres, g, x):
     """Direct commutator test: true iff x g x^-1 g^-1 = 1."""
     return multiply(pres, x, g) == multiply(pres, g, x)
+
+
+def centralizer_generating_words(p, desc):
+    """Group elements generating the centralizer that ``desc`` describes: each
+    cyclic part and each link vertex, conjugated by the description's h."""
+    h = desc.conjugator
+    links = [normalize(p, [(v, 1)]) for v in sorted(desc.link_vertices, key=p.index.__getitem__)]
+    return [multiply_all(p, [h, b, h.inverse()]) for b in (*desc.cyclic_parts, *links)]
+
+
+def in_described_centralizer(p, desc, x):
+    """Exact membership test for the centralizer that ``desc`` describes.
+
+    Conjugate x back, split its syllables by block support (the pieces
+    pairwise commute), and require each piece to be a power of its root
+    with the remainder supported on the link.
+    """
+    y = x.conjugate_by(desc.conjugator)
+    supports = [support(p, b) for b in desc.cyclic_parts]
+    allowed = frozenset().union(*supports, desc.link_vertices) if supports else desc.link_vertices
+    if not support(p, y) <= allowed:
+        return False
+    for b, vs in zip(desc.cyclic_parts, supports):
+        piece = normalize(p, [(v, e) for v, e in y.syllables if v in vs])
+        if piece.is_identity():
+            continue
+        lb, lp = geodesic_length(p, b), geodesic_length(p, piece)
+        if lp % lb:
+            return False
+        m = lp // lb
+        if piece != b ** m and piece != b ** (-m):
+            return False
+    return True
+
+
+def _diagonalize(matrix: list[list[int]], rhs: list[int]):
+    """Return (D, c, V) with D = U @ M @ V diagonal, c = U @ rhs and U, V
+    unimodular; the row operations act on rhs as they go, so U is never built."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    D = [row[:] for row in matrix]
+    c = list(rhs)
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        D[i], D[j] = D[j], D[i]
+        c[i], c[j] = c[j], c[i]
+
+    def swap_cols(i, j):
+        for row in D:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):  # dst += q * src
+        D[dst] = [a + q * b for a, b in zip(D[dst], D[src])]
+        c[dst] += q * c[src]
+
+    def add_col(src, dst, q):
+        for row in D:
+            row[dst] += q * row[src]
+        for row in V:
+            row[dst] += q * row[src]
+
+    t = 0
+    while t < min(m, n):
+        # pivot: smallest nonzero magnitude in the remaining block
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if D[i][j] and (pivot is None or abs(D[i][j]) < abs(D[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        dirty = False
+        for i in range(t + 1, m):
+            if D[i][t]:
+                q = -(D[i][t] // D[t][t])
+                add_row(t, i, q)
+                if D[i][t]:
+                    dirty = True
+        for j in range(t + 1, n):
+            if D[t][j]:
+                q = -(D[t][j] // D[t][t])
+                add_col(t, j, q)
+                if D[t][j]:
+                    dirty = True
+        if dirty:
+            continue  # remainder left behind; pick a smaller pivot
+        t += 1
+    return D, c, V
+
+
+def diagonal_solution(matrix: list[list[int]], rhs: list[int]) -> Optional[list[int]]:
+    """An integer solution of matrix @ y = rhs by diagonalization, or None
+    when there is none. Every row has the same number of columns, at least one."""
+    n = len(matrix[0])
+    D, c, V = _diagonalize(matrix, rhs)
+    z = [0] * n
+    for i in range(len(matrix)):
+        d = D[i][i] if i < n else 0
+        if d == 0:
+            if c[i] != 0:
+                return None
+        else:
+            if c[i] % d:
+                return None
+            z[i] = c[i] // d
+    return [sum(V[i][j] * z[j] for j in range(n)) for i in range(n)]

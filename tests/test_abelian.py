@@ -4,7 +4,6 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import abelcon.abelian as abelian_mod
 from abelcon.abelian import (
     AbelVector,
     LinearEquation,
@@ -18,6 +17,8 @@ from abelcon.abelian import (
 from abelcon.errors import NotAbelianPrimitive
 from abelcon.instances import abelian_shadow, evaluate, parse_instance
 from abelcon.words import Presentation, ball, multiply, normalize, parse_word
+
+from .oracle import diagonal_solution
 
 
 def W(p, text):
@@ -219,7 +220,7 @@ def test_two_var_exact_rank(rows):
 
 def _verdict_by_diagonalization_alone(sys):
     """Solvability from one diagonalization of the whole system, congruences
-    as slack columns: the solver before it presolved."""
+    as slack columns."""
     variables = sys.variables()
     slacks = [eq.modulus for eq in sys.equations if eq.modulus is not None]
     n = len(variables) + len(slacks)
@@ -234,7 +235,7 @@ def _verdict_by_diagonalization_alone(sys):
             row[len(variables) + s] = eq.modulus
             s += 1
         matrix.append(row)
-    return abelian_mod._diagonal_solution(matrix, [eq.constant for eq in sys.equations]) is not None
+    return diagonal_solution(matrix, [eq.constant for eq in sys.equations]) is not None
 
 
 def _mixed_system(rng):
@@ -249,24 +250,36 @@ def _mixed_system(rng):
     return LinearSystem(tuple(eqs))
 
 
+def _block_mod2_system(rng):
+    """Congruences mod 2 in blocks that share no unknown, their rows
+    interleaved round by round: the shape of a shadow over a right-angled
+    Coxeter group, one block per vertex."""
+    blocks = [[f"{x}.{v}" for x in "XYZ"[:rng.randrange(1, 4)]] for v in "abcde"[:rng.randrange(1, 6)]]
+    eqs = []
+    for _ in range(rng.randrange(1, 4)):
+        for block in blocks:
+            coeffs = tuple((x, rng.choice((-1, 1))) for x in block if rng.random() < 0.6)
+            eqs.append(LinearEquation(coeffs, rng.choice((-1, 0, 0, 1)), 2))
+    return LinearSystem(tuple(eqs))
+
+
 def test_presolve_keeps_the_verdict_of_diagonalization_alone():
+    """The sparse elimination's verdicts against the dense reference, on
+    mixed systems and on block-diagonal congruences mod 2."""
     rng = random.Random(2024)
-    verdicts = set()
-    for trial in range(10_000):
-        sys = _mixed_system(rng)
-        res = solve_linear_system(sys)
-        assert bool(res) == _verdict_by_diagonalization_alone(sys), (trial, sys)
-        if res:
-            assert sys.holds(res.witness), (trial, sys)
-        verdicts.add(res.status)
-    assert verdicts == {"SAT", "UNSAT"}
+    for shape in (_mixed_system, _block_mod2_system):
+        verdicts = set()
+        for trial in range(10_000):
+            sys = shape(rng)
+            res = solve_linear_system(sys)
+            assert bool(res) == _verdict_by_diagonalization_alone(sys), (shape, trial, sys)
+            if res:
+                assert sys.holds(res.witness), (shape, trial, sys)
+            verdicts.add(res.status)
+        assert verdicts == {"SAT", "UNSAT"}, shape
 
 
-def test_presolve_settles_pinned_variables_without_diagonalizing(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("reached _diagonalize")
-
-    monkeypatch.setattr(abelian_mod, "_diagonalize", refuse)
+def test_pinned_unknowns_and_unit_coefficients_are_solved():
     names = [f"X{i}" for i in range(400)]
     text = ("graph {\n  vertex a inf\n  vertex b inf\n}\nvars " + " ".join(names)
             + "\ndisjunct {\n" + "".join(f"  eq {x} = 1\n" for x in names) + "}\n")
@@ -281,16 +294,15 @@ def test_presolve_settles_pinned_variables_without_diagonalizing(monkeypatch):
     assert not solve_linear_system(parse_linear_system("1 x -1 x = 1\n"))
 
 
-def test_presolve_hands_the_rest_to_diagonalization(monkeypatch):
-    seen = []
-    real = abelian_mod._diagonalize
-
-    def spy(matrix, rhs):
-        seen.append(len(matrix))
-        return real(matrix, rhs)
-
-    monkeypatch.setattr(abelian_mod, "_diagonalize", spy)
-    # x = 1 is fixed and substituted; the two rows left have no unit singleton
+def test_rows_without_a_unit_coefficient_are_solved():
+    # x = 1 is fixed and substituted; the two rows left have no unit coefficient
     sys = parse_linear_system("1 x = 1\n2 y 3 z 1 x = 5\n4 y 6 z = 8\n")
     res = solve_linear_system(sys)
-    assert res and sys.holds(res.witness) and seen == [2]
+    assert res and sys.holds(res.witness)
+    assert not solve_linear_system(parse_linear_system("1 x = 1\n2 y 4 z 1 x = 6\n"))
+    # a chain 2 x_i + 3 x_(i+1) = 1 is solvable; its parity twin is not
+    chain = "".join(f"2 x{i} 3 x{i + 1} = 1\n" for i in range(40))
+    sys = parse_linear_system(chain)
+    res = solve_linear_system(sys)
+    assert res and sys.holds(res.witness)
+    assert not solve_linear_system(parse_linear_system(chain + "1 x40 = 0 mod 2\n"))

@@ -499,9 +499,6 @@ BAD_INPUTS = {
     "normalize-4301-digit-exponent": (None, ("normalize", "{graph}", "a^" + "9" * 4300,
                                              "a^" + "9" * 4300)),
     "length-4301-digits": (None, ("length", "{graph}", "a^" + "9" * 4300, "a^" + "9" * 4300)),
-    # x + y = 5 holds, but the witness would be s1^x
-    "witness-301-digit-solution": (None, ("witness", "{inst}", "{dec}",
-                                          "--solution", f"x={BIG},y={5 - int(BIG)}")),
     "solve-variable-power-301-digits": (None, ("solve", "{dir}/variable-power.inst", "--bound", "1")),
     "solve-multiplier-301-digits": (None, ("solve", "{dir}/multiplier.inst", "--bound", "1")),
     "solve-word-power-301-digits": (None, ("solve", "{dir}/word-power.inst", "--bound", "1")),
@@ -531,6 +528,23 @@ def test_bad_input_is_an_error_not_a_no(files, capsys, case):
                                           dir=files) for a in argv))
     assert code == 3
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_one_syllable_powers_take_any_exponent(files, capsys):
+    """v^e raised to n is v^(e*n), not n copies: only a power of a longer
+    word, like `( a b )^BIG` above, is too long to expand."""
+    (files / "one-syllable-power.inst").write_text(
+        f"group f2.graph\nvars X\ndisjunct {{\n  eq X ( a )^{BIG} ( a )^-{BIG} = 1\n}}\n")
+    code, out, _ = run(capsys, "solve", files / "one-syllable-power.inst", "--bound", "1")
+    assert code == 0 and out == "X = 1\n"
+    # x + y = 5, and the witness of x is a^x
+    inst, dec = _compiled_sum(files, capsys)
+    solution = f"x={BIG},y={5 - int(BIG)}"
+    code, out, _ = run(capsys, "witness", inst, dec, "--solution", solution)
+    assert code == 0 and f"A_x = a^{BIG}\n" in out
+    (files / "asg.txt").write_text(out)
+    code, out, _ = run(capsys, "decode", inst, dec, "--assignment", files / "asg.txt")
+    assert (code, out) == (0, f"x = {BIG}\ny = {5 - int(BIG)}\n")
 
 
 def test_a_recipe_nested_800_deep_still_evaluates(files, capsys):

@@ -5,7 +5,9 @@ is exempt: its imports are the package's re-exports. Every module-level
 private function must be referenced somewhere in the package, and every
 public module-level function or class outside ``__init__.py`` somewhere in
 the package outside its own definition, but for the ``LIBRARY_API`` names
-kept for callers of the library. A product of more than two factors goes
+kept for callers of the library. So must every public method of a package
+class, as an attribute, but for dunders and overrides of a base class from
+outside the package. A product of more than two factors goes
 through ``multiply_all`` or ``product``, which normalise once, never
 through a pairwise fold of ``multiply``. Every cache
 is bounded: an ``lru_cache`` with an explicit integer ``maxsize``. Only
@@ -17,6 +19,9 @@ is raised somewhere in the package.
 """
 
 import ast
+import builtins
+import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -91,14 +96,47 @@ LIBRARY_API = {
     "parse_linear_system": "the reader of the text format_linear_system writes",
     "integers_into_free_interpretation": "the paper's copy of (Z, +) in a free group by equations",
     "rewrite_under_interpretation": "the paper's interpretability by equations",
+    "Presentation.free": "the free group, the base case of every graph product",
+    "Presentation.raag": "right-angled Artin groups, the paper's main family",
+    "Presentation.racg": "right-angled Coxeter groups, every vertex of order 2",
 }
+
+
+def _external_bases(tree: ast.Module, cls: ast.ClassDef) -> list:
+    """The base classes of ``cls`` that come from outside the package: the
+    builtins and what the module's absolute imports bind."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.name if alias.asname else alias.name.split(".")[0]
+                bound[alias.asname or name] = importlib.import_module(name)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module != "__future__":
+            module = importlib.import_module(node.module)
+            bound.update({a.asname or a.name: getattr(module, a.name) for a in node.names})
+    scope = {**vars(builtins), **bound}
+    bases = []
+    for base in cls.bases:
+        if isinstance(base, ast.Name) and base.id in scope:
+            bases.append(scope[base.id])
+        elif isinstance(base, ast.Attribute) and getattr(base.value, "id", None) in scope:
+            bases.append(getattr(scope[base.value.id], base.attr))
+    return bases
+
+
+def _attribute_counts(node: ast.AST) -> Counter:
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
 
 
 def _unreferenced_public_names(trees: dict[str, ast.Module]) -> list[str]:
     """``module:line name`` of each public module-level function or class
-    that no top-level statement of any module but its own definition names."""
+    that no top-level statement of any module but its own definition names,
+    and ``module:line Class.method`` of each public method of a class that
+    no attribute outside the method's own definition names. Dunders and
+    overrides of a base class from outside the package are not listed."""
     refs = {id(node): _referenced_names(node) | _attribute_names(node)
             for tree in trees.values() for node in tree.body}
+    attrs = sum((_attribute_counts(tree) for tree in trees.values()), Counter())
     out = []
     for name, tree in sorted(trees.items()):
         for node in tree.body:
@@ -107,6 +145,15 @@ def _unreferenced_public_names(trees: dict[str, ast.Module]) -> list[str]:
                     and not any(node.name in names for key, names in refs.items()
                                 if key != id(node))):
                 out.append(f"{name}:{node.lineno} {node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = _external_bases(tree, node)
+            for method in node.body:
+                if (isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not method.name.startswith("_")
+                        and attrs[method.name] == _attribute_counts(method)[method.name]
+                        and not any(hasattr(base, method.name) for base in bases)):
+                    out.append(f"{name}:{method.lineno} {node.name}.{method.name}")
     return out
 
 
@@ -114,6 +161,30 @@ def test_the_public_name_check_flags_a_planted_unused_function():
     trees = {"a.py": ast.parse("def used():\n    return 1\n\n\ndef unused():\n    return unused()\n"),
              "b.py": ast.parse("from .a import used\n\nX = used()\n")}
     assert _unreferenced_public_names(trees) == ["a.py:5 unused"]
+
+
+def test_the_public_name_check_flags_a_planted_unused_method():
+    planted = """
+import argparse
+
+
+class Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValueError(message)
+
+    def __repr__(self):
+        return "Parser()"
+
+    def used(self):
+        return 1
+
+    def unused(self):
+        return self.unused()
+
+
+PARSER = Parser().used()
+"""
+    assert _unreferenced_public_names({"a.py": ast.parse(planted)}) == ["a.py:15 Parser.unused"]
 
 
 def test_every_public_name_is_used_in_the_package():
