@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Iterable, Optional, Union
 
-from .abelian import abelianize, exponent_sum
+from .abelian import exponent_sum
 from .errors import (
     AbelianTarget,
     DecodeInconsistency,
@@ -74,6 +74,7 @@ from .words import (
     normalize,
     parse_int,
     parse_word,
+    product,
 )
 
 _VAR_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
@@ -280,12 +281,24 @@ def atomize(h: H10Instance) -> AtomizedH10:
 
 # ---------------------------------------------------------------------------
 # witness recipes: serializable expressions rebuilding group assignments
+#
+# A word recipe is evaluated as one product. `_factors` flattens it into
+# (word, inverted) factors: `ref` and `word` add one; `inv` flips the sign
+# and reverses the order of the factors below it; `concat` adds its
+# arguments in order; `conj` is h^-1 x h, so it adds the factors of h
+# inverted, then those of x, then those of h, whether or not it is itself
+# inverted. `pow` and `cyclic_conjugator` build their own word and enter
+# as one factor. `ab_cover_split` reads its argument's abelian image off
+# the factors' exponent sums and multiplies nothing.
 
 
 def _int_expr(expr, ints: dict[str, int], groups: dict[str, NormalWord], p: Presentation) -> int:
     op = expr["op"]
     if op == "const":
-        return expr["value"]
+        value = expr["value"]
+        if type(value) is not int:
+            raise RecipeError(f"integer constant must be an int, not {type(value).__name__}")
+        return value
     if op == "var":
         return ints[expr["name"]]
     if op == "add":
@@ -300,45 +313,81 @@ def _int_expr(expr, ints: dict[str, int], groups: dict[str, NormalWord], p: Pres
     raise RecipeError(f"unknown integer op {op!r}")
 
 
-def _word_expr(expr, ints, groups, p: Presentation) -> NormalWord:
+def _factors(expr, inverted: bool, out: list[tuple[NormalWord, bool]], ints, groups,
+             p: Presentation) -> None:
+    """Append the factors of a word recipe to ``out``: their product, left to
+    right, is the recipe's value, or its inverse when ``inverted``."""
     op = expr["op"]
-    if op == "word":
-        return parse_word(p, expr["text"])
-    if op == "ref":
-        return groups[expr["name"]]
-    if op == "pow":
-        return _word_expr(expr["base"], ints, groups, p) ** _int_expr(expr["exp"], ints, groups, p)
-    if op == "concat":
-        return multiply_all(p, [_word_expr(a, ints, groups, p) for a in expr["args"]])
     if op == "inv":
-        return _word_expr(expr["arg"], ints, groups, p).inverse()
-    if op == "conj":  # h^-1 x h
-        x = _word_expr(expr["arg"], ints, groups, p)
-        h = _word_expr(expr["by"], ints, groups, p)
-        return x.conjugate_by(h)
-    if op == "cyclic_conjugator":
-        _, h = cyclically_reduce(p, _word_expr(expr["arg"], ints, groups, p))
-        return h
-    if op == "ab_cover_split":
-        arg = _word_expr(expr["arg"], ints, groups, p)
-        vec = abelianize(p, arg)
-        exclude = set(expr["exclude"])
-        cover = expr["cover"]
-        parts: list[list[tuple[str, int]]] = [[] for _ in cover]
-        for v in p.vertices:
-            e = vec[v]
-            if not e:
-                continue
-            if v in exclude:
-                raise RecipeError(f"cover split argument has nonzero coordinate at {v}")
-            for j, u in enumerate(cover):
-                if v == u or p.adjacent(v, u):
-                    parts[j].append((v, e))
-                    break
-            else:
-                raise RecipeError(f"vertex {v} not covered")
-        return normalize(p, parts[expr["index"]])
-    raise RecipeError(f"unknown word op {op!r}")
+        _factors(expr["arg"], not inverted, out, ints, groups, p)
+        return
+    if op == "concat":
+        args = expr["args"]
+        for a in (reversed(args) if inverted else args):
+            _factors(a, inverted, out, ints, groups, p)
+        return
+    if op == "conj":
+        h: list[tuple[NormalWord, bool]] = []
+        _factors(expr["by"], False, h, ints, groups, p)
+        out.extend((w, not inv) for w, inv in reversed(h))
+        _factors(expr["arg"], inverted, out, ints, groups, p)
+        out.extend(h)
+        return
+    if op == "word":
+        w = parse_word(p, expr["text"])
+    elif op == "ref":
+        w = groups[expr["name"]]
+    elif op == "pow":
+        w = _word_expr(expr["base"], ints, groups, p) ** _int_expr(expr["exp"], ints, groups, p)
+    elif op == "cyclic_conjugator":
+        _, w = cyclically_reduce(p, _word_expr(expr["arg"], ints, groups, p))
+    elif op == "ab_cover_split":
+        w = _cover_split(expr, ints, groups, p)
+    else:
+        raise RecipeError(f"unknown word op {op!r}")
+    out.append((w, inverted))
+
+
+def _word_expr(expr, ints, groups, p: Presentation) -> NormalWord:
+    """The value of a word recipe, normalised once; a single factor is
+    already in normal form."""
+    factors: list[tuple[NormalWord, bool]] = []
+    _factors(expr, False, factors, ints, groups, p)
+    if len(factors) == 1 and not factors[0][1]:
+        return factors[0][0]
+    return product(p, factors)
+
+
+def _cover_split(expr, ints, groups, p: Presentation) -> NormalWord:
+    """Part ``index`` of the argument's abelian image split over the cover:
+    each nonzero coordinate goes to the first cover vertex whose star holds
+    it. The image is the signed sum of the factors' exponent sums, reduced
+    at finite-order vertices as `abelianize` reduces it."""
+    factors: list[tuple[NormalWord, bool]] = []
+    _factors(expr["arg"], False, factors, ints, groups, p)
+    sums = [0] * len(p.vertices)
+    for w, inverted in factors:
+        sign = -1 if inverted else 1
+        for i, e in enumerate(w.exponent_sums()):
+            sums[i] += sign * e
+    exclude = set(expr["exclude"])
+    cover = expr["cover"]
+    parts: list[list[tuple[str, int]]] = [[] for _ in cover]
+    for v, e in zip(p.vertices, sums):
+        k = p.order[v]
+        if k is not None:
+            e %= k
+        if not e:
+            continue
+        if v in exclude:
+            raise RecipeError(f"cover split argument has nonzero coordinate at {v}")
+        for j, u in enumerate(cover):
+            if v == u or p.adjacent(v, u):
+                parts[j].append((v, e))
+                break
+        else:
+            raise RecipeError(f"vertex {v} not covered")
+    return normalize(p, parts[expr["index"]])
 
 
 def w_word(w: NormalWord) -> dict:

@@ -35,6 +35,12 @@ same order.
 diagonalizes the whole integer matrix with unimodular row and column
 operations, where ``abelcon.abelian.solve_linear_system`` eliminates sparse
 rows one at a time. Their verdicts must agree.
+
+``nested_word_expr`` is the recipe evaluator ``witness_h10`` once ran: every
+``inv``, ``concat`` and ``conj`` normalises its own product, and
+``ab_cover_split`` abelianises its argument's word. The package now flattens
+a recipe into one product and reads the cover split off exponent sums; the
+two must build equal words.
 """
 
 from collections import deque
@@ -42,15 +48,20 @@ from dataclasses import replace
 from itertools import product
 from typing import Optional
 
+from abelcon.abelian import abelianize
+from abelcon.compilers import _int_expr
+from abelcon.errors import RecipeError
 from abelcon.instances import VarAtom, evaluate, isolate_variable
 from abelcon.words import (
     ball,
+    cyclically_reduce,
     generator_words,
     geodesic_length,
     induced_subpresentation,
     multiply,
     multiply_all,
     normalize,
+    parse_word,
     sort_key,
     support,
 )
@@ -392,3 +403,43 @@ def diagonal_solution(matrix: list[list[int]], rhs: list[int]) -> Optional[list[
                 return None
             z[i] = c[i] // d
     return [sum(V[i][j] * z[j] for j in range(n)) for i in range(n)]
+
+
+def nested_word_expr(expr, ints, groups, p):
+    """Evaluate a word recipe bottom up, one normal form per node."""
+    op = expr["op"]
+    if op == "word":
+        return parse_word(p, expr["text"])
+    if op == "ref":
+        return groups[expr["name"]]
+    if op == "pow":
+        base = nested_word_expr(expr["base"], ints, groups, p)
+        return base ** _int_expr(expr["exp"], ints, groups, p)
+    if op == "concat":
+        return multiply_all(p, [nested_word_expr(a, ints, groups, p) for a in expr["args"]])
+    if op == "inv":
+        return nested_word_expr(expr["arg"], ints, groups, p).inverse()
+    if op == "conj":  # h^-1 x h
+        x = nested_word_expr(expr["arg"], ints, groups, p)
+        return x.conjugate_by(nested_word_expr(expr["by"], ints, groups, p))
+    if op == "cyclic_conjugator":
+        return cyclically_reduce(p, nested_word_expr(expr["arg"], ints, groups, p))[1]
+    if op == "ab_cover_split":
+        vec = abelianize(p, nested_word_expr(expr["arg"], ints, groups, p))
+        exclude = set(expr["exclude"])
+        cover = expr["cover"]
+        parts = [[] for _ in cover]
+        for v in p.vertices:
+            e = vec[v]
+            if not e:
+                continue
+            if v in exclude:
+                raise RecipeError(f"cover split argument has nonzero coordinate at {v}")
+            for j, u in enumerate(cover):
+                if v == u or p.adjacent(v, u):
+                    parts[j].append((v, e))
+                    break
+            else:
+                raise RecipeError(f"vertex {v} not covered")
+        return normalize(p, parts[expr["index"]])
+    raise RecipeError(f"unknown word op {op!r}")

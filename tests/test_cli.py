@@ -489,6 +489,12 @@ BAD_INPUTS = {
     "recipe-const-string": (_first_recipe({"op": "pow", "base": {"op": "word", "text": "a"},
                                            "exp": {"op": "const", "value": "2"}}),
                             ("witness", "{inst}", "{dec}", "--solution", "x=2,y=3")),
+    # "2" times 10^8 would be a string of 10^8 characters: refused before any arithmetic
+    "recipe-const-not-int": (_first_recipe({"op": "pow", "base": {"op": "word", "text": "a b"},
+                                            "exp": {"op": "mul", "args": [
+                                                {"op": "const", "value": "2"},
+                                                {"op": "const", "value": 10 ** 8}]}}),
+                             ("witness", "{inst}", "{dec}", "--solution", "x=2,y=3")),
     "decode-names-a-non-variable": (_decode_x_from(["nope", "a"]),
                                     ("decode", "{inst}", "{dec}", "--assignment", "{asg}")),
     "sidecar-not-utf8": (lambda text: b"\xff" + text.encode(),

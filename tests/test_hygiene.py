@@ -43,18 +43,32 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
     return out
 
 
-def _referenced_names(tree: ast.Module) -> set[str]:
-    """Names loaded anywhere, string annotations included."""
-    names = set()
+def _annotations(tree: ast.AST):
+    """The annotation expressions: of arguments, of returns and of ``AnnAssign``."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            try:
-                expr = ast.parse(node.value, mode="eval")
-            except SyntaxError:
-                continue
-            names.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg):
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Names loaded anywhere, and names inside string annotations. Other
+    string constants are data, not references."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    expr = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
     return names
 
 
@@ -161,6 +175,22 @@ def test_the_public_name_check_flags_a_planted_unused_function():
     trees = {"a.py": ast.parse("def used():\n    return 1\n\n\ndef unused():\n    return unused()\n"),
              "b.py": ast.parse("from .a import used\n\nX = used()\n")}
     assert _unreferenced_public_names(trees) == ["a.py:5 unused"]
+
+
+def test_the_public_name_check_reads_strings_only_as_annotations():
+    planted = """
+def f(x: "Annotated") -> "Optional[Returned]":
+    return "named_only_in_a_string"
+
+
+MODE: "Assigned" = "raag"
+"""
+    trees = {"a.py": ast.parse("def Annotated():\n    pass\n\n\ndef Returned():\n    pass\n\n\n"
+                               "def Assigned():\n    pass\n\n\ndef named_only_in_a_string():\n"
+                               "    pass\n\n\ndef raag():\n    pass\n"),
+             "b.py": ast.parse(planted)}
+    assert _unreferenced_public_names(trees) == [
+        "a.py:13 named_only_in_a_string", "a.py:17 raag", "b.py:2 f"]
 
 
 def test_the_public_name_check_flags_a_planted_unused_method():
