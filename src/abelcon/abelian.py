@@ -70,6 +70,19 @@ def abelianize(p: Presentation, a: NormalWord) -> AbelVector:
     return AbelVector(p, a.exponent_sums())
 
 
+def abelianize_product(p: Presentation, factors: Iterable[tuple[NormalWord, bool]]) -> AbelVector:
+    """ab of the product of the factors, a factor (w, True) standing for
+    w^-1 as in `words.product`: abelianisation is a homomorphism, so this is
+    the signed sum of the factors' exponent sums, reduced once. No word is
+    multiplied."""
+    sums = [0] * len(p.vertices)
+    for w, inverted in factors:
+        _check(p, w)
+        sign = -1 if inverted else 1
+        sums = [s + sign * e for s, e in zip(sums, w.exponent_sums())]
+    return AbelVector(p, sums)
+
+
 def is_abelian_primitive(p: Presentation, v: str) -> bool:
     """In a graph product of cyclic groups a vertex generates a Z factor iff it has infinite order."""
     p.check_vertex(v)

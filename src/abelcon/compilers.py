@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Iterable, Optional, Union
 
-from .abelian import exponent_sum
+from .abelian import abelianize_product, exponent_sum
 from .errors import (
     AbelianTarget,
     DecodeInconsistency,
@@ -361,22 +361,15 @@ def _word_expr(expr, ints, groups, p: Presentation) -> NormalWord:
 def _cover_split(expr, ints, groups, p: Presentation) -> NormalWord:
     """Part ``index`` of the argument's abelian image split over the cover:
     each nonzero coordinate goes to the first cover vertex whose star holds
-    it. The image is the signed sum of the factors' exponent sums, reduced
-    at finite-order vertices as `abelianize` reduces it."""
+    it. The image is read off the argument's factors (`abelianize_product`),
+    which are not multiplied."""
     factors: list[tuple[NormalWord, bool]] = []
     _factors(expr["arg"], False, factors, ints, groups, p)
-    sums = [0] * len(p.vertices)
-    for w, inverted in factors:
-        sign = -1 if inverted else 1
-        for i, e in enumerate(w.exponent_sums()):
-            sums[i] += sign * e
+    image = abelianize_product(p, factors)
     exclude = set(expr["exclude"])
     cover = expr["cover"]
     parts: list[list[tuple[str, int]]] = [[] for _ in cover]
-    for v, e in zip(p.vertices, sums):
-        k = p.order[v]
-        if k is not None:
-            e %= k
+    for v, e in zip(p.vertices, image.coords):
         if not e:
             continue
         if v in exclude:

@@ -8,8 +8,10 @@ evaluation is pure.
 
 Abelianisation is a homomorphism, so ab:, coset: and expsum: constraints are
 linear rows on the values' exponent sums (`constraint_rows`), which the
-shadow solves and the search checks (`compile_constraint`);
-`_constraint_holds` re-checks by multiplying words, independently of both.
+shadow solves and the search checks (`compile_constraint`).
+`_constraint_holds` re-checks a witness independently of both: ab: adds up
+the images of each side's atom values (`abelianize_product`) and compares
+the two.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .abelian import AbelVector, abelianize, exponent_sum, is_abelian_primitive
+from .abelian import AbelVector, abelianize, abelianize_product, exponent_sum, is_abelian_primitive
 from .errors import (
     IncompleteAssignment,
     InfiniteAbelianisation,
@@ -74,11 +76,15 @@ class GroupTerm:
     def variables(self) -> set[str]:
         return {a.name for a in self.atoms if isinstance(a, VarAtom)}
 
+    def factors(self, asg: dict[str, NormalWord]) -> Iterator[tuple[NormalWord, bool]]:
+        """The atoms' values as `product` factors; an x^-1 atom is x's value
+        as an inverted factor."""
+        return ((a.word, False) if isinstance(a, ConstAtom) else (asg[a.name], a.inverse)
+                for a in self.atoms)
+
     def evaluate(self, p: Presentation, asg: dict[str, NormalWord]) -> NormalWord:
-        """The product of the atoms' values, normalised once; an x^-1 atom
-        is x's value as an inverted factor."""
-        return product(p, ((a.word, False) if isinstance(a, ConstAtom) else (asg[a.name], a.inverse)
-                           for a in self.atoms))
+        """The product of the atoms' values, normalised once."""
+        return product(p, self.factors(asg))
 
     def inverse(self) -> "GroupTerm":
         return GroupTerm(tuple(a.inverted() for a in reversed(self.atoms)))
@@ -206,8 +212,12 @@ class EvalResult:
 
 
 def _constraint_holds(p: Presentation, con: Constraint, asg: dict[str, NormalWord]) -> bool:
+    """con checked on the values themselves, apart from the rows that the
+    shadow and the search read. ab: compares the images of the two sides,
+    each summed from its atom values (`abelianize_product`)."""
     if isinstance(con, AbEq):
-        return abelianize(p, con.lhs.evaluate(p, asg)) == abelianize(p, con.rhs.evaluate(p, asg))
+        return (abelianize_product(p, con.lhs.factors(asg))
+                == abelianize_product(p, con.rhs.factors(asg)))
     if isinstance(con, ExpSumEq):
         total = sum(c * exponent_sum(p, asg[var], vertex) for c, var, vertex in con.terms)
         return total == con.constant
@@ -241,8 +251,8 @@ def compile_constraint(p: Presentation, con: Constraint
 
 
 def evaluate(inst: Instance, asg: dict[str, NormalWord]) -> EvalResult:
-    """The first disjunct the assignment satisfies: every equation, then every
-    constraint, checked by multiplying words (`_constraint_holds`)."""
+    """The first disjunct the assignment satisfies: every equation, checked
+    by multiplying words, then every constraint (`_constraint_holds`)."""
     missing = [v for v in inst.variables if v not in asg]
     if missing:
         raise IncompleteAssignment(f"missing values for {missing}")
@@ -556,6 +566,10 @@ class _Parser:
         self.graph_ref: Optional[str] = None
         self.variables: list[str] = []
         self.disjuncts: list[Disjunct] = []
+        # each variable's atoms, plain and inverted, and each constant's
+        # atoms by its text, so that a constant is normalised once per parse
+        self.var_atoms: dict[str, tuple[VarAtom, VarAtom]] = {}
+        self.constants: dict[str, tuple[Atom, ...]] = {}
 
     def fail(self, msg: str, ln: int) -> None:
         raise ParseError(msg, line=ln)
@@ -573,6 +587,7 @@ class _Parser:
                 if has_section:
                     self.fail("a second group/graph section", i)
                 has_section = True
+                self.constants = {}  # constants parsed so far belong to the old presentation
             if line.startswith("group "):
                 self.graph_ref = line[len("group "):].strip()
                 path = os.path.join(self.base_dir, self.graph_ref)
@@ -592,6 +607,7 @@ class _Parser:
                 self.pres = Presentation.from_text("\n".join(block))
             elif line.split()[0] == "vars":
                 self.variables.extend(line.split()[1:])
+                self.var_atoms = {v: (VarAtom(v), VarAtom(v, True)) for v in self.variables}
             elif line.startswith("disjunct"):
                 if line[len("disjunct"):].strip() != "{":
                     self.fail("expected 'disjunct {'", i)
@@ -678,26 +694,36 @@ class _Parser:
                 if pos >= len(tokens):
                     self.fail("unbalanced parenthesis", ln)
                 pos += 1
-                exp = 1
+                power = ""
                 if pos < len(tokens) and tokens[pos].startswith("^"):
-                    exp = parse_int(tokens[pos][1:], f"bad exponent {tokens[pos]!r}", ln)
+                    power = tokens[pos]
                     pos += 1
-                word = parse_word(self.pres, " ".join(inner)) ** exp
-                return ([ConstAtom(word)] if not word.is_identity() else []), coeff
+                key = f"( {' '.join(inner)} ){power}"
+                cached = self.constants.get(key)
+                if cached is None:
+                    exp = parse_int(power[1:], f"bad exponent {power!r}", ln) if power else 1
+                    word = parse_word(self.pres, " ".join(inner)) ** exp
+                    cached = self.constants[key] = const_term(word).atoms
+                return cached, coeff
             pos += 1
             name, caret, exps = tok.partition("^")
-            exp = parse_int(exps, f"bad exponent in {tok!r}", ln) if caret else 1
-            if name in self.variables:
-                if exp == 0:
-                    return [], coeff
-                return [VarAtom(name, exp < 0)] * _repeat_count(exp), coeff
-            if name == "1":
-                return [], coeff
-            try:
-                word = parse_word(self.pres, tok)
-            except UnknownVertex:
-                self.fail(f"unknown variable or vertex {name!r}", ln)
-            return [ConstAtom(word)] if not word.is_identity() else [], coeff
+            pair = self.var_atoms.get(name)
+            if pair is not None:
+                exp = parse_int(exps, f"bad exponent in {tok!r}", ln) if caret else 1
+                return (pair[exp < 0],) * _repeat_count(exp), coeff
+            cached = self.constants.get(tok)
+            if cached is None:
+                if caret:  # a bad exponent is reported with its line
+                    parse_int(exps, f"bad exponent in {tok!r}", ln)
+                if name == "1":
+                    cached = ()
+                else:
+                    try:
+                        cached = const_term(parse_word(self.pres, tok)).atoms
+                    except UnknownVertex:
+                        self.fail(f"unknown variable or vertex {name!r}", ln)
+                self.constants[tok] = cached
+            return cached, coeff
 
         while pos < len(tokens):
             factors, coeff = take_factor()

@@ -244,7 +244,10 @@ class NormalWord:
 
     def __pow__(self, n: int) -> "NormalWord":
         """The n-th power, normalised once; a negative n powers the inverse.
-        A one-syllable base v^e has the closed form v^(e*n), for any n."""
+        The first power is the word itself, and a one-syllable base v^e has
+        the closed form v^(e*n), for any n."""
+        if operator.index(n) == 1:
+            return self
         if len(self.syllables) == 1:
             (v, e), = self.syllables
             e = self.pres.reduce_exponent(v, e * operator.index(n))

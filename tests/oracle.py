@@ -36,6 +36,11 @@ diagonalizes the whole integer matrix with unimodular row and column
 operations, where ``abelcon.abelian.solve_linear_system`` eliminates sparse
 rows one at a time. Their verdicts must agree.
 
+``ab_holds_by_products`` is the check of an ``ab:`` constraint that
+``evaluate`` once ran: multiply out each side into one normal form and
+abelianise the two products. The package now sums the images of the
+values, which abelianisation, a homomorphism, allows; the two must agree.
+
 ``nested_word_expr`` is the recipe evaluator ``witness_h10`` once ran: every
 ``inv``, ``concat`` and ``conj`` normalises its own product, and
 ``ab_cover_split`` abelianises its argument's word. The package now flattens
@@ -403,6 +408,11 @@ def diagonal_solution(matrix: list[list[int]], rhs: list[int]) -> Optional[list[
                 return None
             z[i] = c[i] // d
     return [sum(V[i][j] * z[j] for j in range(n)) for i in range(n)]
+
+
+def ab_holds_by_products(p, con, asg):
+    """ab(lhs) = ab(rhs) for an AbEq, each side evaluated to its product word."""
+    return abelianize(p, con.lhs.evaluate(p, asg)) == abelianize(p, con.rhs.evaluate(p, asg))
 
 
 def nested_word_expr(expr, ints, groups, p):

@@ -1,18 +1,24 @@
-"""Differential tests of the search's compiled constraint checks.
+"""Differential tests of the constraint checks.
 
 The search checks ab:, expsum:, coset: and len: constraints as integer sums
 on each value's exponent-sum vector (`instances.compile_constraint`, which
 reads the rows of `instances.constraint_rows`, as the abelian shadow does).
-`instances._constraint_holds` evaluates the same constraints by multiplying
-group words and abelianising the product. The two must agree on every value,
-or every pair of values, of small balls over F2, the pentagon right-angled
-Coxeter group, a Z/3, Z/4, Z graph and the all-torsion Z/3 * Z/4.
+`instances._constraint_holds`, the witness re-check, checks them apart from
+those rows; for ab: it sums the images of each side's atom values. The
+reference for ab: is `tests/oracle.py::ab_holds_by_products`, which
+multiplies each side out and abelianises the product; for the other kinds
+it is `_constraint_holds`. Both checks must agree with the reference on
+every value, or every pair of values, of small balls over F2, the pentagon
+right-angled Coxeter group, a Z/3, Z/4, Z graph and the all-torsion
+Z/3 * Z/4, and on seeded random ab: constraints.
 """
 
+import random
 from itertools import product
 
 import pytest
 
+from abelcon.abelian import abelianize
 from abelcon.errors import PresentationMismatch
 from abelcon.instances import (
     AbEq,
@@ -25,6 +31,8 @@ from abelcon.instances import (
     parse_instance,
 )
 from abelcon.words import Presentation, ball, parse_word
+
+from .oracle import ab_holds_by_products
 
 PENTAGON = Presentation.racg("abcde", [(u, v) for u, v in zip("abcde", "bcdea")])
 F2 = Presentation.free("ab")
@@ -39,6 +47,7 @@ CASES = [
         "ab: X ( a b ) = ( b^-1 ) Y",            # constants on both sides
         "ab: X = Y",
         "ab: ( a b a^-1 ) = b",                  # ground
+        "ab: 1 = X^-1 Y ( b )",                  # an empty side
         "expsum: 2 |X|_a -1 |Y|_b 1 |X|_b = 1",
         "expsum: 1 |X|_a 1 |X|_a = 2",
         "len: 1 |X| -1 |Y| = 1",
@@ -48,6 +57,7 @@ CASES = [
         "ab: X ( a b ) = ( c ) Y^-1",
         "ab: X X = Y",
         "ab: X = Y",
+        "ab: X^-1 ( a c a c ) = Y 1",            # raw a- and c-sums 2 at order 2
         "coset: X in a c * G'",
         "coset: Y in 1 * G'",
         "len: 2 |X| -1 |Y| = 2",
@@ -58,6 +68,7 @@ CASES = [
         "ab: X X X = Y ( q^-1 )",
         "ab: X = Y",
         "ab: ( p q p ) = p^-1",                  # ground, raw sums 2 and -1 at order 3
+        "ab: X^-1 X^-1 = Y ( q^-1 ) 1",
         "expsum: 1 |X|_r -2 |Y|_r = 0",
         "len: 1 |X| 1 |Y| = 3",
     ]),
@@ -75,6 +86,10 @@ def _disjunct(p, lines):
     return parse_instance(text, presentation=p).disjuncts[0]
 
 
+def _reference(p, con, asg):
+    return ab_holds_by_products(p, con, asg) if isinstance(con, AbEq) else _constraint_holds(p, con, asg)
+
+
 @pytest.mark.parametrize("p, radius, lines", CASES, ids=["F2", "pentagon", "mixed", "torsion"])
 def test_compiled_checks_agree_with_constraint_holds(p, radius, lines):
     values = list(ball(p, radius))
@@ -84,11 +99,60 @@ def test_compiled_checks_agree_with_constraint_holds(p, radius, lines):
         held = 0
         for x, y in product(values, repeat=2):
             asg = {"X": x, "Y": y}
-            expected = _constraint_holds(p, con, asg)
+            expected = _reference(p, con, asg)
             assert check(asg) == expected, (con, x, y)
+            assert _constraint_holds(p, con, asg) == expected, (con, x, y)
             held += expected
         if constraint_variables(con):
             assert 0 < held < len(values) ** 2, con  # the check decides something
+
+
+def _random_ab_constraints(p, rng, count):
+    """ab: constraints over X, Y, Z: half of them random sides, half a
+    right side that shuffles the left one's atoms, inserts constants of
+    image 0 (raw sums that differ by the order at a finite-order vertex)
+    and may invert one variable atom, so that about half of them hold."""
+    words = [w for w in ball(p, 2) if not w.is_identity()]
+    zero = [w for w in ball(p, 4) if not any(abelianize(p, w).coords) and any(w.exponent_sums())]
+
+    def atom():
+        if rng.random() < 0.6:
+            return VarAtom(rng.choice("XYZ"), rng.random() < 0.5)
+        return ConstAtom(rng.choice(words))
+
+    def side():
+        return [atom() for _ in range(rng.randrange(5))]  # may be empty
+
+    for _ in range(count):
+        lhs = side()
+        if rng.random() < 0.5:
+            rhs = side()
+        else:
+            rhs = lhs + [ConstAtom(rng.choice(zero)) for _ in range(rng.randrange(3) if zero else 0)]
+            rng.shuffle(rhs)
+            flip = [i for i, a in enumerate(rhs) if isinstance(a, VarAtom)]
+            if flip and rng.random() < 0.3:
+                i = rng.choice(flip)
+                rhs[i] = rhs[i].inverted()
+        yield AbEq(GroupTerm(tuple(lhs)), GroupTerm(tuple(rhs)))
+
+
+@pytest.mark.parametrize("p", [F2, PENTAGON, MIXED], ids=["F2", "pentagon", "mixed"])
+def test_random_ab_checks_agree_with_the_product_reference(p):
+    rng = random.Random(2204)
+    values = list(ball(p, 2))
+    held = 0
+    cases = 0
+    for con in _random_ab_constraints(p, rng, 300):
+        check = compile_constraint(p, con)
+        for _ in range(4):
+            asg = {v: rng.choice(values) for v in "XYZ"}
+            expected = ab_holds_by_products(p, con, asg)
+            assert _constraint_holds(p, con, asg) == expected, (con, asg)
+            assert check(asg) == expected, (con, asg)
+            held += expected
+            cases += 1
+    assert 0.2 * cases < held < 0.8 * cases, (held, cases)
 
 
 def test_finite_order_sums_that_differ_by_the_order_are_equal():

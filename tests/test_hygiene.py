@@ -14,7 +14,10 @@ is bounded: an ``lru_cache`` with an explicit integer ``maxsize``. Only
 ``search.py`` builds a Cayley ball: the word algebra constructs its answers
 directly. ``search.py`` names no constraint class and neither ``linear_form``
 nor ``abelian_sides``: ``instances.compile_constraint`` is its one view of a
-constraint. Every error class in ``errors.py`` but the base ``AbelconError``
+constraint. The witness re-check ``instances._constraint_holds`` names none
+of ``constraint_rows``, ``linear_form``, ``abelian_sides``,
+``compile_constraint``, ``product`` or ``evaluate``: it checks on the
+values themselves. Every error class in ``errors.py`` but the base ``AbelconError``
 is raised somewhere in the package.
 """
 
@@ -416,6 +419,53 @@ def test_search_names_no_constraint_class():
     path = SRC / "search.py"
     lines = _lines_naming(ast.parse(path.read_text(encoding="utf-8")), CONSTRAINT_NAMES)
     assert not lines, f"search.py: use instances.compile_constraint, lines {lines}"
+
+
+# what the witness re-check leaves to the shadow and the walk, and the
+# products of words it no longer builds (`GroupTerm.evaluate` is one)
+WITNESS_CHECK_NAMES = {"constraint_rows", "linear_form", "abelian_sides", "compile_constraint",
+                       "product", "evaluate"}
+
+
+def _lines_naming_in_function(tree: ast.Module, function: str, names: set[str]) -> list[int]:
+    """Lines of the module-level function that name one of names, or a name
+    the module imports one of them under."""
+    aliases = {a.asname for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+               for a in node.names if a.asname and a.name.rpartition(".")[2] in names}
+    body = [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == function]
+    assert body, f"no module-level function {function}"
+    return _lines_naming(body[0], names | aliases)
+
+
+def test_the_witness_check_rule_sees_every_spelling():
+    code = """
+from .words import product as prod
+from . import instances
+
+
+def _constraint_holds(p, con, asg):
+    if con:
+        return prod(p, [])
+    if asg:
+        return instances.compile_constraint(p, con)(asg)
+    if p:
+        return con.lhs.evaluate(p, asg)
+    return linear_form(p, [])
+
+
+def elsewhere(p):
+    return product(p, constraint_rows(p, None))
+"""
+    assert _lines_naming_in_function(ast.parse(code), "_constraint_holds",
+                                     WITNESS_CHECK_NAMES) == [8, 10, 12, 13]
+
+
+def test_the_witness_check_shares_nothing_with_the_walk():
+    path = SRC / "instances.py"
+    lines = _lines_naming_in_function(ast.parse(path.read_text(encoding="utf-8")),
+                                      "_constraint_holds", WITNESS_CHECK_NAMES)
+    assert not lines, f"instances.py: _constraint_holds checks on the values themselves, lines {lines}"
 
 
 def _raised_names(tree: ast.Module) -> set[str]:

@@ -1,10 +1,16 @@
+import importlib
+import importlib.util
 import random
+import sys
+from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 import abelcon.instances as instances_mod
 from abelcon.abelian import solve_linear_system
+from abelcon.compilers import compile_h10_free, compile_h10_raag, parse_h10
 from abelcon.errors import (
     IncompleteAssignment,
     InfiniteAbelianisation,
@@ -123,6 +129,98 @@ disjunct {
 """
     inst = parse_instance(text)
     assert parse_instance(print_instance(inst)) == inst
+
+
+REPEATED_CONSTANTS = """vars X Y
+disjunct {
+  eq X ( a b a^-1 ) Y ( a b a^-1 ) a^2 = 1
+  eq Y a^2 X^-1 ( a b a^-1 )^2 b = 1
+  ab: X ( a b a^-1 ) = 2*b a^2
+}
+disjunct {
+  eq X ( a b a^-1 ) = 1 ; ab: X = -1*a^2
+}
+"""
+
+
+def test_each_distinct_constant_is_normalised_once_per_parse(f2, monkeypatch):
+    words_mod = importlib.import_module("abelcon.words")
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(words_mod, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(words_mod, name, wrapped)
+
+    spy("normalize")
+    spy("product")
+    parsed = []
+    for _ in range(2):  # a second parse shares no memo with the first
+        calls.clear()
+        parsed.append(parse_instance(REPEATED_CONSTANTS, presentation=f2))
+        # ( a b a^-1 ), a^2, ( a b a^-1 )^2 and b. The products are the
+        # square and the inverse of a^2 under -1*; the first power of
+        # ( a b a^-1 ) is the word itself
+        assert calls == {"normalize": 4, "product": 2}
+    assert parsed[0] == parsed[1]
+    eqs = parsed[0].disjuncts[0].equations
+    assert eqs[0].atoms[1] == ConstAtom(W(f2, "a b a^-1"))
+    assert eqs[1].atoms[3] == ConstAtom(W(f2, "a b^2 a^-1"))
+    assert parsed[0].disjuncts[1].constraints[0].rhs.atoms == (ConstAtom(W(f2, "a^-2")),)
+
+
+def test_a_later_vars_line_declares_more_variables(f2):
+    text = "vars X\ndisjunct {\n  eq X a = 1\n}\nvars Y\ndisjunct {\n  eq X Y^-2 = 1\n}\n"
+    inst = parse_instance(text, presentation=f2)
+    assert inst.variables == ("X", "Y")
+    assert inst.disjuncts[1].equations[0].atoms == (VarAtom("X"),) + (VarAtom("Y", True),) * 2
+
+
+def test_constants_after_a_graph_section_are_words_of_its_group(f2):
+    text = ("vars X\ndisjunct {\n  eq X a = 1\n}\ngraph {\n  vertex a 2\n}\n"
+            "disjunct {\n  eq X a = 1\n}\n")
+    inst = parse_instance(text, presentation=f2)
+    first, second = (d.equations[0].atoms[1].word for d in inst.disjuncts)
+    assert first.pres == f2 and second.pres == inst.presentation != f2
+
+
+def test_a_bad_token_repeated_reports_its_first_line():
+    for bad in ("c", "a^x", "( a )^x", "X^y"):
+        text = F2_HEADER + f"vars X\ndisjunct {{\n  eq X {bad} = 1\n  eq {bad} X = 1\n}}\n"
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert err.value.line == 7, bad
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_printed_benchmark_instances_reparse_and_reprint_unchanged():
+    wl = _perfbench_workloads()
+    texts = []
+    for name, compile_ in (("h10_search", lambda h, p, r: compile_h10_free(h, p, r.mode)),
+                           ("raag_roundtrip", lambda h, p, r: compile_h10_raag(h, p))):
+        pool = wl.WORKLOADS[name].generate(7)
+        pres = {g: Presentation.from_text(t) for g, t in pool.graphs.items()}
+        for req in pool.requests:
+            inst = compile_(parse_h10(req.text), pres[req.graph], req).instance
+            texts.append(print_instance(inst))
+    pool = wl.WORKLOADS["shadow_mixed"].generate(7)
+    pres = {g: Presentation.from_text(t) for g, t in pool.graphs.items()}
+    texts += [print_instance(parse_instance(req.text, presentation=pres[req.graph]))
+              for req in pool.requests]
+    assert len(texts) == 115 + 150 + 2400
+    for text in texts:
+        assert print_instance(parse_instance(text)) == text
 
 
 def test_round_trip_group_file(tmp_path, gamma1):

@@ -202,22 +202,39 @@ def test_centralizer_caches_are_bounded():
 def test_the_walk_makes_no_group_word_constraint_check(monkeypatch):
     """Constraints are checked on cached exponent sums: neither abelianize
     nor _constraint_holds runs per node, and only the witness re-check,
-    `evaluate`, calls them."""
+    `evaluate`, calls _constraint_holds, which multiplies no words."""
     instances_mod = importlib.import_module("abelcon.instances")
     search_mod = importlib.import_module("abelcon.search")
+    words_mod = importlib.import_module("abelcon.words")
     calls = Counter()
+    inside = []
 
     def spy(module, name):
         real = getattr(module, name)
 
         def wrapped(*args):
             calls[name] += 1
-            return real(*args)
+            inside.append(name)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
         monkeypatch.setattr(module, name, wrapped)
+
+    def product_spy(module):
+        real = module.product
+
+        def wrapped(*args):
+            if "_constraint_holds" in inside:
+                calls["product in _constraint_holds"] += 1
+            return real(*args)
+        monkeypatch.setattr(module, "product", wrapped)
 
     spy(instances_mod, "_constraint_holds")
     spy(instances_mod, "abelianize")
     spy(search_mod, "evaluate")
+    product_spy(instances_mod)
+    product_spy(words_mod)
     body = ("vars X Y\ndisjunct {{\n  eq X X^-1 = 1\n  expsum: 1 |X|_a -1 |Y|_b = 0\n"
             "  len: 1 |X| 1 |Y| = {n}\n  ab: X Y = ( {w} )\n}}\n")
     runs = {}
@@ -231,7 +248,8 @@ def test_the_walk_makes_no_group_word_constraint_check(monkeypatch):
         verdict, nodes, seen = runs[key]
         assert verdict == NO_SOLUTION_UP_TO_BOUND and nodes > 10 and not seen, runs
     assert runs[3, 4, "a^3 b^3"][1] > runs[2, 4, "a^3 b^3"][1]
-    # a witness: one evaluate, checking each constraint once, 2 images per ab:
+    # a witness: one evaluate, checking each constraint once; the ab: check
+    # sums the values' images and builds no product word
     verdict, nodes, seen = runs[3, 4, "a b"]
     assert verdict == WITNESS
-    assert seen == {"evaluate": 1, "_constraint_holds": 3, "abelianize": 2}, runs
+    assert seen == {"evaluate": 1, "_constraint_holds": 3}, runs
