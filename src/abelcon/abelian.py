@@ -20,8 +20,7 @@ against the original system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import NotAbelianPrimitive, ParseError
 from .words import NormalWord, Presentation, _check, format_int, parse_int
@@ -105,8 +104,7 @@ def exponent_sum(p: Presentation, a: NormalWord, v: str) -> int:
 # integer linear systems
 
 
-@dataclass(frozen=True)
-class LinearEquation:
+class LinearEquation(NamedTuple):
     """sum(coeffs[x] * x) = constant, exactly or modulo a fixed modulus."""
     coeffs: tuple[tuple[str, int], ...]
     constant: int
@@ -119,8 +117,7 @@ class LinearEquation:
         return (total - self.constant) % self.modulus == 0
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(NamedTuple):
     equations: tuple[LinearEquation, ...]
 
     def variables(self) -> list[str]:
@@ -134,8 +131,7 @@ class LinearSystem:
         return all(eq.holds(values) for eq in self.equations)
 
 
-@dataclass(frozen=True)
-class SolvabilityResult:
+class SolvabilityResult(NamedTuple):
     status: str  # "SAT" | "UNSAT"
     witness: Optional[dict[str, int]] = None
 

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .abelian import abelianize_product, exponent_sum
 from .errors import (
@@ -84,8 +83,7 @@ _VAR_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 # polynomial systems
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     coeff: int
     vars: tuple[str, ...]  # with repetition for powers
 
@@ -96,8 +94,7 @@ class Monomial:
         return out
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(NamedTuple):
     """Sum of monomials, constrained to equal zero."""
     monomials: tuple[Monomial, ...]
 
@@ -105,16 +102,22 @@ class Polynomial:
         return sum(m.evaluate(values) for m in self.monomials)
 
 
-@dataclass(frozen=True)
-class H10Instance:
+class _H10Fields(NamedTuple):
     polynomials: tuple[Polynomial, ...]
 
-    def __post_init__(self):
-        if not self.polynomials:
+
+class H10Instance(_H10Fields):
+    """A polynomial system, validated when built (`_replace` skips the checks)."""
+    __slots__ = ()
+
+    def __new__(cls, polynomials: tuple[Polynomial, ...]):
+        self = super().__new__(cls, polynomials)
+        if not polynomials:
             raise ParseError("at least one polynomial equation required")
         for v in self.variables():
             if not _VAR_RE.match(v):
                 raise ParseError(f"bad integer variable name {v!r}")
+        return self
 
     def variables(self) -> tuple[str, ...]:
         seen: dict[str, None] = {}
@@ -158,28 +161,24 @@ def print_h10(h: H10Instance) -> str:
 # atomization
 
 
-@dataclass(frozen=True)
-class ConstDef:
+class ConstDef(NamedTuple):
     var: str
     value: int
 
 
-@dataclass(frozen=True)
-class SumDef:
+class SumDef(NamedTuple):
     var: str  # var = left + right
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class ProdDef:
+class ProdDef(NamedTuple):
     var: str  # var = left * right
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class EqDef:
+class EqDef(NamedTuple):
     left: str
     right: str
 
@@ -187,8 +186,7 @@ class EqDef:
 H10Atom = Union[ConstDef, SumDef, ProdDef, EqDef]
 
 
-@dataclass(frozen=True)
-class AtomizedH10:
+class AtomizedH10(NamedTuple):
     source_vars: tuple[str, ...]
     atoms: tuple[H10Atom, ...]
 
@@ -446,8 +444,7 @@ def _term_wexpr(term: GroupTerm) -> dict:
 # compiled reductions
 
 
-@dataclass
-class CompiledReduction:
+class CompiledReduction(NamedTuple):
     instance: Instance
     decode: dict[str, tuple[str, str]]  # integer var -> (group var, reference vertex)
     recipes: tuple[tuple[str, dict], ...]  # (group var, word expression) in order
@@ -725,6 +722,11 @@ def compile_h10_raag(h: H10Instance, target: Presentation) -> CompiledReduction:
     atomized = atomize(h)
     em = _Emitter()
     avar: dict[str, str] = {}
+    # the constant atoms of [z, u] for each cover vertex u, built once
+    cover_atoms: dict[str, tuple[ConstAtom, ConstAtom]] = {}
+    for u in dict.fromkeys(cover1 + cover2):
+        w = parse_word(p, u)
+        cover_atoms[u] = ConstAtom(w), ConstAtom(w.inverse())
 
     def zero_gadget(term: GroupTerm, module: tuple[str, ...], cover: list[str]) -> None:
         """|term|_s = 0 for all s in the module, via the star cover of its complement."""
@@ -732,7 +734,8 @@ def compile_h10_raag(h: H10Instance, target: Presentation) -> CompiledReduction:
         arg = _term_wexpr(term)
         for j, u in enumerate(cover):
             z = em.add_var(em.fresh("z"), w_cover_split(arg, module, cover, j))
-            em.equations.append(commutator_term(z, parse_word(p, u)))
+            u_atom, u_inverse = cover_atoms[u]
+            em.equations.append(GroupTerm((VarAtom(z), u_atom, VarAtom(z, True), u_inverse)))
             zs.append(z)
         em.constraints.append(AbEq(term, GroupTerm(tuple(VarAtom(z) for z in zs))))
 
@@ -867,8 +870,7 @@ PLACEHOLDER = "$"
 Template = tuple[tuple[GroupTerm, ...], ...]
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(NamedTuple):
     """Interpret a target group inside a source group by equations.
 
     The domain formula has one argument; multiplication means

@@ -7,15 +7,13 @@ join decomposition of the graph into direct factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import EmptySet
 from .words import Presentation, _noncommutation_components
 
 
-@dataclass(frozen=True)
-class WeakModule:
+class WeakModule(NamedTuple):
     """Maximal clique of star-minimal vertices with a common star."""
     vertices: tuple[str, ...]
 

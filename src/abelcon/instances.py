@@ -12,14 +12,21 @@ shadow solves and the search checks (`compile_constraint`).
 `_constraint_holds` re-checks a witness independently of both: ab: adds up
 the images of each side's atom values (`abelianize_product`) and compares
 the two.
+
+The records here and in `abelian`, `compilers` and `graphs` are
+`NamedTuple`s: they compare and hash as the tuples of their fields, so two
+kinds with the same field shape compare equal. Of the kinds that share a
+collection, only two pairs share a shape. A `compilers.SumDef` and a
+`ProdDef` never have equal fields, because `atomize` names their variables
+`_s...` and `_p...`. An `ExpSumEq` and a `LengthEq` with no terms are equal,
+and both state 0 = constant.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .abelian import AbelVector, abelianize, abelianize_product, exponent_sum, is_abelian_primitive
 from .errors import (
@@ -48,8 +55,7 @@ from .words import (
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
-@dataclass(frozen=True)
-class VarAtom:
+class VarAtom(NamedTuple):
     name: str
     inverse: bool = False
 
@@ -57,8 +63,7 @@ class VarAtom:
         return VarAtom(self.name, not self.inverse)
 
 
-@dataclass(frozen=True)
-class ConstAtom:
+class ConstAtom(NamedTuple):
     word: NormalWord
 
     def inverted(self) -> "ConstAtom":
@@ -68,8 +73,7 @@ class ConstAtom:
 Atom = Union[VarAtom, ConstAtom]
 
 
-@dataclass(frozen=True)
-class GroupTerm:
+class GroupTerm(NamedTuple):
     """A product of variables, inverted variables, and constant words."""
     atoms: tuple[Atom, ...]
 
@@ -106,29 +110,25 @@ def commutator_term(x: str, w: NormalWord) -> GroupTerm:
     return GroupTerm((VarAtom(x), ConstAtom(w), VarAtom(x, True), ConstAtom(w.inverse())))
 
 
-@dataclass(frozen=True)
-class AbEq:
+class AbEq(NamedTuple):
     """ab(lhs) = ab(rhs) in the abelianisation."""
     lhs: GroupTerm
     rhs: GroupTerm
 
 
-@dataclass(frozen=True)
-class ExpSumEq:
+class ExpSumEq(NamedTuple):
     """sum(coeff * |var|_vertex) = constant over abelian-primitive vertices."""
     terms: tuple[tuple[int, str, str], ...]  # (coeff, variable, vertex)
     constant: int
 
 
-@dataclass(frozen=True)
-class LengthEq:
+class LengthEq(NamedTuple):
     """sum(coeff * |var|) = constant in geodesic length; evaluable but never pruned on."""
     terms: tuple[tuple[int, str], ...]
     constant: int
 
 
-@dataclass(frozen=True)
-class Coset:
+class Coset(NamedTuple):
     """variable lies in rep * G' (commutator subgroup coset)."""
     variable: str
     rep: NormalWord
@@ -150,35 +150,42 @@ def constraint_variables(con: Constraint) -> set[str]:
     raise TypeError(f"unknown constraint {con!r}")
 
 
-@dataclass(frozen=True)
-class Disjunct:
+class Disjunct(NamedTuple):
     equations: tuple[GroupTerm, ...]
     constraints: tuple[Constraint, ...]
 
 
-@dataclass(frozen=True)
-class Instance:
+class _InstanceFields(NamedTuple):
     presentation: Presentation
     variables: tuple[str, ...]
     disjuncts: tuple[Disjunct, ...]
     graph_ref: Optional[str] = None
 
-    def __post_init__(self):
-        if not self.disjuncts:
+
+class Instance(_InstanceFields):
+    """A disjunction of systems over one presentation, validated when built.
+    `_replace` skips the checks: build a changed instance with `Instance(...)`."""
+    __slots__ = ()
+
+    def __new__(cls, presentation: Presentation, variables: tuple[str, ...],
+                disjuncts: tuple[Disjunct, ...], graph_ref: Optional[str] = None):
+        self = super().__new__(cls, presentation, variables, disjuncts, graph_ref)
+        if not disjuncts:
             raise ParseError("instance needs at least one disjunct")
-        declared = set(self.variables)
-        if len(declared) != len(self.variables):
+        declared = set(variables)
+        if len(declared) != len(variables):
             raise ParseError("duplicate variable names")
-        for v in self.variables:
+        for v in variables:
             if not _NAME_RE.match(v):
                 raise ParseError(f"bad variable name {v!r}")
-            if v in self.presentation.index:
+            if v in presentation.index:
                 raise ParseError(f"variable {v!r} collides with a vertex name")
-        for d in self.disjuncts:
+        for d in disjuncts:
             for term in d.equations:
                 self._check_term(term, declared)
             for con in d.constraints:
                 self._check_constraint(con, declared)
+        return self
 
     def _check_term(self, term: GroupTerm, declared: set[str]) -> None:
         for a in term.atoms:
@@ -202,8 +209,7 @@ class Instance:
 # evaluation
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     satisfied: bool
     disjunct: Optional[int]
 
@@ -574,6 +580,14 @@ class _Parser:
     def fail(self, msg: str, ln: int) -> None:
         raise ParseError(msg, line=ln)
 
+    def word(self, text: str, ln: int) -> NormalWord:
+        """`parse_word` over the current presentation; its errors, which
+        carry no line, are raised again as ParseError at line ln."""
+        try:
+            return parse_word(self.pres, text)
+        except (ParseError, UnknownVertex) as exc:
+            raise ParseError(str(exc), line=ln) from None
+
     def parse(self) -> Instance:
         i = 0
         n = len(self.lines)
@@ -702,7 +716,7 @@ class _Parser:
                 cached = self.constants.get(key)
                 if cached is None:
                     exp = parse_int(power[1:], f"bad exponent {power!r}", ln) if power else 1
-                    word = parse_word(self.pres, " ".join(inner)) ** exp
+                    word = self.word(" ".join(inner), ln) ** exp
                     cached = self.constants[key] = const_term(word).atoms
                 return cached, coeff
             pos += 1
@@ -722,6 +736,8 @@ class _Parser:
                         cached = const_term(parse_word(self.pres, tok)).atoms
                     except UnknownVertex:
                         self.fail(f"unknown variable or vertex {name!r}", ln)
+                    except ParseError as exc:  # an exponent on a run like ab^2
+                        self.fail(str(exc), ln)
                 self.constants[tok] = cached
             return cached, coeff
 
@@ -758,7 +774,7 @@ class _Parser:
         m = re.match(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s+in\s+(.*?)\s*\*\s*G'\s*$", text)
         if not m:
             self.fail(f"expected 'X in <word> * G'', got {text!r}", ln)
-        return Coset(m.group(1), parse_word(self.pres, m.group(2)))
+        return Coset(m.group(1), self.word(m.group(2), ln))
 
 
 def parse_instance(text: str, base_dir: Optional[str] = None,

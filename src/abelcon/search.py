@@ -79,6 +79,10 @@ NO_SOLUTION_UP_TO_BOUND = "NoSolutionUpToBound"
 UNSAT_BY_SHADOW = "UnsatByShadow"
 
 
+# The one record kept a dataclass: perfbench/test_perfbench.py swaps a
+# report's verdict with `dataclasses.replace`. On a NamedTuple that raises
+# TypeError, which the test counts as a failed request, so it would pass
+# without testing anything.
 @dataclass(frozen=True)
 class SearchReport:
     verdict: str

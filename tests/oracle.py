@@ -49,14 +49,13 @@ two must build equal words.
 """
 
 from collections import deque
-from dataclasses import replace
 from itertools import product
 from typing import Optional
 
 from abelcon.abelian import abelianize
 from abelcon.compilers import _int_expr
 from abelcon.errors import RecipeError
-from abelcon.instances import VarAtom, evaluate, isolate_variable
+from abelcon.instances import Instance, VarAtom, evaluate, isolate_variable
 from abelcon.words import (
     ball,
     cyclically_reduce,
@@ -241,7 +240,9 @@ def forced_extension(inst_flat, disjunct, base):
 
 def disjunct_holds(inst, disjunct, asg):
     """True iff asg satisfies the given disjunct of inst (not just some disjunct)."""
-    return evaluate(replace(inst, disjuncts=(inst.disjuncts[disjunct],)), asg).satisfied
+    one = Instance(inst.presentation, inst.variables, (inst.disjuncts[disjunct],),
+                   inst.graph_ref)
+    return evaluate(one, asg).satisfied
 
 
 def _movable(pres, syllables, i, later):

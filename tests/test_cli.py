@@ -465,6 +465,7 @@ BAD_INSTANCES = {
     "second-group.inst": "group f2.graph\nvars X\ndisjunct {\n  eq X = 1\n}\ngroup gamma1.graph\n",
     "group-then-graph.inst": "group f2.graph\ngraph {\nvertex a inf\n}\nvars X\n"
                              "disjunct {\n  eq X = 1\n}\n",
+    "unknown-vertex-in-parens.inst": "group f2.graph\nvars X\ndisjunct {\n  eq X ( a c ) = 1\n}\n",
 }
 
 
@@ -514,7 +515,12 @@ BAD_INPUTS = {
                                               "--solution", "x=2,y=3,x=2")),
     "verify-hint-names-x-twice": (None, ("verify", "{inst}", "{dec}", "--bound", "1",
                                          "--hint", "x=2,y=3,x=2")),
+    "solve-unknown-vertex-in-parens": (None, ("solve", "{dir}/unknown-vertex-in-parens.inst",
+                                              "--bound", "1")),
 }
+
+# the line a case's error names
+ERROR_LINES = {"solve-unknown-vertex-in-parens": 4}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -534,6 +540,8 @@ def test_bad_input_is_an_error_not_a_no(files, capsys, case):
                                           dir=files) for a in argv))
     assert code == 3
     assert err.startswith("error: ") and "Traceback" not in err
+    if case in ERROR_LINES:
+        assert err.rstrip().endswith(f"(line {ERROR_LINES[case]})")
 
 
 def test_one_syllable_powers_take_any_exponent(files, capsys):

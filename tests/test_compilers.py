@@ -245,7 +245,7 @@ def test_a_recipe_nested_too_deep_is_a_typed_error(fs):
     name, expr = cr.recipes[0]
     for _ in range(100_000):  # deeper than any recursion limit
         expr = {"op": "inv", "arg": expr}
-    cr.recipes = ((name, expr),) + cr.recipes[1:]
+    cr = cr._replace(recipes=((name, expr),) + cr.recipes[1:])
     with pytest.raises(RecipeError, match="cannot be evaluated"):
         witness_h10(cr, {"x": 1, "y": 4, "z": 4})
     doc = json.loads(compile_h10_free(parse_h10(XY_EQ_Z), fs).sidecar_json())

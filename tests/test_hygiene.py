@@ -18,7 +18,9 @@ constraint. The witness re-check ``instances._constraint_holds`` names none
 of ``constraint_rows``, ``linear_form``, ``abelian_sides``,
 ``compile_constraint``, ``product`` or ``evaluate``: it checks on the
 values themselves. Every error class in ``errors.py`` but the base ``AbelconError``
-is raised somewhere in the package.
+is raised somewhere in the package. The only dataclass is
+``search.SearchReport`` (its comment says why): every other record is a
+``NamedTuple``, as a dataclass compiles generated methods on each import.
 """
 
 import ast
@@ -509,3 +511,49 @@ def test_every_error_class_is_raised():
     for path in SRC.glob("*.py"):
         raised |= _raised_names(ast.parse(path.read_text(encoding="utf-8")))
     assert classes <= raised, f"error classes nothing raises: {sorted(classes - raised)}"
+
+
+def _dataclass_classes(tree: ast.Module) -> list[str]:
+    """Names of the classes decorated as dataclasses: ``@dataclass``, called
+    or not, by any name it is imported under, or as ``<module>.dataclass``."""
+    names = {"dataclass"} | {a.asname or a.name for node in ast.walk(tree)
+                             if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                             for a in node.names if a.name == "dataclass"}
+
+    def is_dataclass(dec) -> bool:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        return (isinstance(dec, ast.Name) and dec.id in names
+                or isinstance(dec, ast.Attribute) and dec.attr == "dataclass")
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))]
+
+
+def test_the_dataclass_check_sees_every_spelling():
+    code = """
+import dataclasses
+import functools
+from dataclasses import dataclass as record
+from typing import NamedTuple
+
+@dataclasses.dataclass(frozen=True)
+class A:
+    x: int
+
+@record
+class B:
+    x: int
+
+class C(NamedTuple):
+    x: int
+
+@functools.total_ordering
+class D:
+    pass
+"""
+    assert _dataclass_classes(ast.parse(code)) == ["A", "B"]
+
+
+def test_only_the_search_report_is_a_dataclass():
+    found = {f"{path.stem}.{name}" for path in SRC.glob("*.py")
+             for name in _dataclass_classes(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == {"search.SearchReport"}, f"records are NamedTuples: {sorted(found)}"
