@@ -62,7 +62,6 @@ from .words import (
     CentralizerDesc,
     NormalWord,
     Presentation,
-    Syllable,
     block_decomposition,
     centralizer_generators,
     cyclically_reduce,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import NotAbelianPrimitive, ParseError
-from .words import NormalWord, Presentation, _check, format_int, parse_int
+from .words import NormalWord, Presentation, _check, content_lines, format_int, parse_int
 
 
 class AbelVector:
@@ -142,10 +142,7 @@ class SolvabilityResult(NamedTuple):
 def parse_linear_system(text: str) -> LinearSystem:
     """One equation per line: ``3 x -1 y = 5`` optionally followed by ``mod 4``."""
     eqs = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in content_lines(text):
         tokens = line.split()
         modulus = None
         if len(tokens) >= 2 and tokens[-2] == "mod":

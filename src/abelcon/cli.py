@@ -35,11 +35,13 @@ from .search import (
 from .words import (
     Presentation,
     centralizer_generators,
+    content_lines,
     format_int,
     format_word,
     geodesic_length,
     parse_int,
     parse_word,
+    parse_word_at,
 )
 from .abelian import exponent_sum
 
@@ -77,15 +79,13 @@ def _parse_int_solution(text: str) -> dict[str, int]:
 
 
 def _parse_assignment(pres, text: str):
+    """``name = word`` lines; an error names its line."""
     out = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in content_lines(text):
         name, sep, word = line.partition("=")
         if not sep:
-            raise AbelconError(f"bad assignment line {line!r}")
-        out[name.strip()] = parse_word(pres, word.strip())
+            raise ParseError(f"bad assignment line {line!r}", line=ln)
+        out[name.strip()] = parse_word_at(pres, word, ln)
     return out
 
 

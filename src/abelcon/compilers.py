@@ -65,6 +65,7 @@ from .instances import (
 from .words import (
     NormalWord,
     Presentation,
+    content_lines,
     cyclically_reduce,
     format_word,
     induced_subpresentation,
@@ -134,18 +135,16 @@ class H10Instance(_H10Fields):
 def parse_h10(text: str) -> H10Instance:
     """One equation per line in expanded monomial form: ``1*x*y -1*z = 0``."""
     polys = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in content_lines(text):
         if not line.endswith("= 0"):
             raise ParseError("polynomial line must end with '= 0'", line=ln)
         monomials = []
         for tok in line[:-3].split():
             parts = tok.split("*")
             coeff = parse_int(parts[0], f"monomial must start with an integer: {tok!r}", ln)
-            monomials.append(Monomial(coeff, tuple(parts[1:])))
-        polys.append(Polynomial(tuple(m for m in monomials if m.coeff)))
+            if coeff:
+                monomials.append(Monomial(coeff, tuple(parts[1:])))
+        polys.append(Polynomial(tuple(monomials)))
     return H10Instance(tuple(polys))
 
 

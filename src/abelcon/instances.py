@@ -44,11 +44,13 @@ from .words import (
     _check,
     _repeat_count,
     centralizer_generators,
+    content_lines,
     format_word,
     geodesic_length,
     multiply,
     parse_int,
     parse_word,
+    parse_word_at,
     product,
 )
 
@@ -565,8 +567,7 @@ def print_instance(inst: Instance) -> str:
 
 
 class _Parser:
-    def __init__(self, text: str, base_dir: Optional[str], presentation: Optional[Presentation]):
-        self.lines = text.splitlines()
+    def __init__(self, base_dir: Optional[str], presentation: Optional[Presentation]):
         self.base_dir = base_dir or "."
         self.pres = presentation
         self.graph_ref: Optional[str] = None
@@ -580,26 +581,23 @@ class _Parser:
     def fail(self, msg: str, ln: int) -> None:
         raise ParseError(msg, line=ln)
 
-    def word(self, text: str, ln: int) -> NormalWord:
-        """`parse_word` over the current presentation; its errors, which
-        carry no line, are raised again as ParseError at line ln."""
-        try:
-            return parse_word(self.pres, text)
-        except (ParseError, UnknownVertex) as exc:
-            raise ParseError(str(exc), line=ln) from None
+    def block(self, lines: Iterator[tuple[int, str]], opened: int,
+              kind: str) -> Iterator[tuple[int, str]]:
+        """The numbered lines of the block opened at line `opened`, taken from
+        the file's own iterator up to the closing ``}``."""
+        for numbered in lines:
+            if numbered[1] == "}":
+                return
+            yield numbered
+        self.fail(f"unterminated {kind} block", opened)
 
-    def parse(self) -> Instance:
-        i = 0
-        n = len(self.lines)
+    def parse(self, text: str) -> Instance:
+        lines = content_lines(text)
         has_section = False
-        while i < n:
-            line = self.lines[i].split("#", 1)[0].strip()
-            i += 1
-            if not line:
-                continue
+        for ln, line in lines:
             if line.startswith("group ") or line == "graph {":
                 if has_section:
-                    self.fail("a second group/graph section", i)
+                    self.fail("a second group/graph section", ln)
                 has_section = True
                 self.constants = {}  # constants parsed so far belong to the old presentation
             if line.startswith("group "):
@@ -609,75 +607,59 @@ class _Parser:
                     with open(path, encoding="utf-8") as fh:
                         self.pres = Presentation.from_text(fh.read())
                 except (OSError, UnicodeDecodeError) as exc:
-                    self.fail(f"cannot read graph file {path!r}: {exc}", i)
+                    self.fail(f"cannot read graph file {path!r}: {exc}", ln)
             elif line == "graph {":
-                block = []
-                while i < n and self.lines[i].split("#", 1)[0].strip() != "}":
-                    block.append(self.lines[i])
-                    i += 1
-                if i >= n:
-                    self.fail("unterminated graph block", i)
-                i += 1
-                self.pres = Presentation.from_text("\n".join(block))
+                self.pres = Presentation.from_lines(self.block(lines, ln, "graph"))
             elif line.split()[0] == "vars":
                 self.variables.extend(line.split()[1:])
                 self.var_atoms = {v: (VarAtom(v), VarAtom(v, True)) for v in self.variables}
             elif line.startswith("disjunct"):
                 if line[len("disjunct"):].strip() != "{":
-                    self.fail("expected 'disjunct {'", i)
-                stmts: list[tuple[str, int]] = []
-                while i < n:
-                    body = self.lines[i].split("#", 1)[0].strip()
-                    i += 1
-                    if body == "}":
-                        break
-                    for stmt in body.split(";"):
-                        stmt = stmt.strip()
-                        if stmt:
-                            stmts.append((stmt, i))
-                else:
-                    self.fail("unterminated disjunct block", i)
-                self.disjuncts.append(self.parse_disjunct(stmts))
+                    self.fail("expected 'disjunct {'", ln)
+                if self.pres is None:
+                    self.fail("group/graph section must precede disjuncts", ln)
+                self.disjuncts.append(self.parse_disjunct(self.block(lines, ln, "disjunct"), ln))
             else:
-                self.fail(f"unrecognized line {line!r}", i)
+                self.fail(f"unrecognized line {line!r}", ln)
         if self.pres is None:
             raise ParseError("no group/graph section and no presentation supplied")
         return Instance(self.pres, tuple(self.variables), tuple(self.disjuncts), self.graph_ref)
 
     # -- statement level -----------------------------------------------------
 
-    def parse_disjunct(self, stmts: list[tuple[str, int]]) -> Disjunct:
-        if self.pres is None:
-            self.fail("group/graph section must precede disjuncts",
-                      stmts[0][1] if stmts else 0)
+    def parse_disjunct(self, lines: Iterator[tuple[int, str]], opened: int) -> Disjunct:
+        """The statements of the disjunct block opened at line `opened`, one
+        or more to a line, separated by ``;``."""
         eqs: list[GroupTerm] = []
         cons: list[Constraint] = []
-        has_eq_section = False
-        for stmt, ln in stmts:
-            if stmt.startswith("eq "):
-                has_eq_section = True
-                body = stmt[3:]
-                if not body.rstrip().endswith("= 1"):
-                    self.fail("equation must end with '= 1'", ln)
-                eqs.append(self.parse_term(body.rstrip()[:-3], ln))
-            elif stmt.startswith("ab:"):
-                lhs, _, rhs = stmt[3:].partition("=")
-                if not _:
-                    self.fail("ab constraint needs '='", ln)
-                cons.append(AbEq(self.parse_term(lhs, ln), self.parse_term(rhs, ln)))
-            elif stmt.startswith("expsum:"):
-                cons.append(ExpSumEq(*self.parse_linear(
-                    "expsum", stmt[7:], ln, "|Var|_vertex",
-                    r"\|([A-Za-z_][A-Za-z0-9_]*)\|_(\S+)$")))
-            elif stmt.startswith("len:"):
-                cons.append(LengthEq(*self.parse_linear(
-                    "len", stmt[4:], ln, "|Var|", r"\|([A-Za-z_][A-Za-z0-9_]*)\|$")))
-            elif stmt.startswith("coset:"):
-                cons.append(self.parse_coset(stmt[6:], ln))
-            else:
-                self.fail(f"unrecognized statement {stmt!r}", ln)
-        if not has_eq_section:
-            self.fail("disjunct has no equations section", stmts[0][1] if stmts else 0)
+        for ln, text in lines:
+            for stmt in text.split(";"):
+                stmt = stmt.strip()
+                if not stmt:
+                    continue
+                if stmt.startswith("eq "):
+                    body = stmt[3:]
+                    if not body.rstrip().endswith("= 1"):
+                        self.fail("equation must end with '= 1'", ln)
+                    eqs.append(self.parse_term(body.rstrip()[:-3], ln))
+                elif stmt.startswith("ab:"):
+                    lhs, _, rhs = stmt[3:].partition("=")
+                    if not _:
+                        self.fail("ab constraint needs '='", ln)
+                    cons.append(AbEq(self.parse_term(lhs, ln), self.parse_term(rhs, ln)))
+                elif stmt.startswith("expsum:"):
+                    cons.append(ExpSumEq(*self.parse_linear(
+                        "expsum", stmt[7:], ln, "|Var|_vertex",
+                        r"\|([A-Za-z_][A-Za-z0-9_]*)\|_(\S+)$")))
+                elif stmt.startswith("len:"):
+                    cons.append(LengthEq(*self.parse_linear(
+                        "len", stmt[4:], ln, "|Var|", r"\|([A-Za-z_][A-Za-z0-9_]*)\|$")))
+                elif stmt.startswith("coset:"):
+                    cons.append(self.parse_coset(stmt[6:], ln))
+                else:
+                    self.fail(f"unrecognized statement {stmt!r}", ln)
+        if not eqs:
+            self.fail("disjunct has no equations section", opened)
         return Disjunct(tuple(eqs), tuple(cons))
 
     def parse_term(self, text: str, ln: int) -> GroupTerm:
@@ -716,7 +698,7 @@ class _Parser:
                 cached = self.constants.get(key)
                 if cached is None:
                     exp = parse_int(power[1:], f"bad exponent {power!r}", ln) if power else 1
-                    word = self.word(" ".join(inner), ln) ** exp
+                    word = parse_word_at(self.pres, " ".join(inner), ln) ** exp
                     cached = self.constants[key] = const_term(word).atoms
                 return cached, coeff
             pos += 1
@@ -774,10 +756,10 @@ class _Parser:
         m = re.match(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s+in\s+(.*?)\s*\*\s*G'\s*$", text)
         if not m:
             self.fail(f"expected 'X in <word> * G'', got {text!r}", ln)
-        return Coset(m.group(1), self.word(m.group(2), ln))
+        return Coset(m.group(1), parse_word_at(self.pres, m.group(2), ln))
 
 
 def parse_instance(text: str, base_dir: Optional[str] = None,
                    presentation: Optional[Presentation] = None) -> Instance:
     """Parse the instance grammar; graph files resolve relative to base_dir."""
-    return _Parser(text, base_dir, presentation).parse()
+    return _Parser(base_dir, presentation).parse(text)

@@ -42,8 +42,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from itertools import product as _iproduct
-
 from .abelian import solve_linear_system
 from .errors import RadiusCapExceeded
 from .instances import (
@@ -142,22 +140,22 @@ def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int) -> Set:
     link_pres = induced_subpresentation(p, desc.link_vertices)
     link_elems = [normalize(p, [(v, e) for v, e in x.syllables])
                   for x in cayley_ball(link_pres, budget)]
-    root_lens = [geodesic_length(p, b) for b in desc.cyclic_parts]
-    ranges = []
-    for b, L in zip(desc.cyclic_parts, root_lens):
+    # exponent vectors of the cyclic parts within the budget, built part by
+    # part so that no partial vector over the budget is extended
+    vectors = [((), 0)]
+    for b in desc.cyclic_parts:
+        L = geodesic_length(p, b)
         lo, hi = -(budget // L), budget // L
-        k = p.order[b.syllables[0].vertex] if len(b.syllables) == 1 else None
+        k = p.order[b.syllables[0][0]] if len(b.syllables) == 1 else None
         if k is not None:  # b = v^±1 at a vertex of order k
             lo, hi = max(lo, -(k // 2)), min(hi, (k - 1) // 2)
-        ranges.append(range(lo, hi + 1))
+        vectors = [(ms + (m,), used + abs(m) * L) for ms, used in vectors
+                   for m in range(lo, hi + 1) if used + abs(m) * L <= budget]
     h = desc.conjugator
     ball = cayley_ball(p, bound)
     members = list(ball)
     out = []
-    for ms in _iproduct(*ranges):
-        used = sum(abs(m) * L for m, L in zip(ms, root_lens))
-        if used > budget:
-            continue
+    for ms, used in vectors:
         core = multiply_all(p, [b ** m for b, m in zip(desc.cyclic_parts, ms)])
         for l in link_elems:
             if used + geodesic_length(p, l) > budget:

@@ -2,8 +2,9 @@
 
 A presentation is a finite simple graph with a cyclic group attached to each
 vertex (infinite, or finite of order k >= 2); adjacent vertex groups commute.
-Elements are stored as canonical geodesic syllable sequences, so two elements
-are equal in the group iff their normal forms are identical tuples.
+Elements are stored as canonical geodesic sequences of syllables, plain
+(vertex, exponent) pairs, so two elements are equal in the group iff their
+normal forms are identical tuples.
 
 The canonical form is the lexicographically least geodesic: repeatedly emit
 the least vertex (in declaration order) whose syllable can be commuted to the
@@ -40,7 +41,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import product as _iproduct, repeat
 from math import gcd
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     IdentityElement,
@@ -53,9 +54,18 @@ from .errors import (
 )
 
 
-class Syllable(NamedTuple):
-    vertex: str
-    exponent: int
+_TEXT = operator.itemgetter(1)
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line of text that holds something once its
+    ``#`` comment and the whitespace around it are removed. Every reader of a
+    line-based format takes its lines from here. The chain of C iterators
+    runs no Python code per line, and a text with no ``#`` splits nothing."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return filter(_TEXT, enumerate(map(str.strip, lines), 1))
 
 
 class Presentation:
@@ -119,13 +129,16 @@ class Presentation:
     @classmethod
     def from_text(cls, text: str) -> "Presentation":
         """Parse the graph file format: ``vertex <name> <order|inf>`` / ``edge <u> <v>`` lines."""
+        return cls.from_lines(content_lines(text))
+
+    @classmethod
+    def from_lines(cls, lines: Iterable[tuple[int, str]]) -> "Presentation":
+        """The graph file format from numbered `content_lines`, which may be
+        a block of a larger file: an error names the line in that file."""
         vertices: list[str] = []
         order: dict[str, Optional[int]] = {}
         edges: list[tuple[str, str]] = []
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for ln, line in lines:
             parts = line.split()
             if parts[0] == "vertex" and len(parts) == 3:
                 name, k = parts[1], parts[2]
@@ -204,7 +217,7 @@ class NormalWord:
 
     __slots__ = ("pres", "syllables", "_hash", "_sums")
 
-    def __init__(self, pres: Presentation, syllables: tuple[Syllable, ...]):
+    def __init__(self, pres: Presentation, syllables: tuple[tuple[str, int], ...]):
         self.pres = pres
         self.syllables = syllables
         self._hash = hash((pres._hash, syllables))
@@ -251,7 +264,7 @@ class NormalWord:
         if len(self.syllables) == 1:
             (v, e), = self.syllables
             e = self.pres.reduce_exponent(v, e * operator.index(n))
-            return NormalWord(self.pres, (Syllable(v, e),) if e else ())
+            return NormalWord(self.pres, ((v, e),) if e else ())
         return product(self.pres, repeat((self, n < 0), _repeat_count(n)))
 
     def conjugate_by(self, h: "NormalWord") -> "NormalWord":
@@ -336,11 +349,20 @@ def parse_word(p: Presentation, text: str) -> NormalWord:
     return normalize(p, pairs)
 
 
+def parse_word_at(p: Presentation, text: str, line: int) -> NormalWord:
+    """`parse_word` for a word read from a file: its errors, which carry no
+    line, are raised again as ParseError naming the line."""
+    try:
+        return parse_word(p, text)
+    except (ParseError, UnknownVertex) as exc:
+        raise ParseError(str(exc), line=line) from None
+
+
 # ---------------------------------------------------------------------------
 # normalization
 
 
-def _push(p: Presentation, syllables: list[Syllable], v: str, e: int) -> None:
+def _push(p: Presentation, syllables: list[tuple[str, int]], v: str, e: int) -> None:
     """Right-multiply the reduced syllable list by v^e, keeping it reduced."""
     e = p.reduce_exponent(v, e)
     if e == 0:
@@ -353,12 +375,12 @@ def _push(p: Presentation, syllables: list[Syllable], v: str, e: int) -> None:
             if merged == 0:
                 del syllables[j]
             else:
-                syllables[j] = Syllable(v, merged)
+                syllables[j] = (v, merged)
             return
         if not p.adjacent(sv, v):
             break
         j -= 1
-    syllables.append(Syllable(v, e))
+    syllables.append((v, e))
 
 
 def _dependence(p: Presentation, syllables: Sequence) -> tuple[list[list[int]], list[int]]:
@@ -385,7 +407,8 @@ def _dependence(p: Presentation, syllables: Sequence) -> tuple[list[list[int]], 
     return succ, waiting
 
 
-def _canonical_order(p: Presentation, syllables: list[Syllable]) -> tuple[Syllable, ...]:
+def _canonical_order(p: Presentation,
+                     syllables: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
     """Sort a reduced syllable list into its lexicographically least shuffle:
     repeatedly emit the least vertex whose syllable can be commuted to the front.
 
@@ -422,7 +445,7 @@ def _canonical_order(p: Presentation, syllables: list[Syllable]) -> tuple[Syllab
 
 def normalize(p: Presentation, word: Iterable[tuple[str, int]]) -> NormalWord:
     """Canonical form of a raw word given as (vertex, exponent) pairs."""
-    syllables: list[Syllable] = []
+    syllables: list[tuple[str, int]] = []
     for v, e in word:
         if v not in p.index:
             raise UnknownVertex(f"unknown vertex {v!r}")
@@ -448,12 +471,12 @@ def product(p: Presentation, factors: Iterable[tuple[NormalWord, bool]]) -> Norm
     the list is sorted once. The normal form is unique, so this equals the
     left fold of `multiply`.
     """
-    syllables: list[Syllable] = []
+    syllables: list[tuple[str, int]] = []
     first = True
     for w, inverted in factors:
         _check(p, w)
         if first and inverted:
-            syllables = [Syllable(v, p.reduce_exponent(v, -e)) for v, e in reversed(w.syllables)]
+            syllables = [(v, p.reduce_exponent(v, -e)) for v, e in reversed(w.syllables)]
         elif first:
             syllables = list(w.syllables)
         elif inverted:
@@ -548,9 +571,9 @@ def ball(p: Presentation, radius: int) -> dict[NormalWord, int]:
     """
     if radius < 0:
         return {}
-    letters: dict[str, list[Syllable]] = {}
+    letters: dict[str, list[tuple[str, int]]] = {}
     for g in generator_words(p):
-        letters.setdefault(g.syllables[0].vertex, []).append(g.syllables[0])
+        letters.setdefault(g.syllables[0][0], []).append(g.syllables[0])
     out = {p.identity(): 0}
     sphere = [p.identity()]
     for _ in range(radius):
@@ -558,12 +581,12 @@ def ball(p: Presentation, radius: int) -> dict[NormalWord, int]:
         for w in sphere:
             sy = w.syllables
             for v, gs in letters.items():
-                if sy and sy[-1].vertex == v:
-                    e = sy[-1].exponent
-                    for g in gs:
-                        f = e + g.exponent
-                        if e * g.exponent > 0 and p.reduce_exponent(v, f) == f:
-                            grown.append(NormalWord(p, sy[:-1] + (Syllable(v, f),)))
+                if sy and sy[-1][0] == v:
+                    e = sy[-1][1]
+                    for _, d in gs:
+                        f = e + d
+                        if e * d > 0 and p.reduce_exponent(v, f) == f:
+                            grown.append(NormalWord(p, sy[:-1] + ((v, f),)))
                 elif _stays_last(p, sy, v):
                     grown.extend(NormalWord(p, sy + (g,)) for g in gs)
         for w in grown:
@@ -572,7 +595,7 @@ def ball(p: Presentation, radius: int) -> dict[NormalWord, int]:
     return out
 
 
-def _stays_last(p: Presentation, syllables: tuple[Syllable, ...], v: str) -> bool:
+def _stays_last(p: Presentation, syllables: tuple[tuple[str, int], ...], v: str) -> bool:
     """True iff a new syllable on v, appended to the normal form, stays last:
     every syllable after the last one not commuting with v has a smaller
     vertex index. The scan never stops at a syllable on v (which the new one
@@ -609,11 +632,11 @@ def _cyclic_step(p: Presentation, w: NormalWord):
     """
     sy = w.syllables
     succ, waiting = _dependence(p, sy)
-    final = {sy[j].vertex: j for j, s in enumerate(succ) if not s}
+    final = {sy[j][0]: j for j, s in enumerate(succ) if not s}
     steps = []
     for i, (v, e) in enumerate(sy):
         j = final.get(v, i)
-        f = sy[j].exponent
+        f = sy[j][1]
         if not waiting[i] and j != i and (
                 p.syllable_cost(v, e + f) < p.syllable_cost(v, e) + p.syllable_cost(v, f)):
             steps += (normalize(p, [(v, e)]), normalize(p, [(v, -f)]))

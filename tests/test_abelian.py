@@ -14,7 +14,7 @@ from abelcon.abelian import (
     parse_linear_system,
     solve_linear_system,
 )
-from abelcon.errors import NotAbelianPrimitive
+from abelcon.errors import NotAbelianPrimitive, ParseError
 from abelcon.instances import abelian_shadow, evaluate, parse_instance
 from abelcon.words import Presentation, ball, multiply, normalize, parse_word
 
@@ -154,6 +154,22 @@ def test_round_trip_text():
     text = "3 x -1 y = 0\n1 x 1 y = -1\n2 z = 1 mod 4\n"
     sys = parse_linear_system(text)
     assert parse_linear_system(format_linear_system(sys)) == sys
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1 x = 1 mod four", "bad modulus 'four'"),
+    ("1 x = 1 mod 1", "modulus must be >= 2"),
+    ("1 x 2 y", "missing '=' in equation"),
+    ("1 x = 1 2", "right-hand side must be a single integer"),
+    ("1 x = one", "bad constant 'one'"),
+    ("1 x 2 = 3", "left-hand side must be coefficient/variable pairs"),
+    ("1 x two y = 3", "bad coefficient 'two'"),
+])
+def test_linear_system_errors_name_their_file_line(bad, message):
+    text = f"# two rows\n1 x = 1  # the first\n\n{bad}  # a comment\n2 y = 4\n"
+    with pytest.raises(ParseError) as err:
+        parse_linear_system(text)
+    assert err.value.line == 4 and str(err.value) == f"{message} (line 4)"
 
 
 def _random_system(rng, planted=True):

@@ -208,6 +208,25 @@ def test_witness_and_decode_commands(files, capsys):
     assert out == "x = 2\ny = 3\n"
 
 
+def test_assignment_files_take_comments_and_name_bad_lines(files, capsys):
+    inst, dec = _compiled_sum(files, capsys)
+    _, out, _ = run(capsys, "witness", inst, dec, "--solution", "x=2,y=3")
+    asg = files / "asg.txt"
+    asg.write_text(out)
+    _, plain, _ = run(capsys, "decode", inst, dec, "--assignment", asg)
+    lines = out.splitlines()
+    asg.write_text("# from witness\n\n" + "".join(f"{line}  # value {i}\n"
+                                                  for i, line in enumerate(lines)))
+    code, commented, _ = run(capsys, "decode", inst, dec, "--assignment", asg)
+    assert (code, commented) == (0, plain) and plain == "x = 2\ny = 3\n"
+    for bad, message in (("A_x a", "bad assignment line 'A_x a'"),
+                         ("A_x = a c", "unknown vertex in token 'c'")):
+        asg.write_text("# from witness\n\n" + "\n".join([lines[0], bad] + lines[2:]) + "\n")
+        code, out, err = run(capsys, "decode", inst, dec, "--assignment", asg)
+        assert (code, out) == (3, "")
+        assert err == f"error: {message} (line 4)\n"
+
+
 def test_compile_raag_cli(files, capsys):
     h10 = files / "xyz.h10"
     h10.write_text("1*x*y -1*z = 0\n")
@@ -466,6 +485,9 @@ BAD_INSTANCES = {
     "group-then-graph.inst": "group f2.graph\ngraph {\nvertex a inf\n}\nvars X\n"
                              "disjunct {\n  eq X = 1\n}\n",
     "unknown-vertex-in-parens.inst": "group f2.graph\nvars X\ndisjunct {\n  eq X ( a c ) = 1\n}\n",
+    # the bad order is on line 4 of the file and line 2 of the block
+    "graph-block-bad-order.inst": "# two vertices\ngraph {\n  vertex a inf\n  vertex b 1x\n}\n"
+                                  "vars X\ndisjunct {\n  eq X = 1\n}\n",
 }
 
 
@@ -517,10 +539,12 @@ BAD_INPUTS = {
                                          "--hint", "x=2,y=3,x=2")),
     "solve-unknown-vertex-in-parens": (None, ("solve", "{dir}/unknown-vertex-in-parens.inst",
                                               "--bound", "1")),
+    "solve-graph-block-bad-order": (None, ("solve", "{dir}/graph-block-bad-order.inst",
+                                           "--bound", "1")),
 }
 
 # the line a case's error names
-ERROR_LINES = {"solve-unknown-vertex-in-parens": 4}
+ERROR_LINES = {"solve-unknown-vertex-in-parens": 4, "solve-graph-block-bad-order": 4}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

@@ -30,6 +30,7 @@ from abelcon.errors import (
     AbelianTarget,
     DecodeInconsistency,
     InfiniteAbelianisation,
+    InvalidPresentation,
     NotAnIntegerSolution,
     NotASolution,
     NotFlattened,
@@ -68,6 +69,17 @@ def test_h10_round_trip():
     h = parse_h10("1*x*y -1*z = 0\n2*x*x 1 = 0\n")
     assert parse_h10(print_h10(h)) == h
     assert h.variables() == ("x", "y", "z")
+
+
+def test_h10_skips_comments_and_names_a_bad_line():
+    text = "# x y = z\n1*x*y -1*z = 0  # the product\n\n0*w 2*x -4 = 0\n"
+    h = parse_h10(text)
+    assert h == parse_h10("1*x*y -1*z = 0\n2*x -4 = 0\n") and h.variables() == ("x", "y", "z")
+    for bad, message in (("1*x -2", "polynomial line must end with '= 0'"),
+                         ("1*x two*y = 0", "monomial must start with an integer: 'two*y'")):
+        with pytest.raises(ParseError) as err:
+            parse_h10(text.replace("0*w 2*x -4 = 0", bad))
+        assert err.value.line == 4 and str(err.value) == f"{message} (line 4)"
 
 
 def test_h10_evaluate():
@@ -431,6 +443,48 @@ def test_rewrite_requires_flattened(f2):
     with pytest.raises(NotFlattened):
         rewrite_under_interpretation(interp, inst)
     assert rewrite_under_interpretation(interp, flatten(inst))
+
+
+Z_SYSTEM = """vars X Y
+disjunct {
+  eq X X Y^-1 = 1
+  eq Y t^-3 = 1
+}
+disjunct {
+  eq X X X Y^-1 = 1
+  eq Y t^-3 = 1
+}
+"""
+
+
+def test_rewrite_search_finds_the_s1_images_of_the_integer_witness():
+    # over Z the first disjunct asks 2x = 3 and fails; the second gives x = 1
+    z = Presentation.free(["t"])
+    free = Presentation.free(["s1", "s2"])
+    interp = integers_into_free_interpretation(free, "s1", z)
+    inst = flatten(parse_instance(Z_SYSTEM, presentation=z))
+    over_z = search(inst, 3)
+    assert over_z.verdict == WITNESS and over_z.disjunct == 1
+    out = rewrite_under_interpretation(interp, inst)
+    assert out.presentation == free and out.variables == inst.variables == ("X", "Y", "_f0")
+    report = search(out, 3)
+    assert report.verdict == WITNESS and report.disjunct == 1
+    assert report.assignment == {v: interp.map_constant(w) for v, w in over_z.assignment.items()}
+    assert format_word(report.assignment["Y"]) == "s1^3"
+
+
+def test_rewrite_refuses_constraints_and_foreign_instances():
+    # the third refusal, an unflattened equation, is test_rewrite_requires_flattened's
+    z = Presentation.free(["t"])
+    interp = integers_into_free_interpretation(Presentation.free(["s1", "s2"]), "s1", z)
+    constrained = parse_instance("vars X\ndisjunct {\n  eq X t = 1\n  len: 1 |X| = 1\n}\n",
+                                 presentation=z)
+    with pytest.raises(NotFlattened, match="constraint"):
+        rewrite_under_interpretation(interp, constrained)
+    foreign = parse_instance("vars X\ndisjunct {\n  eq X u = 1\n}\n",
+                             presentation=Presentation.free(["u"]))
+    with pytest.raises(InvalidPresentation, match="target"):
+        rewrite_under_interpretation(interp, foreign)
 
 
 def test_rewrite_constant_translation(f2):

@@ -21,6 +21,8 @@ values themselves. Every error class in ``errors.py`` but the base ``AbelconErro
 is raised somewhere in the package. The only dataclass is
 ``search.SearchReport`` (its comment says why): every other record is a
 ``NamedTuple``, as a dataclass compiles generated methods on each import.
+Only ``words.content_lines`` names the comment marker ``"#"``: every reader
+of a line-based format takes its lines, comments removed, from there.
 """
 
 import ast
@@ -557,3 +559,35 @@ def test_only_the_search_report_is_a_dataclass():
     found = {f"{path.stem}.{name}" for path in SRC.glob("*.py")
              for name in _dataclass_classes(ast.parse(path.read_text(encoding="utf-8")))}
     assert found == {"search.SearchReport"}, f"records are NamedTuples: {sorted(found)}"
+
+
+def _comment_markers(tree: ast.Module, filename: str) -> list[int]:
+    """Lines naming the string ``"#"`` (to split, partition, test or search
+    for it) outside the function ``content_lines`` of words.py."""
+    inside = {id(n) for node in tree.body if filename == "words.py"
+              and isinstance(node, ast.FunctionDef) and node.name == "content_lines"
+              for n in ast.walk(node)}
+    return sorted({node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                   and node.value == "#" and id(node) not in inside})
+
+
+def test_the_comment_check_sees_every_spelling():
+    code = """
+def content_lines(text):
+    return text.split("#", 1)[0]
+
+
+def read(text):
+    \"\"\"Lines without their # comments.\"\"\"
+    if "#" in text:
+        text = text.partition("#")[0]
+    return [line for line in text.splitlines() if not line.startswith('#')], "a # b"
+"""
+    assert _comment_markers(ast.parse(code), "words.py") == [8, 9, 10]
+    assert _comment_markers(ast.parse(code), "cli.py") == [3, 8, 9, 10]
+
+
+def test_only_content_lines_strips_comments():
+    found = {f"{path.name}:{line}" for path in SRC.glob("*.py")
+             for line in _comment_markers(ast.parse(path.read_text(encoding="utf-8")), path.name)}
+    assert not found, f"read lines through words.content_lines: {sorted(found)}"

@@ -105,6 +105,28 @@ def test_parse_errors_have_lines():
             parse_instance(F2_HEADER + f"vars X\ndisjunct {{\n  eq X = 1\n  {con}\n}}\n")
 
 
+def test_graph_block_errors_name_their_file_line():
+    for bad, message in (("vertex b 1x", "bad vertex order '1x'"),
+                         ("vertx b inf", "unrecognized graph line 'vertx b inf'")):
+        text = f"# a comment\n\ngraph {{\n  vertex a inf  # first\n  {bad}\n}}\nvars X\n"
+        with pytest.raises(ParseError) as err:
+            parse_instance(text + "disjunct {\n  eq X = 1\n}\n")
+        assert err.value.line == 5 and str(err.value) == f"{message} (line 5)"
+
+
+def test_an_unterminated_block_names_the_line_that_opened_it():
+    body = "vars X\ndisjunct {\n  eq X a = 1\n}\n"
+    for text, line in ((F2_HEADER + "vars X\n\ndisjunct {\n  eq X a = 1\n", 7),
+                       ("# a comment\ngraph {\n  vertex a inf\n", 2),
+                       (F2_HEADER + body + "disjunct {\n  eq X = 1\n# } in a comment\n", 9)):
+        with pytest.raises(ParseError, match="unterminated") as err:
+            parse_instance(text)
+        assert err.value.line == line
+    with pytest.raises(ParseError, match="no equations section") as err:
+        parse_instance(F2_HEADER + "vars X\ndisjunct {\n  # nothing\n}\n")
+    assert err.value.line == 6
+
+
 def test_instance_keywords_are_whole_tokens():
     glued = F2_HEADER + "varsX Y\ndisjunct {\n  eq Y = 1\n}\n"
     longer = F2_HEADER + "vars X\ndisjunctive {\n  eq X = 1\n}\n"

@@ -1,5 +1,6 @@
 import importlib
 import random
+import signal
 from collections import Counter
 
 import pytest
@@ -150,6 +151,32 @@ def test_centralizer_pass_set_matches_the_commutator_scan(request, name, radius)
         assert passing == {x for x in members if is_in_centralizer(p, w, x)}, format_word(w)
         assert all(id(x) in own for x in passing), format_word(w)  # the ball's own objects
         assert _centralizer_in_ball(p, w, radius) is passing
+
+
+def _out_of_time(signum, frame):
+    raise TimeoutError("the pass set took more than 20 s")
+
+
+def test_centralizer_pass_set_over_zk_enumerates_only_the_budget():
+    """w = g0 g1 ... g7 in Z^8 with a vertex z joined to g0 only: w's
+    centralizer is Z^8 itself, eight cyclic parts. The exponent vectors
+    within the budget are the 3 649 lattice points of the 8-dimensional
+    L1 ball of radius 4; the whole box of them has 9^8 = 43 046 721."""
+    names = [f"g{i}" for i in range(8)]
+    edges = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    p = Presentation.raag(names + ["z"], edges + [("g0", "z")])
+    w = normalize(p, [(v, 1) for v in names])
+    _centralizer_in_ball.cache_clear()
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.alarm(20)  # well over 100 times what the budgeted enumeration takes
+    try:
+        passing = _centralizer_in_ball(p, w, 4)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    members = ball(p, 4)
+    assert passing == {x for x in members if is_in_centralizer(p, w, x)}
+    assert len(passing) == 3649 < len(members)
 
 
 def test_centralizer_pass_set_is_shared_by_equal_presentations():

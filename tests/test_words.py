@@ -18,6 +18,7 @@ from abelcon.words import (
     ball,
     block_decomposition,
     centralizer_generators,
+    content_lines,
     cyclically_reduce,
     format_word,
     geodesic_length,
@@ -78,6 +79,14 @@ def test_normalize_rejects_a_non_integer_exponent(gamma1, exponent):
         normalize(gamma1, [("a", exponent)])
 
 
+def test_content_lines_drop_comments_and_blank_lines_and_keep_numbers():
+    text = "# header\n  vertex a inf  # first\n\n\t\nedge a b\n#\n  }  \n"
+    assert list(content_lines(text)) == [(2, "vertex a inf"), (5, "edge a b"), (7, "}")]
+    assert list(content_lines(text.replace("#", ""))) == [
+        (1, "header"), (2, "vertex a inf   first"), (5, "edge a b"), (7, "}")]
+    assert list(content_lines("")) == [] and list(content_lines("# only\n")) == []
+
+
 def test_parse_word_rejects_a_caret_without_exponent(f2):
     for text in ("a^", "a b^ a", "a^1_0", "a^+2"):
         with pytest.raises(ParseError):
@@ -91,7 +100,7 @@ def test_normalize_idempotent_samples(gamma1, pentagon, f2):
             raw = [(rng.choice(p.vertices), rng.choice([-3, -2, -1, 1, 2, 3]))
                    for _ in range(rng.randrange(0, 9))]
             w = normalize(p, raw)
-            assert normalize(p, [(s.vertex, s.exponent) for s in w.syllables]) == w
+            assert normalize(p, [(v, e) for v, e in w.syllables]) == w
 
 
 @st.composite
