@@ -5,7 +5,9 @@ of the vertex groups: one Z coordinate per infinite-order vertex and one
 Z/k coordinate per finite-order vertex. A vertex induces a well-defined
 exponent-sum homomorphism to Z exactly when its order is infinite (its image
 then generates a Z direct factor); we treat the remaining coordinates as the
-fixed complement. The paper's predicates on these maps (|g|_s = |h|_t,
+fixed complement. An image in the abelianisation is a plain tuple of ints,
+one per vertex in declaration order, reduced into [0, k) at a vertex of
+order k. The paper's predicates on these maps (|g|_s = |h|_t,
 membership in K_S, ab(u) = ab(v)) are instance constraints, stated once as
 linear rows by `instances.constraint_rows`.
 
@@ -26,60 +28,30 @@ from .errors import NotAbelianPrimitive, ParseError
 from .words import NormalWord, Presentation, _check, content_lines, format_int, parse_int
 
 
-class AbelVector:
-    """Image of a group element in the abelianisation.
-
-    Stored as one integer per vertex in declaration order; coordinates at
-    finite-order vertices are kept reduced into [0, k).
-    """
-
-    __slots__ = ("pres", "coords")
-
-    def __init__(self, pres: Presentation, coords: Iterable[int]):
-        reduced = []
-        for v, c in zip(pres.vertices, coords):
-            k = pres.order[v]
-            reduced.append(c if k is None else c % k)
-        self.pres = pres
-        self.coords = tuple(reduced)
-        if len(self.coords) != len(pres.vertices):
-            raise ValueError("coordinate count does not match the presentation")
-
-    def __getitem__(self, vertex: str) -> int:
-        return self.coords[self.pres.index[vertex]]
-
-    def __add__(self, other: "AbelVector") -> "AbelVector":
-        return AbelVector(self.pres, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __eq__(self, other):
-        return (isinstance(other, AbelVector) and self.pres == other.pres
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.pres, self.coords))
-
-    def __repr__(self):
-        inner = ", ".join(f"{v}:{c}" for v, c in zip(self.pres.vertices, self.coords))
-        return f"AbelVector({inner})"
+def _reduced(p: Presentation, sums: Iterable[int]) -> tuple[int, ...]:
+    orders = map(p.order.__getitem__, p.vertices)
+    return tuple(c if k is None else c % k for c, k in zip(sums, orders))
 
 
-def abelianize(p: Presentation, a: NormalWord) -> AbelVector:
-    """Sum of syllable exponents per vertex, reduced at finite-order vertices."""
+def abelianize(p: Presentation, a: NormalWord) -> tuple[int, ...]:
+    """ab(a): the sum of a's syllable exponents at each vertex, in declaration
+    order, reduced into [0, k) at a vertex of order k."""
     _check(p, a)
-    return AbelVector(p, a.exponent_sums())
+    return _reduced(p, a.exponent_sums())
 
 
-def abelianize_product(p: Presentation, factors: Iterable[tuple[NormalWord, bool]]) -> AbelVector:
+def abelianize_product(p: Presentation, factors: Iterable[tuple[NormalWord, bool]]) -> tuple[int, ...]:
     """ab of the product of the factors, a factor (w, True) standing for
     w^-1 as in `words.product`: abelianisation is a homomorphism, so this is
-    the signed sum of the factors' exponent sums, reduced once. No word is
-    multiplied."""
+    the signed sum of the factors' syllable exponents, reduced once. No word
+    is multiplied."""
     sums = [0] * len(p.vertices)
     for w, inverted in factors:
         _check(p, w)
         sign = -1 if inverted else 1
-        sums = [s + sign * e for s, e in zip(sums, w.exponent_sums())]
-    return AbelVector(p, sums)
+        for v, e in w.syllables:
+            sums[p.index[v]] += sign * e
+    return _reduced(p, sums)
 
 
 def is_abelian_primitive(p: Presentation, v: str) -> bool:

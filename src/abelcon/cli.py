@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .abelian import format_linear_system, solve_linear_system
+from .abelian import exponent_sum, format_linear_system, solve_linear_system
 from .compilers import (
     CompiledReduction,
     compile_h10_free,
@@ -43,7 +43,6 @@ from .words import (
     parse_word,
     parse_word_at,
 )
-from .abelian import exponent_sum
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -101,7 +100,7 @@ def _load_reduction(inst_path: str, sidecar_path: str) -> CompiledReduction:
 
 
 def _decoded_tuple(cr: CompiledReduction, decoded: dict[str, int]) -> str:
-    return "(" + ",".join(str(decoded[v]) for v in cr.atomized.source_vars) + ")"
+    return "(" + ",".join(format_int(decoded[v]) for v in cr.atomized.source_vars) + ")"
 
 
 def main(argv=None) -> int:
@@ -290,8 +289,7 @@ def _dispatch(args) -> int:
         with open(args.assignment, encoding="utf-8") as fh:
             asg = _parse_assignment(cr.instance.presentation, fh.read())
         decoded = decode_solution(cr, asg)
-        for v in cr.atomized.source_vars:
-            print(f"{v} = {decoded[v]}")
+        sys.stdout.write("".join(f"{v} = {format_int(decoded[v])}\n" for v in cr.atomized.source_vars))
         return EXIT_OK
 
     if cmd == "verify":

@@ -358,15 +358,15 @@ def _word_expr(expr, ints, groups, p: Presentation) -> NormalWord:
 def _cover_split(expr, ints, groups, p: Presentation) -> NormalWord:
     """Part ``index`` of the argument's abelian image split over the cover:
     each nonzero coordinate goes to the first cover vertex whose star holds
-    it. The image is read off the argument's factors (`abelianize_product`),
-    which are not multiplied."""
+    it. The image, a reduced tuple in vertex order, is read off the
+    argument's factors (`abelianize_product`), which are not multiplied."""
     factors: list[tuple[NormalWord, bool]] = []
     _factors(expr["arg"], False, factors, ints, groups, p)
     image = abelianize_product(p, factors)
     exclude = set(expr["exclude"])
     cover = expr["cover"]
     parts: list[list[tuple[str, int]]] = [[] for _ in cover]
-    for v, e in zip(p.vertices, image.coords):
+    for v, e in zip(p.vertices, image):
         if not e:
             continue
         if v in exclude:

@@ -2,7 +2,12 @@
 
 
 class AbelconError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; an error in a line
+    of input carries that line."""
+
+    def __init__(self, message="", line=None):
+        self.line = line
+        super().__init__(message if line is None else f"{message} (line {line})")
 
 
 class InvalidPresentation(AbelconError):
@@ -34,11 +39,7 @@ class NotAbelianPrimitive(AbelconError):
 
 
 class ParseError(AbelconError):
-    """Malformed textual input; carries the line where available."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        super().__init__(message if line is None else f"{message} (line {line})")
+    """Malformed textual input."""
 
 
 class UnknownVariable(AbelconError):

@@ -28,7 +28,7 @@ import os
 import re
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .abelian import AbelVector, abelianize, abelianize_product, exponent_sum, is_abelian_primitive
+from .abelian import abelianize, abelianize_product, exponent_sum, is_abelian_primitive
 from .errors import (
     IncompleteAssignment,
     InfiniteAbelianisation,
@@ -221,8 +221,9 @@ class EvalResult(NamedTuple):
 
 def _constraint_holds(p: Presentation, con: Constraint, asg: dict[str, NormalWord]) -> bool:
     """con checked on the values themselves, apart from the rows that the
-    shadow and the search read. ab: compares the images of the two sides,
-    each summed from its atom values (`abelianize_product`)."""
+    shadow and the search read. ab: compares the images of the two sides as
+    reduced tuples, each summed from its atom values (`abelianize_product`);
+    coset: compares the images of the value and the representative."""
     if isinstance(con, AbEq):
         return (abelianize_product(p, con.lhs.factors(asg))
                 == abelianize_product(p, con.rhs.factors(asg)))
@@ -442,7 +443,8 @@ def _centralizer_lattice_rows(p: Presentation, var: str, w: NormalWord,
     if any(p.order[v] is not None for v, _ in w.syllables):
         return []
     desc = centralizer_generators(p, w)
-    images = [AbelVector(p, b.exponent_sums()).coords for b in desc.cyclic_parts]
+    # the support has infinite order only, so these sums need no reduction
+    images = [b.exponent_sums() for b in desc.cyclic_parts]
     images += [tuple(int(u == v) for v in p.vertices)
                for u in sorted(desc.link_vertices, key=p.index.__getitem__)]
     rows = []

@@ -77,31 +77,33 @@ class Presentation:
     """
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]],
-                 order: Optional[dict[str, Optional[int]]] = None):
+                 order: Optional[dict[str, Optional[int]]] = None, lines=None):
+        """``lines``, a pair of sequences as `from_lines` passes it, gives the
+        file line of each vertex and of each edge: an error then names it."""
+        vertex_lines, edge_lines = lines or (repeat(None), repeat(None))
         self.vertices = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
-            raise InvalidPresentation("duplicate vertex names")
-        for v in self.vertices:
-            bad = not v or v == "1" or any(ch.isspace() or ch in "^(){};*=|.#@" for ch in v)
-            if bad:
-                raise InvalidPresentation(f"bad vertex name {v!r}")
-        self.index = {v: i for i, v in enumerate(self.vertices)}
+        self.index: dict[str, int] = {}
         order = dict(order or {})
         self.order: dict[str, Optional[int]] = {}
-        for v in self.vertices:
+        for v, ln in zip(self.vertices, vertex_lines):
+            if not v or v == "1" or any(ch.isspace() or ch in "^(){};*=|.#@" for ch in v):
+                raise InvalidPresentation(f"bad vertex name {v!r}", ln)
+            if v in self.index:
+                raise InvalidPresentation(f"duplicate vertex {v}", ln)
             k = order.pop(v, None)
             if k is not None and (not isinstance(k, int) or k < 2):
-                raise InvalidPresentation(f"vertex order must be an integer >= 2 or None, got {k!r}")
+                raise InvalidPresentation(f"vertex order must be an integer >= 2 or None, got {k!r}", ln)
+            self.index[v] = len(self.index)
             self.order[v] = k
         if order:
             raise UnknownVertex(f"order given for undeclared vertices {sorted(order)}")
         adj: dict[str, set[str]] = {v: set() for v in self.vertices}
         canon_edges = set()
-        for u, v in edges:
+        for (u, v), ln in zip(edges, edge_lines):
             if u not in self.index or v not in self.index:
-                raise UnknownVertex(f"edge ({u}, {v}) uses undeclared vertex")
+                raise UnknownVertex(f"edge ({u}, {v}) uses undeclared vertex", ln)
             if u == v:
-                raise InvalidPresentation(f"loop at vertex {u}")
+                raise InvalidPresentation(f"loop at vertex {u}", ln)
             adj[u].add(v)
             adj[v].add(u)
             canon_edges.add((min(u, v, key=self.index.__getitem__),
@@ -138,20 +140,26 @@ class Presentation:
         vertices: list[str] = []
         order: dict[str, Optional[int]] = {}
         edges: list[tuple[str, str]] = []
+        vertex_lines: list[int] = []
+        edge_lines: list[int] = []
         for ln, line in lines:
             parts = line.split()
             if parts[0] == "vertex" and len(parts) == 3:
                 name, k = parts[1], parts[2]
-                vertices.append(name)
                 if k in ("inf", "oo", "∞"):
-                    order[name] = None
+                    k = None
                 else:
-                    order[name] = parse_int(k, f"bad vertex order {k!r}", ln)
+                    k = parse_int(k, f"bad vertex order {k!r}", ln)
+                vertices.append(name)
+                vertex_lines.append(ln)
+                # a second declaration is the error, not the first one's order
+                order.setdefault(name, k)
             elif parts[0] == "edge" and len(parts) == 3:
                 edges.append((parts[1], parts[2]))
+                edge_lines.append(ln)
             else:
                 raise ParseError(f"unrecognized graph line {line!r}", line=ln)
-        return cls(vertices, edges, order)
+        return cls(vertices, edges, order, (vertex_lines, edge_lines))
 
     def to_text(self) -> str:
         lines = [f"vertex {v} {self.order[v] if self.order[v] is not None else 'inf'}"

@@ -441,7 +441,7 @@ def nested_word_expr(expr, ints, groups, p):
         cover = expr["cover"]
         parts = [[] for _ in cover]
         for v in p.vertices:
-            e = vec[v]
+            e = vec[p.index[v]]
             if not e:
                 continue
             if v in exclude:

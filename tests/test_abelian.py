@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abelcon.abelian import (
-    AbelVector,
     LinearEquation,
     LinearSystem,
     abelianize,
+    abelianize_product,
     exponent_sum,
     format_linear_system,
     parse_linear_system,
     solve_linear_system,
 )
-from abelcon.errors import NotAbelianPrimitive, ParseError
+from abelcon.errors import NotAbelianPrimitive, ParseError, PresentationMismatch
 from abelcon.instances import abelian_shadow, evaluate, parse_instance
 from abelcon.words import Presentation, ball, multiply, normalize, parse_word
+from abelcon.words import product as word_product
 
 from .oracle import diagonal_solution
 
@@ -26,10 +27,16 @@ def W(p, text):
 
 
 def test_abelianize_examples(f2, pentagon):
-    assert abelianize(f2, W(f2, "a b a^-1 b^-1")).coords == (0, 0)
-    assert abelianize(f2, W(f2, "abab")).coords == (2, 2)
+    assert abelianize(f2, W(f2, "a b a^-1 b^-1")) == (0, 0)
+    assert abelianize(f2, W(f2, "abab")) == (2, 2)
     racg = Presentation("ab", [], {"a": 2, "b": 2})
-    assert abelianize(racg, W(racg, "a b a")).coords == (0, 1)
+    assert abelianize(racg, W(racg, "a b a")) == (0, 1)
+
+
+def _sum(p, u, v):
+    """u + v in the abelianisation: reduced mod k at each vertex of order k."""
+    return tuple(a + b if p.order[x] is None else (a + b) % p.order[x]
+                 for x, a, b in zip(p.vertices, u, v))
 
 
 def test_abelianize_homomorphism_random(gamma1, f2):
@@ -39,14 +46,39 @@ def test_abelianize_homomorphism_random(gamma1, f2):
             raw1 = [(rng.choice(p.vertices), rng.choice([-2, -1, 1, 2])) for _ in range(6)]
             raw2 = [(rng.choice(p.vertices), rng.choice([-2, -1, 1, 2])) for _ in range(6)]
             x, y = normalize(p, raw1), normalize(p, raw2)
-            assert abelianize(p, multiply(p, x, y)) == abelianize(p, x) + abelianize(p, y)
+            assert abelianize(p, multiply(p, x, y)) == _sum(p, abelianize(p, x), abelianize(p, y))
 
 
 def test_abelianize_homomorphism_exhaustive_small(pentagon):
     elems = ball(pentagon, 2)
     for x in elems:
         for y in elems:
-            assert abelianize(pentagon, x * y) == abelianize(pentagon, x) + abelianize(pentagon, y)
+            assert abelianize(pentagon, x * y) == _sum(pentagon, abelianize(pentagon, x),
+                                                        abelianize(pentagon, y))
+
+
+MIXED = Presentation("pqr", [("p", "r")], {"p": 3, "q": 4})
+
+
+@pytest.mark.parametrize("name", ["f2", "pentagon", "mixed"])
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_abelianize_product_is_ab_of_the_product(request, name, data):
+    p = MIXED if name == "mixed" else request.getfixturevalue(name)
+    letters = st.tuples(st.sampled_from(p.vertices), st.integers(-5, 5))
+    factors = data.draw(st.lists(st.tuples(st.lists(letters, max_size=6).map(
+        lambda raw: normalize(p, raw)), st.booleans()), max_size=5))
+    assert abelianize_product(p, factors) == abelianize(p, word_product(p, factors))
+
+
+def test_abelianize_product_of_nothing_is_zero(pentagon):
+    assert abelianize_product(pentagon, []) == (0,) * 5
+    assert abelianize_product(MIXED, []) == (0, 0, 0)
+
+
+def test_abelianize_product_rejects_a_foreign_factor(f2, fxy):
+    with pytest.raises(PresentationMismatch):
+        abelianize_product(f2, [(W(f2, "a"), False), (W(fxy, "x"), True)])
 
 
 def test_exponent_sum_paper_value(fxy):

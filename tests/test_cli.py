@@ -1,9 +1,12 @@
 import json
+import sys
+from types import SimpleNamespace
 
 import pytest
 
 import abelcon.cli as cli
 from abelcon.cli import main
+from abelcon.errors import IntegerTooLong
 
 GAMMA1 = """vertex a inf
 vertex b inf
@@ -206,6 +209,26 @@ def test_witness_and_decode_commands(files, capsys):
                        "--assignment", files / "asg.txt")
     assert code == 0
     assert out == "x = 2\ny = 3\n"
+
+
+def test_decode_of_a_value_too_long_to_print_is_an_input_error(files, capsys):
+    """x = y over F(s1, s2), expsum mode: A_x = s1^x, so s1^N s1^N decodes to
+    2N, one digit more than the interpreter converts to text."""
+    (files / "fs.graph").write_text("vertex s1 inf\nvertex s2 inf\n")
+    (files / "eq.h10").write_text("1*x -1*y = 0\n")
+    inst, dec, asg = files / "eq.inst", files / "eq.dec", files / "asg.txt"
+    code, _, _ = run(capsys, "compile-h10", files / "eq.h10", "--target", files / "fs.graph",
+                     "--out", inst, "--sidecar", dec, "--mode", "native-expsum")
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    n = "9" * limit
+    asg.write_text(f"A_x = s1^{n} s1^{n}\nA_y = s1^{n} s1^{n}\n")
+    code, out, err = run(capsys, "decode", inst, dec, "--assignment", asg)
+    assert (code, out, err) == (3, "", f"error: integer of more than {limit} digits\n")
+    # verify prints its decoded tuple the same way
+    cr = SimpleNamespace(atomized=SimpleNamespace(source_vars=["x"]))
+    with pytest.raises(IntegerTooLong):
+        cli._decoded_tuple(cr, {"x": 2 * int(n)})
 
 
 def test_assignment_files_take_comments_and_name_bad_lines(files, capsys):

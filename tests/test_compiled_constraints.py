@@ -113,7 +113,7 @@ def _random_ab_constraints(p, rng, count):
     image 0 (raw sums that differ by the order at a finite-order vertex)
     and may invert one variable atom, so that about half of them hold."""
     words = [w for w in ball(p, 2) if not w.is_identity()]
-    zero = [w for w in ball(p, 4) if not any(abelianize(p, w).coords) and any(w.exponent_sums())]
+    zero = [w for w in ball(p, 4) if not any(abelianize(p, w)) and any(w.exponent_sums())]
 
     def atom():
         if rng.random() < 0.6:

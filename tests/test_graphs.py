@@ -1,6 +1,6 @@
 import pytest
 
-from abelcon.errors import EmptySet, UnknownVertex
+from abelcon.errors import EmptySet, InvalidPresentation, UnknownVertex
 from abelcon.graphs import (
     direct_product_decomposition,
     minimal_vertices,
@@ -32,6 +32,40 @@ def test_star_link_errors(gamma1):
         star_link(gamma1, set())
     with pytest.raises(UnknownVertex):
         star_link(gamma1, {"z"})
+
+
+# a graph file whose error is on its line 4: (bad lines, error, message)
+BAD_GRAPHS = [
+    ("vertex a inf\nvertex b inf", "edge a c", UnknownVertex,
+     "edge (a, c) uses undeclared vertex"),
+    ("vertex a inf\nvertex b inf", "edge a a", InvalidPresentation, "loop at vertex a"),
+    ("vertex a inf\nvertex b 2", "vertex a 3", InvalidPresentation, "duplicate vertex a"),
+    # the first declaration's order is valid: the error is the second one
+    ("vertex a inf\nvertex b 2", "vertex a 1", InvalidPresentation, "duplicate vertex a"),
+    ("vertex a inf\nvertex b inf", "vertex c 1", InvalidPresentation,
+     "vertex order must be an integer >= 2 or None, got 1"),
+]
+
+
+@pytest.mark.parametrize("head,bad,error,message", BAD_GRAPHS)
+def test_graph_errors_name_their_line(head, bad, error, message):
+    with pytest.raises(error) as err:
+        Presentation.from_text(f"# graph\n{head}  # two vertices\n{bad}\nedge a b\n")
+    assert err.value.line == 4 and str(err.value) == f"{message} (line 4)"
+
+
+def test_presentation_errors_from_code_carry_no_line():
+    for args, message in ((("ab", [("a", "c")]), "edge (a, c) uses undeclared vertex"),
+                          (("ab", [("b", "b")]), "loop at vertex b"),
+                          (("aba", []), "duplicate vertex a")):
+        with pytest.raises((UnknownVertex, InvalidPresentation)) as err:
+            Presentation(*args)
+        assert err.value.line is None and str(err.value) == message
+
+
+def test_an_edge_may_come_before_its_vertices():
+    p = Presentation.from_text("edge a b\nvertex a inf\nvertex b inf\n")
+    assert p == Presentation.raag("ab", [("a", "b")])
 
 
 def test_vertex_leq(gamma1):

@@ -14,9 +14,11 @@ from abelcon.compilers import compile_h10_free, compile_h10_raag, parse_h10
 from abelcon.errors import (
     IncompleteAssignment,
     InfiniteAbelianisation,
+    InvalidPresentation,
     ParseError,
     PresentationMismatch,
     UnknownVariable,
+    UnknownVertex,
 )
 from abelcon.instances import (
     AbEq,
@@ -106,10 +108,14 @@ def test_parse_errors_have_lines():
 
 
 def test_graph_block_errors_name_their_file_line():
-    for bad, message in (("vertex b 1x", "bad vertex order '1x'"),
-                         ("vertx b inf", "unrecognized graph line 'vertx b inf'")):
+    for bad, error, message in (
+            ("vertex b 1x", ParseError, "bad vertex order '1x'"),
+            ("vertx b inf", ParseError, "unrecognized graph line 'vertx b inf'"),
+            ("edge a c", UnknownVertex, "edge (a, c) uses undeclared vertex"),
+            ("edge a a", InvalidPresentation, "loop at vertex a"),
+            ("vertex a 2", InvalidPresentation, "duplicate vertex a")):
         text = f"# a comment\n\ngraph {{\n  vertex a inf  # first\n  {bad}\n}}\nvars X\n"
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(error) as err:
             parse_instance(text + "disjunct {\n  eq X = 1\n}\n")
         assert err.value.line == 5 and str(err.value) == f"{message} (line 5)"
 
