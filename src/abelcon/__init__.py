@@ -57,17 +57,14 @@ from .instances import (
 )
 from .search import SearchReport, search
 from .words import (
-    BlockDecomposition,
     CentralizerDesc,
     NormalWord,
     Presentation,
-    block_decomposition,
     centralizer_generators,
     cyclically_reduce,
     format_word,
     geodesic_length,
     invert,
-    is_cyclically_reduced,
     multiply,
     normalize,
     parse_word,

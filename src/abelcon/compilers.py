@@ -498,9 +498,12 @@ def witness_h10(cr: CompiledReduction, int_solution: dict[str, int]) -> dict[str
     missing = [v for v in cr.atomized.source_vars if v not in int_solution]
     if missing:
         raise NotAnIntegerSolution(f"missing integer values for {missing}")
+    unknown = [v for v in int_solution if v not in cr.atomized.source_vars]
+    if unknown:
+        raise NotAnIntegerSolution(f"{unknown[0]!r} is not a variable of the source system")
     if not cr.source.holds(int_solution):
         raise NotAnIntegerSolution("values do not solve the source polynomial system")
-    ints = cr.atomized.extend_solution({v: int_solution[v] for v in cr.atomized.source_vars})
+    ints = cr.atomized.extend_solution(int_solution)
     p = cr.instance.presentation
     groups: dict[str, NormalWord] = {}
     for name, expr in cr.recipes:
@@ -671,19 +674,14 @@ def compile_h10_free(h: H10Instance, target: Presentation,
 
 
 def _compile_factor(p: Presentation) -> Presentation:
-    """Descend into join factors until the graph is join-indecomposable."""
-    current = p
-    while True:
-        comps = direct_product_decomposition(current)
-        if len(comps) == 1:
-            return current
-        for comp in comps:
-            sub = induced_subpresentation(current, comp)
-            if len(sub.edges) < len(sub.vertices) * (len(sub.vertices) - 1) // 2:
-                current = sub
-                break
-        else:
-            raise AssertionError("nonabelian graph decomposed into complete factors")
+    """The graph if it is join-indecomposable, else its first join component
+    that is not complete. A join component's complement graph is connected,
+    so it does not decompose again; the caller has refused a complete graph."""
+    comps = direct_product_decomposition(p)
+    if len(comps) == 1:
+        return p
+    subs = (induced_subpresentation(p, comp) for comp in comps)
+    return next(s for s in subs if len(s.edges) < len(s.vertices) * (len(s.vertices) - 1) // 2)
 
 
 def compile_h10_raag(h: H10Instance, target: Presentation) -> CompiledReduction:

@@ -22,10 +22,6 @@ class PresentationMismatch(AbelconError):
     """Operands were built over different presentations."""
 
 
-class NotCyclicallyReduced(AbelconError):
-    """Operation requires a cyclically reduced element."""
-
-
 class IdentityElement(AbelconError):
     """Operation is not defined for the identity."""
 

@@ -47,7 +47,6 @@ from .errors import (
     IdentityElement,
     IntegerTooLong,
     InvalidPresentation,
-    NotCyclicallyReduced,
     ParseError,
     PresentationMismatch,
     UnknownVertex,
@@ -524,15 +523,6 @@ def support(p: Presentation, a: NormalWord) -> frozenset[str]:
     return frozenset(v for v, _ in a.syllables)
 
 
-def sort_key(w: NormalWord) -> tuple:
-    """Length-then-lex comparison key; positive letters sort before inverses."""
-    p = w.pres
-    letters = []
-    for v, e in w.syllables:
-        letters.extend([(p.index[v], 0 if e > 0 else 1)] * p.syllable_cost(v, e))
-    return (len(letters), tuple(letters))
-
-
 # ---------------------------------------------------------------------------
 # Cayley balls (length-then-lex ordered BFS)
 
@@ -540,7 +530,7 @@ BALL_CACHE_SIZE = 128
 
 
 def generator_words(p: Presentation) -> list[NormalWord]:
-    """All length-one group elements, deduplicated, in canonical order."""
+    """All length-one group elements, deduplicated, in ball order: by vertex, v before v^-1."""
     gens = []
     seen = set()
     for v in p.vertices:
@@ -549,7 +539,6 @@ def generator_words(p: Presentation) -> list[NormalWord]:
             if g.syllables and g not in seen:
                 seen.add(g)
                 gens.append(g)
-    gens.sort(key=sort_key)
     return gens
 
 
@@ -623,12 +612,6 @@ def _stays_last(p: Presentation, syllables: tuple[tuple[str, int], ...], v: str)
 # cyclic reduction
 
 
-def is_cyclically_reduced(p: Presentation, w: NormalWord) -> bool:
-    """True iff no cyclic permutation plus relations shortens the element."""
-    _check(p, w)
-    return _cyclic_step(p, w) is None
-
-
 def _cyclic_step(p: Presentation, w: NormalWord):
     """The least shortening conjugation (new_word, step_conjugator), or None.
 
@@ -636,7 +619,8 @@ def _cyclic_step(p: Presentation, w: NormalWord):
     source and a sink of the dependence graph) whose merge costs less than
     the two. Two conjugators remove it: v^e moves the initial syllable to the
     back, v^-f the final one to the front. The step is the least of all these
-    conjugators in ball order.
+    conjugators in ball order, which on a syllable v^x compares (length, vertex
+    index, x < 0); -f is reduced first, as v^k at order 2k is stored as v^-k.
     """
     sy = w.syllables
     succ, waiting = _dependence(p, sy)
@@ -647,10 +631,12 @@ def _cyclic_step(p: Presentation, w: NormalWord):
         f = sy[j][1]
         if not waiting[i] and j != i and (
                 p.syllable_cost(v, e + f) < p.syllable_cost(v, e) + p.syllable_cost(v, f)):
-            steps += (normalize(p, [(v, e)]), normalize(p, [(v, -f)]))
+            for x in (e, p.reduce_exponent(v, -f)):
+                steps.append((p.syllable_cost(v, x), p.index[v], x < 0, v, x))
     if not steps:
         return None
-    step = min(steps, key=sort_key)
+    *_, v, x = min(steps)
+    step = NormalWord(p, ((v, x),))
     return w.conjugate_by(step), step
 
 
@@ -674,12 +660,7 @@ def cyclically_reduce(p: Presentation, g: NormalWord) -> tuple[NormalWord, Norma
 
 
 # ---------------------------------------------------------------------------
-# block decomposition and centralizers
-
-
-class BlockDecomposition(NamedTuple):
-    """Pairwise commuting non-power roots with exponents; product equals the input."""
-    blocks: tuple[tuple[NormalWord, int], ...]
+# centralizers: one maximal root per non-commutation component of the core
 
 
 def _noncommutation_components(p: Presentation, vertices: frozenset[str]) -> list[frozenset[str]]:
@@ -768,22 +749,6 @@ def _extract_root(p: Presentation, w: NormalWord) -> tuple[NormalWord, int]:
     return w, 1
 
 
-def block_decomposition(p: Presentation, c: NormalWord) -> BlockDecomposition:
-    """Split a cyclically reduced element into commuting maximal-root blocks,
-    one per non-commutation component of its support, in any vertex orders.
-    A single vertex v gives the block (v^±1, n), as `_extract_root` does."""
-    _check(p, c)
-    if not is_cyclically_reduced(p, c):
-        raise NotCyclicallyReduced("block decomposition needs a cyclically reduced input")
-    supp = support(p, c)
-    blocks = []
-    for comp in _noncommutation_components(p, supp):
-        word = normalize(p, [(v, e) for v, e in c.syllables if v in comp])
-        root, n = _extract_root(p, word)
-        blocks.append((root, n))
-    return BlockDecomposition(tuple(blocks))
-
-
 CENTRALIZER_CACHE_SIZE = 256
 
 
@@ -792,7 +757,8 @@ class CentralizerDesc(NamedTuple):
 
     The centralizer is ``h (prod_i <cyclic_parts[i]> x <link_vertices>) h^-1``
     where h is ``conjugator`` (so g = h core h^-1 with core cyclically reduced).
-    ``exponents[i]`` is the block exponent of cyclic_parts[i] in the core. A
+    ``cyclic_parts[i]`` is the maximal root of the core's syllables on its i-th
+    non-commutation component, ``exponents[i]`` the power of it they make. A
     cyclic part on one vertex is v^±1, so it generates the whole vertex group,
     finite or not.
     """
@@ -804,7 +770,7 @@ class CentralizerDesc(NamedTuple):
 
 @lru_cache(maxsize=CENTRALIZER_CACHE_SIZE)
 def centralizer_generators(p: Presentation, g: NormalWord) -> CentralizerDesc:
-    """Describe C(g) via the block decomposition of a cyclically reduced conjugate.
+    """Describe C(g) from the maximal roots of its cyclically reduced conjugate.
 
     For a cyclically reduced core, C(core) is the subgroup of the link (the
     vertices adjacent to every support vertex) times one factor per
@@ -812,7 +778,8 @@ def centralizer_generators(p: Presentation, g: NormalWord) -> CentralizerDesc:
     its whole vertex group, and a larger component the cyclic group of its
     root (Barkauskas, Centralizers in graph products of groups, J. Algebra
     312, 2007). This holds in every graph product of cyclic groups, finite
-    vertex orders included. C(g) is that conjugated back by h. Cached per
+    vertex orders included. The roots are read off the core that
+    `cyclically_reduce` returns. C(g) is that conjugated back by h. Cached per
     (presentation, word), so the shadow's lattice rows and the search's pass
     sets share one description; the CENTRALIZER_CACHE_SIZE most recently
     used are kept.
@@ -821,8 +788,8 @@ def centralizer_generators(p: Presentation, g: NormalWord) -> CentralizerDesc:
     if g.is_identity():
         raise IdentityElement("centralizer description needs g != 1")
     core, h = cyclically_reduce(p, g)
-    dec = block_decomposition(p, core)
-    roots = tuple(r for r, _ in dec.blocks)
-    exps = tuple(n for _, n in dec.blocks)
-    link = frozenset.intersection(*[p.adj[v] for v in support(p, core)]) if core.syllables else frozenset()
+    supp = support(p, core)
+    roots, exps = zip(*[_extract_root(p, normalize(p, [s for s in core.syllables if s[0] in comp]))
+                        for comp in _noncommutation_components(p, supp)])
+    link = frozenset.intersection(*[p.adj[v] for v in supp])
     return CentralizerDesc(h, roots, exps, link)

@@ -27,7 +27,8 @@ and as a membership test.
 
 ``ball_by_products`` is the Cayley-ball construction ``words.ball`` once
 ran: multiply every word of the last sphere by every generator, drop the
-elements already found and sort the rest by ``sort_key``. The package now
+elements already found and sort the rest by ``sort_key``, the shortlex key
+of ball order, which the package no longer needs. The package now
 extends each element by one letter and must list the same elements in the
 same order.
 
@@ -66,11 +67,19 @@ from abelcon.words import (
     multiply_all,
     normalize,
     parse_word,
-    sort_key,
     support,
 )
 
 BLOCK = "#"  # anonymous blocker entry
+
+
+def sort_key(w):
+    """Length-then-lex comparison key; positive letters sort before inverses."""
+    p = w.pres
+    letters = []
+    for v, e in w.syllables:
+        letters.extend([(p.index[v], 0 if e > 0 else 1)] * p.syllable_cost(v, e))
+    return (len(letters), tuple(letters))
 
 
 class Piling:

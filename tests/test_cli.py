@@ -196,6 +196,18 @@ def test_compile_verify_pipeline(files, capsys):
     assert out.splitlines()[-1] == "OK"
 
 
+def test_verify_rejects_a_hint_naming_no_source_variable(files, capsys):
+    inst, dec = _compiled_sum(files, capsys)
+    code, out, err = run(capsys, "verify", inst, dec, "--bound", "3", "--hint", "x=2,y=3,z=1")
+    assert (code, out, err) == (3, "", "error: 'z' is not a variable of the source system\n")
+
+
+def test_witness_rejects_a_solution_naming_no_source_variable(files, capsys):
+    inst, dec = _compiled_sum(files, capsys)
+    code, out, err = run(capsys, "witness", inst, dec, "--solution", "x=2,y=3,w=5")
+    assert (code, out, err) == (3, "", "error: 'w' is not a variable of the source system\n")
+
+
 def test_witness_and_decode_commands(files, capsys):
     h10 = files / "sum.h10"
     h10.write_text("1*x 1*y -5 = 0\n")

@@ -195,6 +195,8 @@ def test_witness_rejects_non_solutions(fs):
         witness_h10(cr, {"x": 2, "y": 3, "z": 5})
     with pytest.raises(NotAnIntegerSolution):
         witness_h10(cr, {"x": 2, "y": 3})
+    with pytest.raises(NotAnIntegerSolution, match="'w' is not a variable of the source system"):
+        witness_h10(cr, {"x": 2, "y": 3, "z": 6, "w": 5})
 
 
 def test_decode_rejects_non_solutions(fs):

@@ -9,7 +9,7 @@ from abelcon.graphs import (
     vertex_leq,
     weak_modules,
 )
-from abelcon.words import Presentation
+from abelcon.words import Presentation, induced_subpresentation
 
 K3 = Presentation.raag("abc", [("a", "b"), ("b", "c"), ("a", "c")])
 SINGLE = Presentation.raag("a", [])
@@ -155,3 +155,5 @@ def test_decomposition_partitions_and_separates(gamma1, gamma2, pentagon):
                 for u in c:
                     for v in d:
                         assert p.adjacent(u, v)  # complement edges never cross
+        for c in comps:  # a join component is join-indecomposable
+            assert direct_product_decomposition(induced_subpresentation(p, c)) == [c]

@@ -12,7 +12,8 @@ through ``multiply_all`` or ``product``, which normalise once, never
 through a pairwise fold of ``multiply``. Every cache
 is bounded: an ``lru_cache`` with an explicit integer ``maxsize``. Only
 ``search.py`` builds a Cayley ball: the word algebra constructs its answers
-directly. ``search.py`` names no constraint class and neither ``linear_form``
+directly. Only ``words.py`` constructs a ``NormalWord``: everything else
+gets its words from ``normalize`` and the other operations there. ``search.py`` names no constraint class and neither ``linear_form``
 nor ``abelian_sides``: ``instances.compile_constraint`` is its one view of a
 constraint. The witness re-check ``instances._constraint_holds`` names none
 of ``constraint_rows``, ``linear_form``, ``abelian_sides``,
@@ -375,6 +376,38 @@ def scan(p, g):
 def test_only_search_builds_cayley_balls(path):
     calls = _ball_calls(ast.parse(path.read_text(encoding="utf-8")), path.name)
     assert not calls, f"{path.name}: builds a Cayley ball outside search.py, lines {calls}"
+
+
+def _normal_word_calls(tree: ast.Module) -> list[int]:
+    """Lines calling the ``NormalWord`` constructor: by its own name, by any
+    name it is imported under, or as an attribute ``<module>.NormalWord``."""
+    names = {"NormalWord"} | {a.asname for node in ast.walk(tree)
+                              if isinstance(node, ast.ImportFrom)
+                              for a in node.names if a.name == "NormalWord" and a.asname}
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id in names
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "NormalWord"))
+
+
+def test_the_normal_word_check_sees_every_spelling():
+    calls = """
+from .words import NormalWord as NW, normalize
+from . import words
+
+
+def build(p, sy) -> "NormalWord":
+    a = NW(p, sy)
+    b = words.NormalWord(p, ())
+    return normalize(p, sy), isinstance(a, words.NormalWord), NormalWord(p, sy), b
+"""
+    assert _normal_word_calls(ast.parse(calls)) == [7, 8, 9]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "words.py"],
+                         ids=lambda p: p.name)
+def test_only_words_constructs_a_normal_word(path):
+    calls = _normal_word_calls(ast.parse(path.read_text(encoding="utf-8")))
+    assert not calls, f"{path.name}: constructs a NormalWord outside words.py, lines {calls}"
 
 
 # what search.py leaves to instances.compile_constraint

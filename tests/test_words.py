@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from abelcon.errors import (
     IdentityElement,
-    NotCyclicallyReduced,
     ParseError,
     PresentationMismatch,
     UnknownVertex,
@@ -16,19 +15,16 @@ from abelcon.words import (
     BALL_CACHE_SIZE,
     Presentation,
     ball,
-    block_decomposition,
     centralizer_generators,
     content_lines,
     cyclically_reduce,
     format_word,
     geodesic_length,
     invert,
-    is_cyclically_reduced,
     multiply,
     multiply_all,
     normalize,
     parse_word,
-    sort_key,
     support,
 )
 
@@ -44,6 +40,7 @@ from .oracle import (
     is_in_centralizer,
     least_conjugator,
     oracle_normal_form,
+    sort_key,
     sphere_root,
 )
 
@@ -338,7 +335,7 @@ def test_cyclically_reduce_long_words(request, name):
         x = _raw_word(rng, p, 1, 12)
         g = normalize(p, x + _raw_word(rng, p, 100, 400) + _inverse_raw(x))
         core, h = cyclically_reduce(p, g)
-        assert is_cyclically_reduced(p, core)
+        assert cyclically_reduce(p, core) == (core, p.identity())
         assert core == g.conjugate_by(h)
         h_raw = list(h.syllables)
         assert core.syllables == oracle_normal_form(p, _inverse_raw(h_raw) + list(g.syllables) + h_raw)
@@ -477,7 +474,7 @@ def test_cyclic_core_minimal_over_conjugates(gamma1, pentagon):
         for g in ball(p, 3):
             core, h = cyclically_reduce(p, g)
             assert g.conjugate_by(h) == core
-            assert is_cyclically_reduced(p, core)
+            assert cyclically_reduce(p, core) == (core, p.identity())
             for x in ball(p, 2):
                 assert geodesic_length(p, core) <= geodesic_length(p, g.conjugate_by(x))
 
@@ -513,22 +510,29 @@ def test_cyclic_reduction_and_centralizers_build_no_ball():
 
 
 # ---------------------------------------------------------------------------
-# block decomposition
+# blocks: the (root, exponent) pairs of a centralizer description
+
+
+def blocks(p, core):
+    """The (root, exponent) pairs that `centralizer_generators` reads off a
+    cyclically reduced core, which it must not conjugate; none for 1."""
+    if core.is_identity():
+        return []
+    desc = centralizer_generators(p, core)
+    assert desc.conjugator.is_identity(), format_word(core)
+    return list(zip(desc.cyclic_parts, desc.exponents))
 
 
 def test_blocks_commuting_vertices(gamma1):
-    dec = block_decomposition(gamma1, W(gamma1, "a^2 b^3"))
-    assert [(format_word(r), n) for r, n in dec.blocks] == [("a", 2), ("b", 3)]
+    assert [(format_word(r), n) for r, n in blocks(gamma1, W(gamma1, "a^2 b^3"))] == [("a", 2), ("b", 3)]
 
 
 def test_blocks_primitive_free(fxy):
-    dec = block_decomposition(fxy, W(fxy, "x y"))
-    assert [(format_word(r), n) for r, n in dec.blocks] == [("x y", 1)]
+    assert [(format_word(r), n) for r, n in blocks(fxy, W(fxy, "x y"))] == [("x y", 1)]
 
 
 def test_blocks_root_extraction(gamma1):
-    dec = block_decomposition(gamma1, W(gamma1, "a c a c"))
-    assert [(format_word(r), n) for r, n in dec.blocks] == [("a c", 2)]
+    assert [(format_word(r), n) for r, n in blocks(gamma1, W(gamma1, "a c a c"))] == [("a c", 2)]
 
 
 @pytest.mark.parametrize("name", ["f2", "gamma1", "gamma2"])
@@ -540,9 +544,9 @@ def test_block_roots_match_the_sphere_scan(request, name):
         if u.is_identity():
             continue
         k = rng.randint(2, 4)
-        dec = block_decomposition(p, u ** k)
-        assert all(n % k == 0 for _, n in dec.blocks)
-        for root, n in dec.blocks:
+        dec = blocks(p, u ** k)
+        assert all(n % k == 0 for _, n in dec)
+        for root, n in dec:
             assert (root, n) == sphere_root(p, root ** n), format_word(u)
 
 
@@ -556,13 +560,7 @@ def test_block_product_equals_the_input(request, name):
         elements = [normalize(p, _raw_word(rng, p, 1, 12)) for _ in range(300)]
     for g in elements:
         core, _ = cyclically_reduce(p, g)
-        dec = block_decomposition(p, core)
-        assert multiply_all(p, [r ** n for r, n in dec.blocks]) == core, format_word(g)
-
-
-def test_blocks_require_cyclically_reduced(fxy):
-    with pytest.raises(NotCyclicallyReduced):
-        block_decomposition(fxy, W(fxy, "x y x^-1"))
+        assert multiply_all(p, [r ** n for r, n in blocks(p, core)]) == core, format_word(g)
 
 
 # the benchmark's mixed graph: Z/3, Z/4, Z, Z
@@ -578,9 +576,9 @@ def test_blocks_on_finite_order_support_match_the_sphere_scan(request, name):
     torsion = 0
     for g in ball(p, 4):
         core, _ = cyclically_reduce(p, g)
-        dec = block_decomposition(p, core)
-        assert multiply_all(p, [r ** n for r, n in dec.blocks]) == core, format_word(g)
-        for root, n in dec.blocks:
+        dec = blocks(p, core)
+        assert multiply_all(p, [r ** n for r, n in dec]) == core, format_word(g)
+        for root, n in dec:
             assert (root, n) == sphere_root(p, root ** n), format_word(g)
         torsion += any(p.order[v] is not None for v in support(p, core))
     assert torsion > 50
@@ -592,8 +590,7 @@ def test_root_of_a_square_split_at_half_order(p, text, root):
     # (q p q)^2 = q p q^-2 p q: the merged q^2 is stored as q^-2, so the
     # letters the root takes from it have the other sign
     w = W(p, text) ** 2
-    dec = block_decomposition(p, w)
-    assert [(format_word(r), n) for r, n in dec.blocks] == [(root, 2)]
+    assert [(format_word(r), n) for r, n in blocks(p, w)] == [(root, 2)]
     assert (W(p, root), 2) == sphere_root(p, w)
 
 
