@@ -77,14 +77,21 @@ def _parse_int_solution(text: str) -> dict[str, int]:
     return out
 
 
-def _parse_assignment(pres, text: str):
-    """``name = word`` lines; an error names its line."""
+def _parse_assignment(inst, text: str):
+    """``name = word`` lines, each naming a distinct variable of inst; an
+    error names its line."""
     out = {}
     for ln, line in content_lines(text):
         name, sep, word = line.partition("=")
         if not sep:
             raise ParseError(f"bad assignment line {line!r}", line=ln)
-        out[name.strip()] = parse_word_at(pres, word, ln)
+        value = parse_word_at(inst.presentation, word, ln)
+        name = name.strip()
+        if name in out:
+            raise ParseError(f"{name!r} is given twice", line=ln)
+        if name not in inst.variables:
+            raise ParseError(f"{name!r} is not a variable of the instance", line=ln)
+        out[name] = value
     return out
 
 
@@ -287,7 +294,7 @@ def _dispatch(args) -> int:
     if cmd == "decode":
         cr = _load_reduction(args.instance, args.sidecar)
         with open(args.assignment, encoding="utf-8") as fh:
-            asg = _parse_assignment(cr.instance.presentation, fh.read())
+            asg = _parse_assignment(cr.instance, fh.read())
         decoded = decode_solution(cr, asg)
         sys.stdout.write("".join(f"{v} = {format_int(decoded[v])}\n" for v in cr.atomized.source_vars))
         return EXIT_OK

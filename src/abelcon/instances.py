@@ -347,17 +347,6 @@ def flatten(inst: Instance) -> Instance:
     return Instance(inst.presentation, tuple(new_vars), tuple(new_disjuncts), inst.graph_ref)
 
 
-def isolate_variable(p: Presentation, term: GroupTerm, k: int,
-                     asg: dict[str, NormalWord]) -> NormalWord:
-    """The value of the variable at atoms[k] that makes term = 1.
-
-    Every other atom must be ground under asg: P * a * S = 1 gives
-    a = (S * P)^-1, so the variable is (S * P)^-1, or S * P when a is x^-1.
-    """
-    sp = GroupTerm(term.atoms[k + 1:] + term.atoms[:k]).evaluate(p, asg)
-    return sp if term.atoms[k].inverse else sp.inverse()
-
-
 # ---------------------------------------------------------------------------
 # abelian shadow
 

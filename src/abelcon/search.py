@@ -13,25 +13,25 @@ values of the next variable: the intersection of the pass sets of the
 equations that variable makes ground. The walk visits only the union of
 those candidates, sorted by ball index (the cached ball maps each element
 to its position), or the whole ball when some live disjunct has no such
-equation. A commutator [X, w] = 1 with w ground passes the ball elements
-that commute with w, generated from w's centralizer description
-(`words.centralizer_generators`, in any vertex orders) with no scan of the
-ball; these centralizer pass sets are cached per (word, bound) across
-searches, as the same few recur in every request. Only an equation that is
-neither solved for the variable nor such a commutator scans the ball. Each
-visited value must also satisfy the constraints it makes ground. These are
-checked as integer sums, never by multiplying words: abelianisation is a
-homomorphism, so each disjunct compiles every constraint once
-(`instances.compile_constraint`) from the same rows its shadow comes from
-(`instances.constraint_rows`), and a node sums the values' exponent sums
-(each kept on its word once computed) against each row, mod k at a vertex
-of order k; len: sums geodesic lengths. The shadow is solved once per
-disjunct, before the walk, and never again inside it. All checks are sound
-and every item is checked at the depth where it becomes ground, so the
-first leaf reached is the first satisfying assignment in enumeration
-order; it is re-verified once, with `evaluate`, before it is returned. The
-compiled problems this runs on are undecidable in general; exhausting a
-bound proves nothing beyond it.
+equation. A pass set reads its equation in place, each ground segment one
+word: one occurrence of the variable pins it, and a commutator [X, w] = 1
+passes the ball elements that commute with w, generated from w's
+centralizer description (`words.centralizer_generators`, in any vertex
+orders) with no scan of the ball; these centralizer pass sets are cached
+per (word, bound) across searches, as the same few recur in every request.
+Any other equation scans the ball. Each visited value must also satisfy the
+constraints it makes ground. These are checked as integer sums, never by
+multiplying words: abelianisation is a homomorphism, so each disjunct
+compiles every constraint once (`instances.compile_constraint`) from the
+same rows its shadow comes from (`instances.constraint_rows`), and a node
+sums the values' exponent sums (each kept on its word once computed)
+against each row, mod k at a vertex of order k; len: sums geodesic lengths.
+The shadow is solved once per disjunct, before the walk, and never again
+inside it. All checks are sound and every item is checked at the depth
+where it becomes ground, so the first leaf reached is the first satisfying
+assignment in enumeration order; it is re-verified once, with `evaluate`,
+before it is returned. The compiled problems this runs on are undecidable
+in general; exhausting a bound proves nothing beyond it.
 """
 
 from __future__ import annotations
@@ -49,12 +49,10 @@ from .instances import (
     GroupTerm,
     Instance,
     VarAtom,
-    _commutator_shape,
     abelian_shadow,
     compile_constraint,
     constraint_variables,
     evaluate,
-    isolate_variable,
 )
 from .words import (
     NormalWord,
@@ -92,32 +90,6 @@ class SearchReport:
 
     def __bool__(self):
         return self.verdict == WITNESS
-
-
-def _substitute_term(p: Presentation, term: GroupTerm,
-                     ground: dict[str, NormalWord]) -> GroupTerm:
-    """Replace ground variables by their values, merging each constant into
-    the constant before it, so [x, c*y] with y ground reads as [x, w]."""
-    atoms = []
-    for a in term.atoms:
-        if isinstance(a, VarAtom) and a.name in ground:
-            w = ground[a.name]
-            a = ConstAtom(w.inverse() if a.inverse else w)
-        if isinstance(a, ConstAtom) and atoms and isinstance(atoms[-1], ConstAtom):
-            a = ConstAtom(multiply(p, atoms.pop().word, a.word))
-        atoms.append(a)
-    return GroupTerm(tuple(atoms))
-
-
-def _solved_value_set(p: Presentation, term: GroupTerm, var: str,
-                      ball: dict) -> Optional[frozenset]:
-    """If var occurs exactly once, the equation pins it to one value."""
-    hits = [k for k, a in enumerate(term.atoms)
-            if isinstance(a, VarAtom) and a.name == var]
-    if len(hits) != 1:
-        return None
-    val = isolate_variable(p, term, hits[0], {})
-    return frozenset([val]) if val in ball else frozenset()
 
 
 @lru_cache(maxsize=CENTRALIZER_SET_CACHE_SIZE)
@@ -174,7 +146,6 @@ class _DisjunctState:
         p = inst.presentation
         self.p = p
         self.disjunct = inst.disjuncts[index]
-        self.variables = inst.variables
         self.ball = ball
         self.bound = bound
         d = self.disjunct
@@ -184,13 +155,17 @@ class _DisjunctState:
         depth_of = {v: i for i, v in enumerate(inst.variables)}
         self.eq_at = [[] for _ in inst.variables]
         self.con_at = [[] for _ in inst.variables]
-        # equation i is solved for its last variable; eq_others[i] are the rest
+        # equation i is solved for its last variable, at the positions
+        # eq_hits[i]; eq_others[i] are the rest
         self.eq_others: list[tuple[str, ...]] = []
-        for i, vs in enumerate(eq_vars):
+        self.eq_hits: list[tuple[int, ...]] = []
+        for i, (t, vs) in enumerate(zip(d.equations, eq_vars)):
             ordered = [v for v in inst.variables if v in vs]
             if ordered:
                 self.eq_at[depth_of[ordered[-1]]].append(i)
             self.eq_others.append(tuple(ordered[:-1]))
+            self.eq_hits.append(tuple(k for k, a in enumerate(t.atoms)
+                                      if isinstance(a, VarAtom) and a.name in ordered[-1:]))
         for i, vs in enumerate(con_vars):
             if vs:
                 self.con_at[max(depth_of[v] for v in vs)].append(i)
@@ -201,40 +176,52 @@ class _DisjunctState:
             or any(not check({}) for check, vs in zip(self.checks, con_vars) if not vs))
         self._memo: dict[tuple, Set] = {}
 
-    def _equation_pass_set(self, i: int, var: str, asg: dict[str, NormalWord]) -> Set:
-        """Values of var satisfying equation i given the other variables; cached.
+    def _equation_pass_set(self, i: int, asg: dict[str, NormalWord]) -> Set:
+        """Values of equation i's last variable x satisfying it given asg; cached.
 
         The cache pays off whenever the same ground context recurs in sibling
         subtrees (domain equations recur with an empty context every time).
-        Two shapes avoid scanning the whole ball: an equation with a single
-        occurrence of var is solved for it outright, and a commutator with a
-        ground other side enumerates the centralizer inside the ball.
+        A miss reads the term in place, cyclically from x's first occurrence,
+        as x^s0 S0 x^s1 S1 ..., each ground segment S_j one word. One
+        occurrence is solved outright, x^s0 = S0^-1. Two of opposite signs
+        with S0 S1 = 1 say that x commutes with S0: its centralizer gives the
+        values. Anything else scans the ball, one product per element.
         """
         others = tuple(asg[v] for v in self.eq_others[i])
         key = (i, others)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        term = _substitute_term(self.p, self.disjunct.equations[i],
-                                dict(zip(self.eq_others[i], others)))
-        cached = _solved_value_set(self.p, term, var, self.ball)
-        if cached is None:
-            shape = _commutator_shape(term)
-            if shape is not None and shape[0] == var:
-                cached = _centralizer_in_ball(self.p, shape[1], self.bound)
-            else:
-                cached = frozenset(val for val in self.ball
-                                   if term.evaluate(self.p, {var: val}).is_identity())
+        p = self.p
+        atoms = self.disjunct.equations[i].atoms
+        hits = self.eq_hits[i]
+        signs = [atoms[k].inverse for k in hits]
+        runs = [atoms[k + 1:j] for k, j in zip(hits, hits[1:])]
+        runs.append(atoms[hits[-1] + 1:] + atoms[:hits[0]])
+        segments = [p.identity() if not run
+                    else run[0].word if len(run) == 1 and isinstance(run[0], ConstAtom)
+                    else GroupTerm(run).evaluate(p, asg) for run in runs]
+        if len(hits) == 1:
+            val = segments[0] if signs[0] else segments[0].inverse()
+            cached = frozenset([val]) if val in self.ball else frozenset()
+        elif (len(hits) == 2 and signs[0] != signs[1]
+              and multiply(p, *segments).is_identity()):
+            # the segment that wraps around the end, unless x comes first
+            cached = _centralizer_in_ball(p, segments[1 if hits[0] else 0], self.bound)
+        else:
+            cached = frozenset(
+                val for val in self.ball
+                if product(p, [f for s, w in zip(signs, segments)
+                               for f in ((val, s), (w, False))]).is_identity())
         self._memo[key] = cached
         return cached
 
     def candidates(self, depth: int, asg: dict[str, NormalWord]) -> Optional[Set]:
         """Values of variables[depth] passing every equation that becomes
         ground at depth, or None when no equation does."""
-        var = self.variables[depth]
         out = None
         for i in self.eq_at[depth]:
-            passing = self._equation_pass_set(i, var, asg)
+            passing = self._equation_pass_set(i, asg)
             out = passing if out is None else out & passing
         return out
 

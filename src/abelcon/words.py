@@ -343,14 +343,11 @@ def parse_word(p: Presentation, text: str) -> NormalWord:
         if name in p.index:
             pairs.append((name, e))
         elif name and all(ch in p.index for ch in name):
-            letters = [(ch, 1) for ch in name]
             if e != 1:
-                if len(letters) > 1:
-                    # (abab)^k must be written with parentheses at instance level;
-                    # at word level an exponent applies to the last letter only.
-                    raise ParseError(f"exponent on multi-letter run {tok!r}")
-                letters = [(name, e)]
-            pairs.extend(letters)
+                # a one-letter run is a vertex name, taken above; (abab)^k
+                # must be written with parentheses at instance level
+                raise ParseError(f"exponent on multi-letter run {tok!r}")
+            pairs.extend((ch, 1) for ch in name)
         else:
             raise UnknownVertex(f"unknown vertex in token {tok!r}")
     return normalize(p, pairs)
@@ -566,8 +563,6 @@ def ball(p: Presentation, radius: int) -> dict[NormalWord, int]:
     `h10_search` (19 440 elements, 13 121 of them in F2 at radius 8), 11-13
     on `shadow_mixed`.
     """
-    if radius < 0:
-        return {}
     letters: dict[str, list[tuple[str, int]]] = {}
     for g in generator_words(p):
         letters.setdefault(g.syllables[0][0], []).append(g.syllables[0])
@@ -664,7 +659,8 @@ def cyclically_reduce(p: Presentation, g: NormalWord) -> tuple[NormalWord, Norma
 
 
 def _noncommutation_components(p: Presentation, vertices: frozenset[str]) -> list[frozenset[str]]:
-    """Connected components of the non-commutation graph induced on the set."""
+    """Connected components of the non-commutation graph induced on the set,
+    in order of their least vertex: each is grown from the least vertex left."""
     remaining = set(vertices)
     comps = []
     while remaining:
@@ -680,7 +676,6 @@ def _noncommutation_components(p: Presentation, vertices: frozenset[str]) -> lis
                     remaining.discard(v)
                     stack.append(v)
         comps.append(frozenset(comp))
-    comps.sort(key=lambda c: min(p.index[v] for v in c))
     return comps
 
 
@@ -716,8 +711,6 @@ def _extract_root(p: Presentation, w: NormalWord) -> tuple[NormalWord, int]:
     one generator and u is unique. Over right-angled Artin groups this also
     follows from bi-orderability (Duchamp-Krob 1992).
     """
-    if w.is_identity():
-        raise IdentityElement("identity has no root decomposition")
     if len(w.syllables) == 1:  # v^e, read off; v^-k at order 2k is v^k
         v, e = w.syllables[0]
         return normalize(p, [(v, 1 if e > 0 or p.order[v] == -2 * e else -1)]), abs(e)

@@ -14,7 +14,10 @@ same first assignment.
 ``forced_extension`` extends an assignment of an instance's variables to
 the fresh variables that flattening and the finite-abelianisation
 reduction introduce, so their solution sets can be compared;
-``disjunct_holds`` checks one disjunct of the result.
+``disjunct_holds`` checks one disjunct of the result. Each fresh variable is
+solved for with ``isolate_variable``: P x S = 1 gives x = (S P)^-1. The
+search reads its pass sets off the term's ground segments instead, and it
+names nothing defined here.
 
 ``least_conjugator`` and ``sphere_root`` are the Cayley-ball scans that
 cyclic reduction and root extraction once ran: the package now builds both
@@ -56,7 +59,7 @@ from typing import Optional
 from abelcon.abelian import abelianize
 from abelcon.compilers import _int_expr
 from abelcon.errors import RecipeError
-from abelcon.instances import Instance, VarAtom, evaluate, isolate_variable
+from abelcon.instances import GroupTerm, Instance, VarAtom, evaluate
 from abelcon.words import (
     ball,
     cyclically_reduce,
@@ -213,6 +216,16 @@ def naive_search(inst, bound):
         if evaluate(inst, asg).satisfied:
             return asg
     return None
+
+
+def isolate_variable(p, term, k, asg):
+    """The value of the variable at atoms[k] that makes term = 1.
+
+    Every other atom must be ground under asg: P * a * S = 1 gives
+    a = (S * P)^-1, so the variable is (S * P)^-1, or S * P when a is x^-1.
+    """
+    sp = GroupTerm(term.atoms[k + 1:] + term.atoms[:k]).evaluate(p, asg)
+    return sp if term.atoms[k].inverse else sp.inverse()
 
 
 def forced_extension(inst_flat, disjunct, base):

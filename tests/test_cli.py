@@ -255,11 +255,36 @@ def test_assignment_files_take_comments_and_name_bad_lines(files, capsys):
     code, commented, _ = run(capsys, "decode", inst, dec, "--assignment", asg)
     assert (code, commented) == (0, plain) and plain == "x = 2\ny = 3\n"
     for bad, message in (("A_x a", "bad assignment line 'A_x a'"),
-                         ("A_x = a c", "unknown vertex in token 'c'")):
+                         ("A_x = a c", "unknown vertex in token 'c'"),
+                         ("A_x = a", "'A_x' is given twice"),
+                         ("NotAVar = a", "'NotAVar' is not a variable of the instance")):
         asg.write_text("# from witness\n\n" + "\n".join([lines[0], bad] + lines[2:]) + "\n")
         code, out, err = run(capsys, "decode", inst, dec, "--assignment", asg)
         assert (code, out) == (3, "")
         assert err == f"error: {message} (line 4)\n"
+
+
+@pytest.mark.parametrize("h10, code, out, failure", [
+    ("1*x -1 = 0\n", 0, "(1)\nOK\n", []),
+    ("1*x -1 = 0\n1*x -2 = 0\n", 1, "", ["FAIL: compiled instance has unsatisfiable shadow"]),
+], ids=["witness", "unsat-shadow"])
+def test_verify_without_a_hint_searches(files, capsys, h10, code, out, failure):
+    (files / "one.h10").write_text(h10)
+    inst, dec = files / "one.inst", files / "one.dec"
+    run(capsys, "compile-h10", files / "one.h10", "--target", files / "f2.graph",
+        "--out", inst, "--sidecar", dec)
+    got_code, got_out, err = run(capsys, "verify", inst, dec, "--bound", "2")
+    assert (got_code, got_out) == (code, out)
+    assert err.startswith("stats nodes=") and err.splitlines()[1:] == failure
+
+
+def test_compile_h10_raag_refuses_a_coxeter_target(files, capsys):
+    (files / "one.h10").write_text("1*x -1 = 0\n")
+    (files / "cox.graph").write_text("vertex a 2\nvertex b 2\nedge a b\n")
+    code, out, err = run(capsys, "compile-h10-raag", files / "one.h10",
+                         "--target", files / "cox.graph",
+                         "--out", files / "r.inst", "--sidecar", files / "r.dec")
+    assert (code, out, err) == (3, "", "error: target must be a right-angled Artin presentation\n")
 
 
 def test_compile_raag_cli(files, capsys):
@@ -306,6 +331,9 @@ def test_reduce_finite_ab_cli(files, capsys):
     inst.write_text("group pent.graph\nvars X\ndisjunct {\n  eq X X = 1\n  ab: X = ( a b )\n}\n")
     code, out, _ = run(capsys, "reduce-finite-ab", inst)
     assert code == 0 and "coset: X in a b * G'" in out
+    # --out writes the same text and prints nothing
+    assert run(capsys, "reduce-finite-ab", inst, "--out", files / "reduced.inst") == (0, "", "")
+    assert (files / "reduced.inst").read_text() == out
 
 
 # Inputs and outputs of the shadow and reduce-finite-ab commands, recorded
@@ -520,6 +548,9 @@ BAD_INSTANCES = {
     "group-then-graph.inst": "group f2.graph\ngraph {\nvertex a inf\n}\nvars X\n"
                              "disjunct {\n  eq X = 1\n}\n",
     "unknown-vertex-in-parens.inst": "group f2.graph\nvars X\ndisjunct {\n  eq X ( a c ) = 1\n}\n",
+    "bad-variable-name.inst": "group f2.graph\nvars 1X\ndisjunct {\n  eq a a^-1 = 1\n}\n",
+    "expsum-at-finite-order.inst": "graph {\n  vertex a 2\n  vertex b inf\n}\nvars X\n"
+                                   "disjunct {\n  eq X = 1\n  expsum: 1 |X|_a = 0\n}\n",
     # the bad order is on line 4 of the file and line 2 of the block
     "graph-block-bad-order.inst": "# two vertices\ngraph {\n  vertex a inf\n  vertex b 1x\n}\n"
                                   "vars X\ndisjunct {\n  eq X = 1\n}\n",
@@ -576,6 +607,9 @@ BAD_INPUTS = {
                                               "--bound", "1")),
     "solve-graph-block-bad-order": (None, ("solve", "{dir}/graph-block-bad-order.inst",
                                            "--bound", "1")),
+    "solve-bad-variable-name": (None, ("solve", "{dir}/bad-variable-name.inst", "--bound", "1")),
+    "solve-expsum-at-finite-order": (None, ("solve", "{dir}/expsum-at-finite-order.inst",
+                                            "--bound", "1")),
 }
 
 # the line a case's error names

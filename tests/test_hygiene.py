@@ -18,7 +18,9 @@ nor ``abelian_sides``: ``instances.compile_constraint`` is its one view of a
 constraint. The witness re-check ``instances._constraint_holds`` names none
 of ``constraint_rows``, ``linear_form``, ``abelian_sides``,
 ``compile_constraint``, ``product`` or ``evaluate``: it checks on the
-values themselves. Every error class in ``errors.py`` but the base ``AbelconError``
+values themselves. ``search.py`` names no function that ``tests/oracle.py``
+defines, so ``naive_search`` and ``isolate_variable`` stay an independent
+reference for the walk. Every error class in ``errors.py`` but the base ``AbelconError``
 is raised somewhere in the package. The only dataclass is
 ``search.SearchReport`` (its comment says why): every other record is a
 ``NamedTuple``, as a dataclass compiles generated methods on each import.
@@ -503,6 +505,54 @@ def test_the_witness_check_shares_nothing_with_the_walk():
     lines = _lines_naming_in_function(ast.parse(path.read_text(encoding="utf-8")),
                                       "_constraint_holds", WITNESS_CHECK_NAMES)
     assert not lines, f"instances.py: _constraint_holds checks on the values themselves, lines {lines}"
+
+
+ORACLE = Path(__file__).resolve().parent / "oracle.py"
+
+
+def _module_functions(tree: ast.Module) -> set[str]:
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_the_oracle_name_rule_sees_every_spelling():
+    oracle = """
+def isolate_variable(p, term, k, asg):
+    def inner():
+        return term
+    return inner()
+
+
+class Reference:
+    def method(self):
+        return naive_search(self, 0)
+
+
+async def naive_search(inst, bound):
+    return None
+"""
+    code = """
+from .instances import isolate_variable as solve
+from tests import oracle
+
+
+def pass_set(p, term):
+    if term:
+        return solve(p, term, 0, {})
+    if p:
+        return oracle.naive_search(p, 1)
+    return inner(p), method(p), "naive_search(p, 1)"
+"""
+    names = _module_functions(ast.parse(oracle))
+    assert names == {"isolate_variable", "naive_search"}
+    assert _lines_naming(ast.parse(code), names) == [2, 10, 11]
+
+
+def test_search_names_nothing_the_oracle_defines():
+    names = _module_functions(ast.parse(ORACLE.read_text(encoding="utf-8")))
+    assert {"isolate_variable", "naive_search"} <= names
+    lines = _lines_naming(ast.parse((SRC / "search.py").read_text(encoding="utf-8")), names)
+    assert not lines, f"search.py: the walk shares no step with its oracle, lines {lines}"
 
 
 def _raised_names(tree: ast.Module) -> set[str]:

@@ -107,6 +107,14 @@ def test_parse_errors_have_lines():
             parse_instance(F2_HEADER + f"vars X\ndisjunct {{\n  eq X = 1\n  {con}\n}}\n")
 
 
+def test_an_instance_built_with_an_undeclared_variable_is_refused():
+    p = Presentation.free("ab")
+    for d in (Disjunct((GroupTerm((VarAtom("X"), VarAtom("Y"))),), ()),
+              Disjunct((), (ExpSumEq(((1, "Y", "a"),), 0),))):
+        with pytest.raises(UnknownVariable, match="undeclared variable 'Y'"):
+            Instance(p, ("X",), (d,))
+
+
 def test_graph_block_errors_name_their_file_line():
     for bad, error, message in (
             ("vertex b 1x", ParseError, "bad vertex order '1x'"),

@@ -203,9 +203,11 @@ def test_centralizer_pass_set_on_finite_order_support_equals_the_scan(pentagon):
     assert parse_word(PQRT, "q p q") in passing and len(passing) == 5
 
 
-def test_shadow_and_search_share_one_centralizer_description():
-    c = "( a b^2 a b^-1 )"
-    inst = parse_instance(F2_HEADER + f"vars X\ndisjunct {{\n  eq X {c} X^-1 {c}^-1 = 1\n}}\n")
+@pytest.mark.parametrize("commutator", ["X {c} X^-1 {c}^-1", "{c} X {c}^-1 X^-1"],
+                         ids=["variable-first", "constant-first"])
+def test_shadow_and_search_share_one_centralizer_description(commutator):
+    term = commutator.format(c="( a b^2 a b^-1 )")
+    inst = parse_instance(F2_HEADER + f"vars X\ndisjunct {{\n  eq {term} = 1\n}}\n")
     centralizer_generators.cache_clear()
     _centralizer_in_ball.cache_clear()
     assert search(inst, 3).verdict == WITNESS

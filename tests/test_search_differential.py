@@ -4,8 +4,9 @@ Seeded instances over the pentagon right-angled Coxeter group, a graph with
 vertex orders 3, 4 and inf, and two random 4-vertex RAAGs. The equations are
 shaped to send every pass-set computation of the walk down each of its
 paths: a single occurrence solved outright, a commutator with a ground word
-(centralizer, on infinite-order and on finite-order support alike), and a
-repeated variable in a non-commutator equation (scan).
+(centralizer, on infinite-order and on finite-order support alike, and with
+the word wrapping around the end of the term), and a repeated variable in a
+non-commutator equation (scan).
 """
 
 import importlib
@@ -13,7 +14,7 @@ import random
 from collections import Counter
 
 from abelcon.abelian import solve_linear_system
-from abelcon.instances import parse_instance
+from abelcon.instances import VarAtom, parse_instance
 from abelcon.search import NO_SOLUTION_UP_TO_BOUND, UNSAT_BY_SHADOW, WITNESS, search
 from abelcon.words import Presentation, format_word, parse_word
 
@@ -83,6 +84,9 @@ def _instances(name, p, seed):
             # the ground side spans a constant and an earlier variable: [X, c Y]
             out.append((f"vars Y X\ndisjunct {{\n  eq Y {w}^-1 = 1\n"
                         f"  eq X {c} Y X^-1 Y^-1 {c}^-1 = 1\n}}\n", 2))
+    # a commutator whose constant wraps around the end: u X v X^-1 (u v)^-1
+    uv_inv = format_word(parse_word(p, f"{w[2:-2]} {w2[2:-2]}").inverse())
+    out.append((f"vars X\ndisjunct {{\n  eq {w} X {w2} X^-1 ( {uv_inv} ) = 1\n}}\n", 2))
     # a repeated variable outside a commutator: scan
     out.append((f"vars X\ndisjunct {{\n  eq X X {w} = 1\n}}\n", 2))
     out.append((f"vars X Y\ndisjunct {{\n  eq X Y X {w2} = 1\n  ab: X = Y\n}}\n", 1))
@@ -107,10 +111,16 @@ def _instances(name, p, seed):
 def test_search_matches_naive_oracle_on_every_pass_set_path(monkeypatch):
     paths = Counter()
 
-    def spy(fn, hit, miss):
-        def wrapped(*args):
-            result = fn(*args)
-            paths[hit if result is not None else miss] += 1
+    def miss_spy(fn):
+        """Counts each memo miss by how often the equation's last variable occurs."""
+        def wrapped(state, i, asg):
+            before = len(state._memo)
+            result = fn(state, i, asg)
+            if len(state._memo) > before:
+                term = state.disjunct.equations[i]
+                last = max(term.variables(), key=inst.variables.index)
+                hits = sum(isinstance(a, VarAtom) and a.name == last for a in term.atoms)
+                paths["solved" if hits == 1 else "unsolved"] += 1
             return result
         return wrapped
 
@@ -121,8 +131,8 @@ def test_search_matches_naive_oracle_on_every_pass_set_path(monkeypatch):
             return fn(p, w, bound)
         return wrapped
 
-    monkeypatch.setattr(search_mod, "_solved_value_set",
-                        spy(search_mod._solved_value_set, "solved", "unsolved"))
+    state_cls = search_mod._DisjunctState
+    monkeypatch.setattr(state_cls, "_equation_pass_set", miss_spy(state_cls._equation_pass_set))
     monkeypatch.setattr(search_mod, "_centralizer_in_ball",
                         centralizer_spy(search_mod._centralizer_in_ball))
     verdicts = Counter()

@@ -28,7 +28,7 @@ from abelcon.words import (
     support,
 )
 
-from abelcon.instances import ConstAtom, GroupTerm, VarAtom, isolate_variable
+from abelcon.instances import ConstAtom, GroupTerm, VarAtom
 
 from .oracle import (
     Piling,
@@ -38,6 +38,7 @@ from .oracle import (
     centralizer_generating_words,
     in_described_centralizer,
     is_in_centralizer,
+    isolate_variable,
     least_conjugator,
     oracle_normal_form,
     sort_key,
