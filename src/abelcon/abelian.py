@@ -11,13 +11,17 @@ order k. The paper's predicates on these maps (|g|_s = |h|_t,
 membership in K_S, ab(u) = ab(v)) are instance constraints, stated once as
 linear rows by `instances.constraint_rows`.
 
-Linear systems mix exact equations with congruences. `solve_linear_system`
-decides solvability over Z by sparse unimodular elimination, row by row
-(Bradley, Math. Comp. 25, 1971): a congruence is an exact row with a slack
-unknown, each step fixes, solves for or changes one unknown and substitutes
-it only into the rows that hold it, so blocks of rows that share no unknown
-never meet. The steps are undone into an exact witness, which is checked
-against the original system.
+Linear systems mix exact equations with congruences. `solve_rows` decides
+solvability over Z of integer rows over column indices by sparse
+unimodular elimination, row by row (Bradley, Math. Comp. 25, 1971): a
+congruence is an exact row with a slack unknown, each step fixes, solves
+for or changes one unknown and substitutes it only into the rows that hold
+it, so blocks of rows that share no unknown never meet. The steps are
+undone into an exact witness, which is checked against the rows. The
+search's abelian shadow comes as such rows (`instances.disjunct_shadow`).
+Named systems (`LinearSystem`), as parsed, printed and listed by
+`instances.abelian_shadow`, are its front end: `solve_linear_system` maps
+each name to a column.
 """
 
 from __future__ import annotations
@@ -118,7 +122,7 @@ def parse_linear_system(text: str) -> LinearSystem:
         tokens = line.split()
         modulus = None
         if len(tokens) >= 2 and tokens[-2] == "mod":
-            modulus = parse_int(tokens[-1], f"bad modulus {tokens[-1]!r}", ln)
+            modulus = parse_int(tokens[-1], "bad modulus {!r}", ln)
             if modulus < 2:
                 raise ParseError("modulus must be >= 2", line=ln)
             tokens = tokens[:-2]
@@ -128,12 +132,12 @@ def parse_linear_system(text: str) -> LinearSystem:
         lhs, rhs = tokens[:eq_at], tokens[eq_at + 1:]
         if len(rhs) != 1:
             raise ParseError("right-hand side must be a single integer", line=ln)
-        constant = parse_int(rhs[0], f"bad constant {rhs[0]!r}", ln)
+        constant = parse_int(rhs[0], "bad constant {!r}", ln)
         if len(lhs) % 2:
             raise ParseError("left-hand side must be coefficient/variable pairs", line=ln)
         coeffs = []
         for i in range(0, len(lhs), 2):
-            coeffs.append((lhs[i + 1], parse_int(lhs[i], f"bad coefficient {lhs[i]!r}", ln)))
+            coeffs.append((lhs[i + 1], parse_int(lhs[i], "bad coefficient {!r}", ln)))
         eqs.append(LinearEquation(tuple(coeffs), constant, modulus))
     return LinearSystem(tuple(eqs))
 
@@ -149,8 +153,14 @@ def format_linear_system(sys: LinearSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def solve_linear_system(sys: LinearSystem) -> SolvabilityResult:
-    """Decide exact solvability over Z; a SAT result carries a verified witness.
+# sum(coeffs[j] * x_j) over column indices j equals the constant: exactly
+# when the modulus is None, mod the modulus otherwise
+Row = tuple[dict[int, int], int, Optional[int]]
+
+
+def solve_rows(rows: list[Row], columns: int) -> Optional[list[int]]:
+    """A witness of the rows over Z, one value per column 0..columns-1, or
+    None when they have no solution. The rows are not changed.
 
     Sparse unimodular elimination, one row at a time in order. A congruence
     sum(a*x) = c mod k is the exact row sum(a*x) + k*s = c with a slack
@@ -166,35 +176,28 @@ def solve_linear_system(sys: LinearSystem) -> SolvabilityResult:
     Each step substitutes its expression for the pivot in every row that
     holds it, so rows sharing no unknown are never touched together. A row
     left empty with a constant other than 0 has no solution. The steps are
-    undone in reverse with every unknown that stayed free set to 0, and the
-    witness is checked against the original system.
+    undone in reverse (`_back_substitute`), and the witness is checked
+    against the rows: AssertionError when it fails them.
     """
-    variables = sys.variables()
-    var_index = {v: i for i, v in enumerate(variables)}
-    cols: list[set[int]] = [set() for _ in variables]  # unknown -> rows holding it
-    rows: list[dict[int, int]] = []
+    cols: list[set[int]] = [set() for _ in range(columns)]  # unknown -> rows holding it
+    work: list[dict[int, int]] = []
     rhs: list[int] = []
-    for eq in sys.equations:
-        row: dict[int, int] = {}
-        for var, c in eq.coeffs:
-            j = var_index[var]
-            row[j] = row.get(j, 0) + c
-        row = {j: c for j, c in row.items() if c}
-        if eq.modulus is not None:
-            row[len(cols)] = eq.modulus
+    for coeffs, const, modulus in rows:
+        row = {j: c for j, c in coeffs.items() if c}
+        if modulus is not None:
+            row[len(cols)] = modulus
             cols.append(set())
         for j in row:
-            cols[j].add(len(rows))
-        rows.append(row)
-        rhs.append(eq.constant)
+            cols[j].add(len(work))
+        work.append(row)
+        rhs.append(const)
     steps: list[tuple[int, int, int, dict[int, int]]] = []  # x_p = a*(c - sum(e*x))
-    for r in range(len(rows)):
-        row = rows[r]
+    for r, row in enumerate(work):
         while row:
             if len(row) == 1:  # a*x_p = c: divide the row by a
                 (p, a), = row.items()
                 if rhs[r] % a:
-                    return SolvabilityResult("UNSAT")
+                    return None
                 rhs[r] //= a
                 a = 1
             else:
@@ -216,7 +219,7 @@ def solve_linear_system(sys: LinearSystem) -> SolvabilityResult:
                 c, a = 0, 1
             steps.append((p, a, c, rest))
             for s in cols[p]:
-                other = rows[s]
+                other = work[s]
                 f = other.pop(p) * a
                 rhs[s] -= f * c
                 for i, e in rest.items():
@@ -228,13 +231,41 @@ def solve_linear_system(sys: LinearSystem) -> SolvabilityResult:
                         del other[i]
                         cols[i].discard(s)
         if rhs[r]:
-            return SolvabilityResult("UNSAT")
-    values = [0] * len(cols)
+            return None
+    values = _back_substitute(steps, len(cols))
+    for coeffs, const, modulus in rows:
+        t = sum(c * values[j] for j, c in coeffs.items()) - const
+        if t if modulus is None else t % modulus:
+            raise AssertionError("elimination produced a bad witness")
+    return values[:columns]
+
+
+def _back_substitute(steps: list[tuple[int, int, int, dict[int, int]]],
+                     columns: int) -> list[int]:
+    """The values the elimination steps give, undone in reverse, with every
+    unknown that stayed free set to 0."""
+    values = [0] * columns
     for p, a, c, rest in reversed(steps):
         if rest:
             c -= sum(e * values[i] for i, e in rest.items())
         values[p] = a * c
-    witness = {v: values[var_index[v]] for v in variables}
-    if not sys.holds(witness):
-        raise AssertionError("elimination produced a bad witness")
-    return SolvabilityResult("SAT", witness)
+    return values
+
+
+def solve_linear_system(sys: LinearSystem) -> SolvabilityResult:
+    """Decide exact solvability over Z; a SAT result carries a verified
+    witness. Each name is a column of `solve_rows`, in the order the
+    equations first name it; a name repeated in an equation sums."""
+    variables = sys.variables()
+    var_index = {v: i for i, v in enumerate(variables)}
+    rows: list[Row] = []
+    for eq in sys.equations:
+        coeffs: dict[int, int] = {}
+        for var, c in eq.coeffs:
+            j = var_index[var]
+            coeffs[j] = coeffs.get(j, 0) + c
+        rows.append((coeffs, eq.constant, eq.modulus))
+    values = solve_rows(rows, len(variables))
+    if values is None:
+        return SolvabilityResult("UNSAT")
+    return SolvabilityResult("SAT", dict(zip(variables, values)))

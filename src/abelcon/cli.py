@@ -73,7 +73,7 @@ def _parse_int_solution(text: str) -> dict[str, int]:
         name = name.strip()
         if name in out:
             raise ParseError(f"{name!r} is given twice in {text!r}")
-        out[name] = parse_int(value.strip(), f"bad integer value in {piece.strip()!r}")
+        out[name] = parse_int(value.strip(), "bad integer value in {!r}", token=piece.strip())
     return out
 
 

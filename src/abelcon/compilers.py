@@ -141,7 +141,7 @@ def parse_h10(text: str) -> H10Instance:
         monomials = []
         for tok in line[:-3].split():
             parts = tok.split("*")
-            coeff = parse_int(parts[0], f"monomial must start with an integer: {tok!r}", ln)
+            coeff = parse_int(parts[0], "monomial must start with an integer: {!r}", ln, tok)
             if coeff:
                 monomials.append(Monomial(coeff, tuple(parts[1:])))
         polys.append(Polynomial(tuple(monomials)))

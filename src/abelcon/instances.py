@@ -8,7 +8,8 @@ evaluation is pure.
 
 Abelianisation is a homomorphism, so ab:, coset: and expsum: constraints are
 linear rows on the values' exponent sums (`constraint_rows`), which the
-shadow solves and the search checks (`compile_constraint`).
+search checks (`compile_constraint`) and the shadow states over integer
+columns (`disjunct_shadow`); `abelian_shadow` names the columns to print.
 `_constraint_holds` re-checks a witness independently of both: ab: adds up
 the images of each side's atom values (`abelianize_product`) and compares
 the two.
@@ -37,7 +38,7 @@ from .errors import (
     UnknownVariable,
     UnknownVertex,
 )
-from .abelian import LinearEquation, LinearSystem
+from .abelian import LinearEquation, LinearSystem, Row
 from .words import (
     NormalWord,
     Presentation,
@@ -246,7 +247,9 @@ def compile_constraint(p: Presentation, con: Constraint
     if isinstance(con, LengthEq):
         return lambda asg: (sum(c * geodesic_length(p, asg[var]) for c, var in con.terms)
                             == con.constant)
-    rows = constraint_rows(p, con)
+    names, n = sorted(constraint_variables(con)), len(p.vertices)
+    rows = [([(names[j // n], j % n, c) for j, c in coeffs.items()], const, k)
+            for coeffs, const, k in constraint_rows(p, con, {x: s * n for s, x in enumerate(names)})]
 
     def holds(asg: dict[str, NormalWord]) -> bool:
         for coeffs, const, k in rows:
@@ -351,30 +354,28 @@ def flatten(inst: Instance) -> Instance:
 # abelian shadow
 
 
-def shadow_unknown(var: str, vertex: str) -> str:
-    return f"{var}.{vertex}"
-
-
 def linear_form(p: Presentation, terms: list[tuple[GroupTerm, int]]
-                ) -> tuple[tuple[tuple[str, int], ...], tuple[int, ...]]:
+                ) -> tuple[dict[str, int], list[int]]:
     """sum(sign * ab(term)) as a linear form: the signed count of each
     variable, then the sum of the constant atoms' exponent-sum vectors.
 
     Every occurrence of a variable adds the same sign at every vertex, so a
-    variable has one signed count; variables whose count is 0 are left out.
-    The sums are unreduced. A constant over another presentation raises
+    variable has one signed count; a count may be 0. The sums are
+    unreduced. A constant over another presentation raises
     PresentationMismatch.
     """
-    var_counts: dict[str, int] = {}
+    counts: dict[str, int] = {}
     const = [0] * len(p.vertices)
     for term, sign in terms:
         for a in term.atoms:
             if isinstance(a, VarAtom):
-                var_counts[a.name] = var_counts.get(a.name, 0) + (-sign if a.inverse else sign)
+                counts[a.name] = counts.get(a.name, 0) + (-sign if a.inverse else sign)
             else:
                 _check(p, a.word)
-                const = [c + sign * e for c, e in zip(const, a.word.exponent_sums())]
-    return tuple((name, c) for name, c in var_counts.items() if c), tuple(const)
+                for i, e in enumerate(a.word.exponent_sums()):
+                    if e:
+                        const[i] += sign * e
+    return counts, const
 
 
 def abelian_sides(con: Union[AbEq, Coset]) -> list[tuple[GroupTerm, int]]:
@@ -384,113 +385,131 @@ def abelian_sides(con: Union[AbEq, Coset]) -> list[tuple[GroupTerm, int]]:
     return [(var_term(con.variable), 1), (const_term(con.rep), -1)]
 
 
-# sum(c * |var|_vertex) over the (var, vertex index, c) coefficients equals
-# the constant: exactly when the modulus is None, mod the modulus otherwise
-Row = tuple[tuple[tuple[str, int, int], ...], int, Optional[int]]
-
-
-def _image_rows(p: Presentation, terms: list[tuple[GroupTerm, int]]) -> list[Row]:
-    """Rows stating sum(sign * ab(term)) = 0, one per vertex: each variable's
-    signed count is its coefficient, and the constant is reduced mod k at a
-    vertex of order k."""
+def _form_rows(p: Presentation, terms: list[tuple[GroupTerm, int]],
+               base: dict[str, int]) -> list[Row]:
+    """Rows stating sum(sign * ab(term)) = 0, one per vertex i, over the
+    columns base[x] + i: each variable's signed count is its coefficient,
+    and the constant is reduced mod k at a vertex of order k. A row with no
+    unknown and constant 0 is left out."""
     counts, const = linear_form(p, terms)
-    return [(tuple((name, i, n) for name, n in counts), -(c if k is None else c % k), k)
-            for i, (c, k) in enumerate(zip(const, (p.order[v] for v in p.vertices)))]
+    cols = [(base[x], c) for x, c in counts.items() if c]
+    rows = []
+    for i, (c, k) in enumerate(zip(const, (p.order[v] for v in p.vertices))):
+        if k is not None:
+            c %= k
+        if cols or c:
+            rows.append(({b + i: m for b, m in cols}, -c, k))
+    return rows
 
 
-def constraint_rows(p: Presentation, con: Constraint) -> list[Row]:
-    """The linear rows on the variables' exponent sums that state con.
+def constraint_rows(p: Presentation, con: Constraint, base: dict[str, int]) -> list[Row]:
+    """The linear rows on the variables' exponent sums that state con, over
+    the columns base[x] + i for x's exponent sum at vertex i.
 
     ab: and coset: give one row per vertex from their linear form. expsum:
     gives one exact row, a repeated (variable, vertex) summed into one
     coefficient, kept when it sums to 0. len: gives none, as lengths are not
-    linear in exponent sums. The shadow and the search's compiled checks
-    both read these rows, so they agree by construction.
+    linear in exponent sums. Rows with no unknown and constant 0 are left
+    out. The shadow and the search's compiled checks both read these rows,
+    so they agree by construction.
     """
     if isinstance(con, LengthEq):
         return []
     if isinstance(con, ExpSumEq):
-        coeffs: dict[tuple[str, int], int] = {}
-        for c, var, vertex in con.terms:
-            key = (var, p.index[vertex])
-            coeffs[key] = coeffs.get(key, 0) + c
-        return [(tuple((var, i, c) for (var, i), c in coeffs.items()), con.constant, None)]
-    return _image_rows(p, abelian_sides(con))
+        coeffs: dict[int, int] = {}
+        for c, x, vertex in con.terms:
+            j = base[x] + p.index[vertex]
+            coeffs[j] = coeffs.get(j, 0) + c
+        return [(coeffs, con.constant, None)] if coeffs or con.constant else []
+    return _form_rows(p, abelian_sides(con), base)
 
 
-def _centralizer_lattice_rows(p: Presentation, var: str, w: NormalWord,
-                              tag: str) -> list[LinearEquation]:
-    """Rows confining ab(var) to the lattice spanned by ab of C(w)'s generators.
+def _centralizer_lattice(p: Presentation, term: GroupTerm
+                         ) -> Optional[tuple[str, list[tuple[int, ...]]]]:
+    """For a commutator [X, w] = 1 with w constant, X and ab of C(w)'s
+    generators, whose span confines ab(X); None for any other term.
 
-    Sound strengthening of the shadow for a commutator equation [var, w] = 1,
-    emitted only when every vertex of w's support has infinite order; rows
-    for a torsion support would be sound too, but would change verdicts.
+    Sound strengthening of the shadow, given only when w is not the
+    identity and every vertex of its support has infinite order; rows for a
+    torsion support would be sound too, but would change verdicts.
     Abelianisation kills the conjugator, so the images come straight from
     the cached description: each cyclic part's exponent sums, then the unit
     vector of each link vertex.
     """
-    if any(p.order[v] is not None for v, _ in w.syllables):
-        return []
-    desc = centralizer_generators(p, w)
-    # the support has infinite order only, so these sums need no reduction
-    images = [b.exponent_sums() for b in desc.cyclic_parts]
-    images += [tuple(int(u == v) for v in p.vertices)
-               for u in sorted(desc.link_vertices, key=p.index.__getitem__)]
-    rows = []
-    for i, v in enumerate(p.vertices):
-        coeffs = [(shadow_unknown(var, v), 1)]
-        for j, image in enumerate(images):
-            if image[i]:
-                coeffs.append((f"{tag}.lam{j}", -image[i]))
-        rows.append(LinearEquation(tuple(coeffs), 0, modulus=p.order[v]))
-    return rows
-
-
-def _commutator_shape(term: GroupTerm):
-    """Detect [X, w] = 1 with w constant; returns (var, word) or None."""
     if len(term.atoms) != 4:
         return None
     a0, a1, a2, a3 = term.atoms
     if (isinstance(a0, VarAtom) and isinstance(a2, VarAtom) and a0.name == a2.name
             and a0.inverse != a2.inverse and isinstance(a1, ConstAtom)
             and isinstance(a3, ConstAtom) and multiply(a1.word.pres, a1.word, a3.word).is_identity()):
-        return a0.name, a1.word
-    if (isinstance(a1, VarAtom) and isinstance(a3, VarAtom) and a1.name == a3.name
+        x, w = a0.name, a1.word
+    elif (isinstance(a1, VarAtom) and isinstance(a3, VarAtom) and a1.name == a3.name
             and a1.inverse != a3.inverse and isinstance(a0, ConstAtom)
             and isinstance(a2, ConstAtom) and multiply(a0.word.pres, a0.word, a2.word).is_identity()):
-        return a1.name, a0.word
-    return None
+        x, w = a1.name, a0.word
+    else:
+        return None
+    if w.is_identity() or any(p.order[v] is not None for v, _ in w.syllables):
+        return None
+    desc = centralizer_generators(p, w)
+    # the support has infinite order only, so these sums need no reduction
+    images = [b.exponent_sums() for b in desc.cyclic_parts]
+    images += [tuple(int(u == v) for v in p.vertices)
+               for u in sorted(desc.link_vertices, key=p.index.__getitem__)]
+    return x, images
 
 
-def disjunct_shadow(p: Presentation, d: Disjunct) -> LinearSystem:
-    """Necessary linear conditions on the ab coordinates of a disjunct's solutions.
+def disjunct_shadow(p: Presentation, d: Disjunct, variables: tuple[str, ...]
+                    ) -> tuple[list[Row], int, list[tuple[int, int]]]:
+    """Necessary linear conditions on the ab coordinates of a disjunct's
+    solutions, as integer rows for `abelian.solve_rows`.
 
-    An equation term = 1 gives the rows of ab(term) = 0, then, for a
-    commutator, its centralizer lattice rows; each constraint gives its
-    `constraint_rows`. The unknown X.v is the exponent sum of X at v; rows
-    with no unknown and constant 0 are left out.
+    Column s*|V| + i is the exponent sum at vertex i of the variable at
+    position s of `variables`. An equation term = 1 gives the rows of
+    ab(term) = 0, then, for a commutator [X, w] = 1, its centralizer lattice
+    rows: ab(X) = sum(lam_j * ab(g_j)) over C(w)'s generators g_j, each
+    multiplier lam_j a column after the variables'. Each constraint gives
+    its `constraint_rows`, stated over columns. Rows with no unknown and
+    constant 0 are left out. Returns the rows, the number of columns, and
+    the (equation, j) of each multiplier column in order.
     """
-    rows: list[LinearEquation] = []
-
-    def add(new: list[Row]) -> None:
-        for coeffs, const, k in new:
-            if coeffs or const:
-                rows.append(LinearEquation(tuple((shadow_unknown(var, p.vertices[i]), c)
-                                                 for var, i, c in coeffs), const, modulus=k))
-
-    for i, term in enumerate(d.equations):
-        add(_image_rows(p, [(term, 1)]))
-        shape = _commutator_shape(term)
-        if shape is not None and not shape[1].is_identity():
-            rows.extend(_centralizer_lattice_rows(p, shape[0], shape[1], f"eq{i}"))
+    n = len(p.vertices)
+    base = {x: s * n for s, x in enumerate(variables)}
+    rows: list[Row] = []
+    multipliers: list[tuple[int, int]] = []
+    for eq, term in enumerate(d.equations):
+        rows += _form_rows(p, [(term, 1)], base)
+        lattice = _centralizer_lattice(p, term)
+        if lattice is not None:
+            x, images = lattice
+            first = len(variables) * n + len(multipliers)
+            multipliers.extend((eq, j) for j in range(len(images)))
+            for i, v in enumerate(p.vertices):
+                coeffs = {base[x] + i: 1}
+                for j, image in enumerate(images):
+                    if image[i]:
+                        coeffs[first + j] = -image[i]
+                rows.append((coeffs, 0, p.order[v]))
     for con in d.constraints:
-        add(constraint_rows(p, con))
-    return LinearSystem(tuple(rows))
+        rows += constraint_rows(p, con, base)
+    return rows, len(variables) * n + len(multipliers), multipliers
 
 
 def abelian_shadow(inst: Instance) -> list[LinearSystem]:
-    """One linear system per disjunct; an UNSAT shadow refutes its disjunct."""
-    return [disjunct_shadow(inst.presentation, d) for d in inst.disjuncts]
+    """One named linear system per disjunct, the rows of `disjunct_shadow`
+    with column names: X.v is the exponent sum of X at v, and eq<i>.lam<j>
+    the multiplier of the j-th generator of equation i's centralizer. An
+    UNSAT shadow refutes its disjunct."""
+    p = inst.presentation
+    names = [f"{x}.{v}" for x in inst.variables for v in p.vertices]
+    systems = []
+    for d in inst.disjuncts:
+        rows, _, multipliers = disjunct_shadow(p, d, inst.variables)
+        column = names + [f"eq{i}.lam{j}" for i, j in multipliers]
+        systems.append(LinearSystem(tuple(
+            LinearEquation(tuple((column[j], c) for j, c in coeffs.items()), const, k)
+            for coeffs, const, k in rows)))
+    return systems
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +683,7 @@ class _Parser:
             tok = tokens[pos]
             if "*" in tok and not tok.startswith("("):
                 left, _, rest = tok.partition("*")
-                coeff = parse_int(left, f"bad integer multiplier in {tok!r}", ln)
+                coeff = parse_int(left, "bad integer multiplier in {!r}", ln, tok)
                 if rest:
                     tokens[pos] = rest
                 else:
@@ -688,7 +707,7 @@ class _Parser:
                 key = f"( {' '.join(inner)} ){power}"
                 cached = self.constants.get(key)
                 if cached is None:
-                    exp = parse_int(power[1:], f"bad exponent {power!r}", ln) if power else 1
+                    exp = parse_int(power[1:], "bad exponent {!r}", ln, power) if power else 1
                     word = parse_word_at(self.pres, " ".join(inner), ln) ** exp
                     cached = self.constants[key] = const_term(word).atoms
                 return cached, coeff
@@ -696,12 +715,12 @@ class _Parser:
             name, caret, exps = tok.partition("^")
             pair = self.var_atoms.get(name)
             if pair is not None:
-                exp = parse_int(exps, f"bad exponent in {tok!r}", ln) if caret else 1
+                exp = parse_int(exps, "bad exponent in {!r}", ln, tok) if caret else 1
                 return (pair[exp < 0],) * _repeat_count(exp), coeff
             cached = self.constants.get(tok)
             if cached is None:
                 if caret:  # a bad exponent is reported with its line
-                    parse_int(exps, f"bad exponent in {tok!r}", ln)
+                    parse_int(exps, "bad exponent in {!r}", ln, tok)
                 if name == "1":
                     cached = ()
                 else:
@@ -730,13 +749,13 @@ class _Parser:
         at = tokens.index("=")
         if len(tokens) != at + 2:
             self.fail(f"{kind} right-hand side must be one integer", ln)
-        constant = parse_int(tokens[at + 1], f"bad constant {tokens[at + 1]!r}", ln)
+        constant = parse_int(tokens[at + 1], "bad constant {!r}", ln)
         items = tokens[:at]
         if len(items) % 2:
             self.fail(f"{kind} needs coefficient {item} pairs", ln)
         terms = []
         for i in range(0, len(items), 2):
-            c = parse_int(items[i], f"bad coefficient {items[i]!r}", ln)
+            c = parse_int(items[i], "bad coefficient {!r}", ln)
             m = re.match(pattern, items[i + 1])
             if not m:
                 self.fail(f"expected {item}, got {items[i + 1]!r}", ln)

@@ -3,10 +3,12 @@
 The search space is (ball of the bound)^#variables in mixed-radix order:
 variables in declaration order, values in length-then-lex ball order. A
 search runs in four steps: the bound is checked against the cap; each
-disjunct's abelian shadow is solved once over Z, and when none is solvable
-the answer is UnsatByShadow without touching the ball; the ball is fetched
-and every disjunct with a failing ground equation or constraint is dropped;
-then the enumeration order is walked depth-first over the disjuncts left.
+disjunct's abelian shadow is solved once over Z, as integer rows over
+columns (`instances.disjunct_shadow`, `abelian.solve_rows`) with no unknown
+named, and when none is solvable the answer is UnsatByShadow without
+touching the ball; the ball is fetched and every disjunct with a failing
+ground equation or constraint is dropped; then the enumeration order is
+walked depth-first over the disjuncts left.
 
 At each node of the walk, each live disjunct computes once the candidate
 values of the next variable: the intersection of the pass sets of the
@@ -42,16 +44,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .abelian import solve_linear_system
+from .abelian import solve_rows
 from .errors import RadiusCapExceeded
 from .instances import (
     ConstAtom,
     GroupTerm,
     Instance,
     VarAtom,
-    abelian_shadow,
     compile_constraint,
     constraint_variables,
+    disjunct_shadow,
     evaluate,
 )
 from .words import (
@@ -247,12 +249,13 @@ def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
     """
     start = time.monotonic()
     check_radius(bound, cap)
-    solvable = [i for i, shadow in enumerate(abelian_shadow(inst))
-                if solve_linear_system(shadow)]
+    p = inst.presentation
+    solvable = [i for i, d in enumerate(inst.disjuncts)
+                if solve_rows(*disjunct_shadow(p, d, inst.variables)[:2]) is not None]
     if not solvable:
         millis = int((time.monotonic() - start) * 1000)
         return SearchReport(UNSAT_BY_SHADOW, bound, nodes=0, millis=millis)
-    ball = cayley_ball(inst.presentation, bound)
+    ball = cayley_ball(p, bound)
     states = [_DisjunctState(inst, i, ball, bound) for i in solvable]
     live0 = [st for st in states if not st.ground_failed]
 

@@ -148,7 +148,7 @@ class Presentation:
                 if k in ("inf", "oo", "∞"):
                     k = None
                 else:
-                    k = parse_int(k, f"bad vertex order {k!r}", ln)
+                    k = parse_int(k, "bad vertex order {!r}", ln)
                 vertices.append(name)
                 vertex_lines.append(ln)
                 # a second declaration is the error, not the first one's order
@@ -315,17 +315,20 @@ def _repeat_count(n: int) -> int:
     return abs(n)
 
 
-def parse_int(text: str, message: str, line: Optional[int] = None) -> int:
+def parse_int(text: str, message: str, line: Optional[int] = None,
+              token: Optional[str] = None) -> int:
     """Read an integer as every printer writes one: an optional ``-`` and ASCII
     digits. Anything else (``+``, ``_``, spaces, non-ASCII digits), or more
-    digits than the interpreter converts, raises ParseError(message)."""
+    digits than the interpreter converts, raises ParseError with the message
+    template's ``{!r}`` filled in with the token, by default the text. The
+    message is formatted only then."""
     digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ParseError(message, line=line)
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(message, line=line) from None
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise ParseError(message.format(text if token is None else token), line=line)
 
 
 def parse_word(p: Presentation, text: str) -> NormalWord:
@@ -339,7 +342,7 @@ def parse_word(p: Presentation, text: str) -> NormalWord:
         if tok == "1":
             continue
         name, caret, exp = tok.partition("^")
-        e = parse_int(exp, f"bad exponent in token {tok!r}") if caret else 1
+        e = parse_int(exp, "bad exponent in token {!r}", token=tok) if caret else 1
         if name in p.index:
             pairs.append((name, e))
         elif name and all(ch in p.index for ch in name):

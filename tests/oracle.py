@@ -37,8 +37,9 @@ same order.
 
 ``diagonal_solution`` is the dense reference for linear systems over Z: it
 diagonalizes the whole integer matrix with unimodular row and column
-operations, where ``abelcon.abelian.solve_linear_system`` eliminates sparse
-rows one at a time. Their verdicts must agree.
+operations, where ``abelcon.abelian.solve_rows`` eliminates sparse rows one
+at a time. Their verdicts must agree; ``diagonal_verdict`` reads the
+verdict of a named system off it.
 
 ``ab_holds_by_products`` is the check of an ``ab:`` constraint that
 ``evaluate`` once ran: multiply out each side into one normal form and
@@ -431,6 +432,26 @@ def diagonal_solution(matrix: list[list[int]], rhs: list[int]) -> Optional[list[
                 return None
             z[i] = c[i] // d
     return [sum(V[i][j] * z[j] for j in range(n)) for i in range(n)]
+
+
+def diagonal_verdict(sys) -> bool:
+    """Solvability of a named linear system from one diagonalization of the
+    whole system, congruences as slack columns."""
+    variables = sys.variables()
+    slacks = [eq.modulus for eq in sys.equations if eq.modulus is not None]
+    n = len(variables) + len(slacks)
+    if n == 0:
+        return all(eq.constant == 0 for eq in sys.equations)
+    matrix, s = [], 0
+    for eq in sys.equations:
+        row = [0] * n
+        for var, c in eq.coeffs:
+            row[variables.index(var)] += c
+        if eq.modulus is not None:
+            row[len(variables) + s] = eq.modulus
+            s += 1
+        matrix.append(row)
+    return diagonal_solution(matrix, [eq.constant for eq in sys.equations]) is not None
 
 
 def ab_holds_by_products(p, con, asg):

@@ -466,7 +466,7 @@ def test_shadow_centralizer_bug_is_not_swallowed(f2, monkeypatch):
     monkeypatch.setattr(instances_mod, "centralizer_generators", broken)
     d = Disjunct((commutator_term("X", W(f2, "a b")),), ())
     with pytest.raises(AssertionError):
-        disjunct_shadow(f2, d)
+        disjunct_shadow(f2, d, ("X",))
 
 
 def test_shadow_torsion_congruences(pentagon):

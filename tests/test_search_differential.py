@@ -13,7 +13,7 @@ import importlib
 import random
 from collections import Counter
 
-from abelcon.abelian import solve_linear_system
+from abelcon.abelian import solve_rows
 from abelcon.instances import VarAtom, parse_instance
 from abelcon.search import NO_SOLUTION_UP_TO_BOUND, UNSAT_BY_SHADOW, WITNESS, search
 from abelcon.words import Presentation, format_word, parse_word
@@ -195,11 +195,11 @@ def test_value_outside_a_disjuncts_candidates_does_not_keep_it_live():
 def test_shadow_is_solved_once_per_disjunct_not_per_node(monkeypatch):
     calls = []
 
-    def spy(system):
-        calls.append(system)
-        return solve_linear_system(system)
+    def spy(rows, columns):
+        calls.append(rows)
+        return solve_rows(rows, columns)
 
-    monkeypatch.setattr(search_mod, "solve_linear_system", spy)
+    monkeypatch.setattr(search_mod, "solve_rows", spy)
     inst = parse_instance(F2_HEADER + "vars X Y\n"
                           "disjunct {\n  eq X X^-1 = 1\n"
                           "  expsum: 1 |X|_a 1 |Y|_a = 4\n"

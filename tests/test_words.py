@@ -24,6 +24,7 @@ from abelcon.words import (
     multiply,
     multiply_all,
     normalize,
+    parse_int,
     parse_word,
     support,
 )
@@ -681,3 +682,25 @@ def test_centralizer_membership_reconstructed_from_generators(gamma1):
         for x in rng.sample(elements, 30):
             if is_in_centralizer(gamma1, g, x):
                 assert _expressible_by_short_products(gamma1, desc, x)
+
+
+class _CountedTemplate(str):
+    """A message template that counts how often it is formatted."""
+    formatted = 0
+
+    def format(self, *args):
+        _CountedTemplate.formatted += 1
+        return str.format(self, *args)
+
+
+def test_parse_int_formats_its_message_only_when_it_raises():
+    template = _CountedTemplate("bad exponent in {!r}")
+    assert [parse_int(t, template, 4, "x^" + t) for t in ("0", "-17", "8" * 40)] == [0, -17, int("8" * 40)]
+    assert _CountedTemplate.formatted == 0
+    with pytest.raises(ParseError) as err:
+        parse_int("+3", template, 4, "x^+3")
+    assert str(err.value) == "bad exponent in 'x^+3' (line 4)" and err.value.line == 4
+    with pytest.raises(ParseError) as err:
+        parse_int("٣", template)  # a non-ASCII digit; the token defaults to the text
+    assert str(err.value) == "bad exponent in '٣'" and err.value.line is None
+    assert _CountedTemplate.formatted == 2
