@@ -6,7 +6,6 @@ compilers from integer polynomial systems, and a bounded search solver.
 """
 
 from .abelian import (
-    LinearEquation,
     LinearSystem,
     SolvabilityResult,
     abelianize,

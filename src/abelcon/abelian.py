@@ -19,14 +19,14 @@ for or changes one unknown and substitutes it only into the rows that hold
 it, so blocks of rows that share no unknown never meet. The steps are
 undone into an exact witness, which is checked against the rows. The
 search's abelian shadow comes as such rows (`instances.disjunct_shadow`).
-Named systems (`LinearSystem`), as parsed, printed and listed by
-`instances.abelian_shadow`, are its front end: `solve_linear_system` maps
-each name to a column.
+A `LinearSystem`, as parsed, printed and listed by
+`instances.abelian_shadow`, is the same rows with a name for each column:
+`solve_linear_system` solves the rows and names the witness's values.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import NotAbelianPrimitive, ParseError
 from .words import NormalWord, Presentation, _check, content_lines, format_int, parse_int
@@ -80,31 +80,15 @@ def exponent_sum(p: Presentation, a: NormalWord, v: str) -> int:
 # integer linear systems
 
 
-class LinearEquation(NamedTuple):
-    """sum(coeffs[x] * x) = constant, exactly or modulo a fixed modulus."""
-    coeffs: tuple[tuple[str, int], ...]
-    constant: int
-    modulus: Optional[int] = None
-
-    def holds(self, values: dict[str, int]) -> bool:
-        total = sum(c * values[var] for var, c in self.coeffs)
-        if self.modulus is None:
-            return total == self.constant
-        return (total - self.constant) % self.modulus == 0
+# sum(coeffs[j] * x_j) over column indices j equals the constant: exactly
+# when the modulus is None, mod the modulus otherwise
+Row = tuple[dict[int, int], int, Optional[int]]
 
 
 class LinearSystem(NamedTuple):
-    equations: tuple[LinearEquation, ...]
-
-    def variables(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for eq in self.equations:
-            for var, _ in eq.coeffs:
-                seen.setdefault(var)
-        return list(seen)
-
-    def holds(self, values: dict[str, int]) -> bool:
-        return all(eq.holds(values) for eq in self.equations)
+    """Integer rows over columns, column j named names[j]."""
+    names: tuple[str, ...]
+    rows: tuple[Row, ...]
 
 
 class SolvabilityResult(NamedTuple):
@@ -116,8 +100,11 @@ class SolvabilityResult(NamedTuple):
 
 
 def parse_linear_system(text: str) -> LinearSystem:
-    """One equation per line: ``3 x -1 y = 5`` optionally followed by ``mod 4``."""
-    eqs = []
+    """One equation per line: ``3 x -1 y = 5`` optionally followed by ``mod 4``.
+    Names are numbered in the order they are first read, and a name repeated
+    in an equation sums into one coefficient."""
+    column: dict[str, int] = {}
+    rows: list[Row] = []
     for ln, line in content_lines(text):
         tokens = line.split()
         modulus = None
@@ -135,30 +122,26 @@ def parse_linear_system(text: str) -> LinearSystem:
         constant = parse_int(rhs[0], "bad constant {!r}", ln)
         if len(lhs) % 2:
             raise ParseError("left-hand side must be coefficient/variable pairs", line=ln)
-        coeffs = []
+        coeffs: dict[int, int] = {}
         for i in range(0, len(lhs), 2):
-            coeffs.append((lhs[i + 1], parse_int(lhs[i], "bad coefficient {!r}", ln)))
-        eqs.append(LinearEquation(tuple(coeffs), constant, modulus))
-    return LinearSystem(tuple(eqs))
+            j = column.setdefault(lhs[i + 1], len(column))
+            coeffs[j] = coeffs.get(j, 0) + parse_int(lhs[i], "bad coefficient {!r}", ln)
+        rows.append((coeffs, constant, modulus))
+    return LinearSystem(tuple(column), tuple(rows))
 
 
 def format_linear_system(sys: LinearSystem) -> str:
     lines = []
-    for eq in sys.equations:
-        parts = [f"{format_int(c)} {v}" for v, c in eq.coeffs] or ["0 _"]
-        line = " ".join(parts) + f" = {format_int(eq.constant)}"
-        if eq.modulus is not None:
-            line += f" mod {eq.modulus}"
+    for coeffs, constant, modulus in sys.rows:
+        parts = [f"{format_int(c)} {sys.names[j]}" for j, c in coeffs.items()] or ["0 _"]
+        line = " ".join(parts) + f" = {format_int(constant)}"
+        if modulus is not None:
+            line += f" mod {modulus}"
         lines.append(line)
     return "\n".join(lines) + "\n"
 
 
-# sum(coeffs[j] * x_j) over column indices j equals the constant: exactly
-# when the modulus is None, mod the modulus otherwise
-Row = tuple[dict[int, int], int, Optional[int]]
-
-
-def solve_rows(rows: list[Row], columns: int) -> Optional[list[int]]:
+def solve_rows(rows: Sequence[Row], columns: int) -> Optional[list[int]]:
     """A witness of the rows over Z, one value per column 0..columns-1, or
     None when they have no solution. The rows are not changed.
 
@@ -254,18 +237,8 @@ def _back_substitute(steps: list[tuple[int, int, int, dict[int, int]]],
 
 def solve_linear_system(sys: LinearSystem) -> SolvabilityResult:
     """Decide exact solvability over Z; a SAT result carries a verified
-    witness. Each name is a column of `solve_rows`, in the order the
-    equations first name it; a name repeated in an equation sums."""
-    variables = sys.variables()
-    var_index = {v: i for i, v in enumerate(variables)}
-    rows: list[Row] = []
-    for eq in sys.equations:
-        coeffs: dict[int, int] = {}
-        for var, c in eq.coeffs:
-            j = var_index[var]
-            coeffs[j] = coeffs.get(j, 0) + c
-        rows.append((coeffs, eq.constant, eq.modulus))
-    values = solve_rows(rows, len(variables))
+    witness, one value per name."""
+    values = solve_rows(sys.rows, len(sys.names))
     if values is None:
         return SolvabilityResult("UNSAT")
-    return SolvabilityResult("SAT", dict(zip(variables, values)))
+    return SolvabilityResult("SAT", dict(zip(sys.names, values)))

@@ -238,13 +238,12 @@ def _dispatch(args) -> int:
 
     if cmd == "shadow":
         inst = _load_instance(args.instance)
-        all_unsat = True
-        for i, system in enumerate(abelian_shadow(inst)):
-            verdict = solve_linear_system(system)
-            print(f"disjunct {i}: {verdict.status}")
-            sys.stdout.write(format_linear_system(system))
-            all_unsat = all_unsat and verdict.status == "UNSAT"
-        return EXIT_NO if all_unsat else EXIT_OK
+        systems = abelian_shadow(inst)
+        verdicts = [solve_linear_system(system) for system in systems]
+        text = "".join(f"disjunct {i}: {verdict.status}\n{format_linear_system(system)}"
+                       for i, (system, verdict) in enumerate(zip(systems, verdicts)))
+        sys.stdout.write(text)  # written whole: a formatting error leaves stdout empty
+        return EXIT_OK if any(verdicts) else EXIT_NO
 
     if cmd == "solve":
         inst = _load_instance(args.instance)
@@ -302,15 +301,15 @@ def _dispatch(args) -> int:
     if cmd == "verify":
         cr = _load_reduction(args.instance, args.sidecar)
         if args.hint:
+            check_radius(args.bound, args.cap)
             hint = _parse_int_solution(args.hint)
             decoded = decode_solution(cr, witness_h10(cr, hint))
             if decoded != hint:
                 print("FAIL: decoded hint mismatch", file=sys.stderr)
                 return EXIT_NO
-            print(_decoded_tuple(cr, decoded))
             # The hint's assignment satisfies the instance, and the abelian
             # shadow is sound, so a search could only end in OK: skip it.
-            check_radius(args.bound, args.cap)
+            print(_decoded_tuple(cr, decoded))
             print("OK")
             return EXIT_OK
         report = search(cr.instance, args.bound, cap=args.cap)

@@ -9,7 +9,8 @@ evaluation is pure.
 Abelianisation is a homomorphism, so ab:, coset: and expsum: constraints are
 linear rows on the values' exponent sums (`constraint_rows`), which the
 search checks (`compile_constraint`) and the shadow states over integer
-columns (`disjunct_shadow`); `abelian_shadow` names the columns to print.
+columns (`disjunct_shadow`); `abelian_shadow` puts names on those columns
+to print, and converts no row.
 `_constraint_holds` re-checks a witness independently of both: ab: adds up
 the images of each side's atom values (`abelianize_product`) and compares
 the two.
@@ -38,7 +39,7 @@ from .errors import (
     UnknownVariable,
     UnknownVertex,
 )
-from .abelian import LinearEquation, LinearSystem, Row
+from .abelian import LinearSystem, Row
 from .words import (
     NormalWord,
     Presentation,
@@ -501,14 +502,12 @@ def abelian_shadow(inst: Instance) -> list[LinearSystem]:
     the multiplier of the j-th generator of equation i's centralizer. An
     UNSAT shadow refutes its disjunct."""
     p = inst.presentation
-    names = [f"{x}.{v}" for x in inst.variables for v in p.vertices]
+    names = tuple(f"{x}.{v}" for x in inst.variables for v in p.vertices)
     systems = []
     for d in inst.disjuncts:
         rows, _, multipliers = disjunct_shadow(p, d, inst.variables)
-        column = names + [f"eq{i}.lam{j}" for i, j in multipliers]
-        systems.append(LinearSystem(tuple(
-            LinearEquation(tuple((column[j], c) for j, c in coeffs.items()), const, k)
-            for coeffs, const, k in rows)))
+        lams = tuple(f"eq{i}.lam{j}" for i, j in multipliers)
+        systems.append(LinearSystem(names + lams, tuple(rows)))
     return systems
 
 

@@ -39,7 +39,9 @@ same order.
 diagonalizes the whole integer matrix with unimodular row and column
 operations, where ``abelcon.abelian.solve_rows`` eliminates sparse rows one
 at a time. Their verdicts must agree; ``diagonal_verdict`` reads the
-verdict of a named system off it.
+verdict of an ``abelcon.abelian.LinearSystem`` off it. ``holds`` checks a
+system's witness row by row, the check the package makes inside
+``solve_rows``.
 
 ``ab_holds_by_products`` is the check of an ``ab:`` constraint that
 ``evaluate`` once ran: multiply out each side into one normal form and
@@ -435,23 +437,33 @@ def diagonal_solution(matrix: list[list[int]], rhs: list[int]) -> Optional[list[
 
 
 def diagonal_verdict(sys) -> bool:
-    """Solvability of a named linear system from one diagonalization of the
+    """Solvability of a linear system from one diagonalization of the
     whole system, congruences as slack columns."""
-    variables = sys.variables()
-    slacks = [eq.modulus for eq in sys.equations if eq.modulus is not None]
-    n = len(variables) + len(slacks)
-    if n == 0:
-        return all(eq.constant == 0 for eq in sys.equations)
+    slacks = [k for _, _, k in sys.rows if k is not None]
+    n = len(sys.names) + len(slacks)
+    if not (n and sys.rows):
+        return all(const == 0 for _, const, _ in sys.rows)
     matrix, s = [], 0
-    for eq in sys.equations:
+    for coeffs, _, k in sys.rows:
         row = [0] * n
-        for var, c in eq.coeffs:
-            row[variables.index(var)] += c
-        if eq.modulus is not None:
-            row[len(variables) + s] = eq.modulus
+        for j, c in coeffs.items():
+            row[j] += c
+        if k is not None:
+            row[len(sys.names) + s] = k
             s += 1
         matrix.append(row)
-    return diagonal_solution(matrix, [eq.constant for eq in sys.equations]) is not None
+    return diagonal_solution(matrix, [const for _, const, _ in sys.rows]) is not None
+
+
+def holds(sys, values: dict[str, int]) -> bool:
+    """Whether the values, one per name of the linear system, satisfy
+    every row: exactly, or modulo the row's modulus."""
+    x = [values[name] for name in sys.names]
+    for coeffs, const, k in sys.rows:
+        t = sum(c * x[j] for j, c in coeffs.items()) - const
+        if t if k is None else t % k:
+            return False
+    return True
 
 
 def ab_holds_by_products(p, con, asg):

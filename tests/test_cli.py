@@ -314,7 +314,7 @@ def test_verify_with_a_passing_hint_does_not_search(files, capsys, monkeypatch):
     assert (code, out) == (0, "(2,3)\nOK\n")
     assert calls == []
     code, out, err = run(capsys, "verify", inst, dec, "--bound", "-1", "--hint", "x=2,y=3")
-    assert code == 3 and out == "(2,3)\n" and err == "error: radius -1 outside 0..12\n"
+    assert code == 3 and out == "" and err == "error: radius -1 outside 0..12\n"
     code, out, err = run(capsys, "verify", inst, dec, "--bound", "1", "--cap", "0",
                          "--hint", "x=2,y=3")
     assert code == 3 and err == "error: radius 1 outside 0..0\n"
@@ -549,6 +549,9 @@ BAD_INSTANCES = {
                              "disjunct {\n  eq X = 1\n}\n",
     "unknown-vertex-in-parens.inst": "group f2.graph\nvars X\ndisjunct {\n  eq X ( a c ) = 1\n}\n",
     "bad-variable-name.inst": "group f2.graph\nvars 1X\ndisjunct {\n  eq a a^-1 = 1\n}\n",
+    # each exponent parses, but the shadow's constant, their sum, has 4301 digits
+    "4301-digit-constant.inst": f"group f2.graph\nvars X\ndisjunct {{\n"
+                                f"  eq X ( a^{'9' * 4300} a^{'9' * 4300} ) = 1\n}}\n",
     "expsum-at-finite-order.inst": "graph {\n  vertex a 2\n  vertex b inf\n}\nvars X\n"
                                    "disjunct {\n  eq X = 1\n  expsum: 1 |X|_a = 0\n}\n",
     # the bad order is on line 4 of the file and line 2 of the block
@@ -610,6 +613,9 @@ BAD_INPUTS = {
     "solve-bad-variable-name": (None, ("solve", "{dir}/bad-variable-name.inst", "--bound", "1")),
     "solve-expsum-at-finite-order": (None, ("solve", "{dir}/expsum-at-finite-order.inst",
                                             "--bound", "1")),
+    "shadow-4301-digit-constant": (None, ("shadow", "{dir}/4301-digit-constant.inst")),
+    "verify-hint-bound-outside-cap": (None, ("verify", "{inst}", "{dec}", "--bound", "99",
+                                             "--hint", "x=2,y=3")),
 }
 
 # the line a case's error names
@@ -629,9 +635,9 @@ def test_bad_input_is_an_error_not_a_no(files, capsys, case):
         dec.write_bytes(data if isinstance(data, bytes) else data.encode())
     for name, text in BAD_INSTANCES.items():
         (files / name).write_text(text)
-    code, _, err = run(capsys, *(a.format(inst=inst, dec=dec, asg=asg, graph=files / "f2.graph",
-                                          dir=files) for a in argv))
-    assert code == 3
+    code, out, err = run(capsys, *(a.format(inst=inst, dec=dec, asg=asg, graph=files / "f2.graph",
+                                            dir=files) for a in argv))
+    assert code == 3 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     if case in ERROR_LINES:
         assert err.rstrip().endswith(f"(line {ERROR_LINES[case]})")

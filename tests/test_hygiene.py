@@ -15,9 +15,9 @@ is bounded: an ``lru_cache`` with an explicit integer ``maxsize``. Only
 directly. Only ``words.py`` constructs a ``NormalWord``: everything else
 gets its words from ``normalize`` and the other operations there. ``search.py`` names no constraint class and neither ``linear_form``
 nor ``abelian_sides``: ``instances.compile_constraint`` is its one view of a
-constraint. Nor does it name ``abelian_shadow``, ``shadow_unknown``,
-``LinearSystem`` or ``LinearEquation``: its shadow is integer rows over
-columns, and no unknown is named. The witness re-check
+constraint. Nor does it name ``abelian_shadow``, ``shadow_unknown`` or
+``LinearSystem``: its shadow is integer rows over columns, and no unknown
+is named. The witness re-check
 ``instances._constraint_holds`` names none of ``constraint_rows``,
 ``linear_form``, ``abelian_sides``, ``compile_constraint``, ``product`` or
 ``evaluate``: it checks on the values themselves. ``search.py`` names no function that ``tests/oracle.py``
@@ -464,21 +464,19 @@ def test_search_names_no_constraint_class():
 
 # the named shadow, kept for printing: the walk solves its shadow as
 # integer rows (`instances.disjunct_shadow`, `abelian.solve_rows`)
-NAMED_SHADOW_NAMES = {"abelian_shadow", "shadow_unknown", "LinearSystem", "LinearEquation"}
+NAMED_SHADOW_NAMES = {"abelian_shadow", "shadow_unknown", "LinearSystem"}
 
 
 def test_the_named_shadow_check_sees_every_spelling():
     code = """
 from .instances import abelian_shadow as shadows, disjunct_shadow
 from .abelian import solve_rows
-from . import abelian
 
 def solvable(inst: "LinearSystem", p):
-    eq = abelian.LinearEquation((), 0)
     names = [instances.shadow_unknown(x, v) for x in inst.variables for v in p.vertices]
     return solve_rows(*disjunct_shadow(p, inst.disjuncts[0], inst.variables)[:2]), "an abelian_shadow in prose"
 """
-    assert _lines_naming(ast.parse(code), NAMED_SHADOW_NAMES) == [2, 6, 7, 8]
+    assert _lines_naming(ast.parse(code), NAMED_SHADOW_NAMES) == [2, 5, 6]
 
 
 def test_search_builds_no_named_shadow():

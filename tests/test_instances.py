@@ -434,6 +434,17 @@ def test_shadow_paper_items_unsat():
     assert solve_linear_system(abelian_shadow(item2)[0]).status == "UNSAT"
 
 
+def test_shadow_columns_with_equal_names_stay_apart():
+    """X = b solves it; the shadow names both ab(eq0) at lam0 and the
+    multiplier of the centralizer generator of b `eq0.lam0`, and solves
+    them as the two columns they are."""
+    inst = parse_instance("graph {\n  vertex lam0 inf\n  vertex b inf\n}\nvars eq0\n"
+                          "disjunct {\n  eq eq0 b eq0^-1 b^-1 = 1\n  ab: eq0 = b\n}\n")
+    shadow, = abelian_shadow(inst)
+    assert shadow.names == ("eq0.lam0", "eq0.b", "eq0.lam0")
+    assert solve_linear_system(shadow).status == "SAT"
+
+
 @pytest.mark.parametrize("names", ["xy", "ab"])
 def test_shadow_refuses_a_constant_over_another_presentation(gamma1, names):
     other = Presentation.free(names)

@@ -1,14 +1,20 @@
 """The abelian shadow the search solves: integer rows over columns
 (`instances.disjunct_shadow`, `abelian.solve_rows`), checked against the
-named shadow the CLI prints (`abelian_shadow`, `solve_linear_system`) and
-against one dense diagonalization (`oracle.diagonal_verdict`)."""
+named shadow the CLI prints (`abelian_shadow`, `solve_linear_system`),
+against one dense diagonalization (`oracle.diagonal_verdict`) and against
+its own printed text read back (`parse_linear_system`)."""
 
 import random
 
 import pytest
 
 import abelcon.abelian as abelian_mod
-from abelcon.abelian import solve_linear_system, solve_rows
+from abelcon.abelian import (
+    format_linear_system,
+    parse_linear_system,
+    solve_linear_system,
+    solve_rows,
+)
 from abelcon.instances import (
     AbEq,
     ConstAtom,
@@ -99,6 +105,7 @@ def test_integer_shadow_verdicts_match_the_named_and_dense_ones(name):
             assert columns == len(inst.variables) * len(p.vertices) + len(multipliers)
             values = solve_rows(rows, columns)
             verdict = values is not None
+            assert named[i].rows == tuple(rows), (trial, i)
             assert verdict == bool(solve_linear_system(named[i])), (trial, i)
             assert verdict == diagonal_verdict(named[i]), (trial, i)
             if verdict:
@@ -110,6 +117,20 @@ def test_integer_shadow_verdicts_match_the_named_and_dense_ones(name):
         assert any(m for _, m, _ in seen)
     if name in ("pentagon", "mixed"):
         assert any(c for _, _, c in seen)
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_the_printed_shadow_reads_back(name):
+    """The text `abelcon shadow` prints parses to a system of the same
+    verdict, which prints to the same bytes."""
+    p = GRAPHS[name]
+    rng = random.Random(2204)
+    for trial in range(400):
+        for i, system in enumerate(abelian_shadow(_random_instance(rng, p))):
+            text = format_linear_system(system)
+            read = parse_linear_system(text)
+            assert format_linear_system(read) == text, (trial, i)
+            assert bool(solve_linear_system(read)) == bool(solve_linear_system(system)), (trial, i)
 
 
 def _planted_instance(rng, p):
@@ -179,9 +200,9 @@ def test_a_corrupted_back_substitution_fails_the_witness_check(monkeypatch):
     inst = parse_instance(SAT_PATH_INSTANCE, presentation=PATH)
     rows, columns, _ = disjunct_shadow(PATH, inst.disjuncts[0], inst.variables)
     named, = abelian_shadow(inst)
-    # X.g1 - Y.g1 = 0 comes first: column 0 in both numberings
-    assert rows[0] == ({0: 1, 4: -1}, 0, None)
-    assert named.equations[0].coeffs == (("X.g1", 1), ("Y.g1", -1))
+    # X.g1 - Y.g1 = 0 comes first, over the rows' own columns
+    assert rows[0] == named.rows[0] == ({0: 1, 4: -1}, 0, None)
+    assert (named.names[0], named.names[4]) == ("X.g1", "Y.g1")
     assert solve_rows(rows, columns) is not None and solve_linear_system(named)
     honest = abelian_mod._back_substitute
 
