@@ -7,10 +7,10 @@ equations, and commutator-subgroup coset membership. Instances are immutable;
 evaluation is pure.
 
 Abelianisation is a homomorphism, so ab:, coset: and expsum: constraints are
-linear rows on the values' exponent sums (`constraint_rows`), which the
-search checks (`compile_constraint`) and the shadow states over integer
-columns (`disjunct_shadow`); `abelian_shadow` puts names on those columns
-to print, and converts no row.
+linear rows on the values' exponent sums (`constraint_rows`), built once per
+disjunct over integer columns (`disjunct_shadow`): the search solves them as
+the shadow and checks the same rows node by node, and `abelian_shadow` puts
+names on the columns to print, and converts no row.
 `_constraint_holds` re-checks a witness independently of both: ab: adds up
 the images of each side's atom values (`abelianize_product`) and compares
 the two.
@@ -28,9 +28,16 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
-from .abelian import abelianize, abelianize_product, exponent_sum, is_abelian_primitive
+from .abelian import (
+    LinearSystem,
+    Row,
+    abelianize,
+    abelianize_product,
+    exponent_sum,
+    is_abelian_primitive,
+)
 from .errors import (
     IncompleteAssignment,
     InfiniteAbelianisation,
@@ -39,7 +46,6 @@ from .errors import (
     UnknownVariable,
     UnknownVertex,
 )
-from .abelian import LinearSystem, Row
 from .words import (
     NormalWord,
     Presentation,
@@ -127,7 +133,7 @@ class ExpSumEq(NamedTuple):
 
 
 class LengthEq(NamedTuple):
-    """sum(coeff * |var|) = constant in geodesic length; evaluable but never pruned on."""
+    """sum(coeff * |var|) = constant in geodesic length: pruned on by the walk, not in the shadow."""
     terms: tuple[tuple[int, str], ...]
     constant: int
 
@@ -238,29 +244,6 @@ def _constraint_holds(p: Presentation, con: Constraint, asg: dict[str, NormalWor
     if isinstance(con, Coset):
         return abelianize(p, asg[con.variable]) == abelianize(p, con.rep)
     raise TypeError(f"unknown constraint {con!r}")
-
-
-def compile_constraint(p: Presentation, con: Constraint
-                       ) -> Callable[[dict[str, NormalWord]], bool]:
-    """con as a check on the values' exponent sums (kept on each word once
-    computed): each of its `constraint_rows` holds, exactly or mod k; len:
-    sums geodesic lengths instead. No word is multiplied."""
-    if isinstance(con, LengthEq):
-        return lambda asg: (sum(c * geodesic_length(p, asg[var]) for c, var in con.terms)
-                            == con.constant)
-    names, n = sorted(constraint_variables(con)), len(p.vertices)
-    rows = [([(names[j // n], j % n, c) for j, c in coeffs.items()], const, k)
-            for coeffs, const, k in constraint_rows(p, con, {x: s * n for s, x in enumerate(names)})]
-
-    def holds(asg: dict[str, NormalWord]) -> bool:
-        for coeffs, const, k in rows:
-            t = -const
-            for var, i, c in coeffs:
-                t += c * asg[var].exponent_sums()[i]
-            if t if k is None else t % k:
-                return False
-        return True
-    return holds
 
 
 def evaluate(inst: Instance, asg: dict[str, NormalWord]) -> EvalResult:
@@ -411,8 +394,8 @@ def constraint_rows(p: Presentation, con: Constraint, base: dict[str, int]) -> l
     gives one exact row, a repeated (variable, vertex) summed into one
     coefficient, kept when it sums to 0. len: gives none, as lengths are not
     linear in exponent sums. Rows with no unknown and constant 0 are left
-    out. The shadow and the search's compiled checks both read these rows,
-    so they agree by construction.
+    out. The search checks, node by node, the very rows its shadow solves
+    (`disjunct_shadow`).
     """
     if isinstance(con, LengthEq):
         return []
@@ -461,7 +444,7 @@ def _centralizer_lattice(p: Presentation, term: GroupTerm
 
 
 def disjunct_shadow(p: Presentation, d: Disjunct, variables: tuple[str, ...]
-                    ) -> tuple[list[Row], int, list[tuple[int, int]]]:
+                    ) -> tuple[list[Row], int, list[tuple[int, int]], int, list[LengthEq]]:
     """Necessary linear conditions on the ab coordinates of a disjunct's
     solutions, as integer rows for `abelian.solve_rows`.
 
@@ -470,9 +453,11 @@ def disjunct_shadow(p: Presentation, d: Disjunct, variables: tuple[str, ...]
     ab(term) = 0, then, for a commutator [X, w] = 1, its centralizer lattice
     rows: ab(X) = sum(lam_j * ab(g_j)) over C(w)'s generators g_j, each
     multiplier lam_j a column after the variables'. Each constraint gives
-    its `constraint_rows`, stated over columns. Rows with no unknown and
-    constant 0 are left out. Returns the rows, the number of columns, and
-    the (equation, j) of each multiplier column in order.
+    its `constraint_rows`, stated over columns, after every equation's. Rows
+    with no unknown and constant 0 are left out. Returns the rows, the
+    number of columns, the (equation, j) of each multiplier column in order,
+    the index of the first constraint row, and the len: constraints, which
+    give no row.
     """
     n = len(p.vertices)
     base = {x: s * n for s, x in enumerate(variables)}
@@ -491,9 +476,11 @@ def disjunct_shadow(p: Presentation, d: Disjunct, variables: tuple[str, ...]
                     if image[i]:
                         coeffs[first + j] = -image[i]
                 rows.append((coeffs, 0, p.order[v]))
+    constraints_from = len(rows)
     for con in d.constraints:
         rows += constraint_rows(p, con, base)
-    return rows, len(variables) * n + len(multipliers), multipliers
+    lengths = [con for con in d.constraints if isinstance(con, LengthEq)]
+    return rows, len(variables) * n + len(multipliers), multipliers, constraints_from, lengths
 
 
 def abelian_shadow(inst: Instance) -> list[LinearSystem]:
@@ -505,7 +492,7 @@ def abelian_shadow(inst: Instance) -> list[LinearSystem]:
     names = tuple(f"{x}.{v}" for x in inst.variables for v in p.vertices)
     systems = []
     for d in inst.disjuncts:
-        rows, _, multipliers = disjunct_shadow(p, d, inst.variables)
+        rows, _, multipliers, _, _ = disjunct_shadow(p, d, inst.variables)
         lams = tuple(f"eq{i}.lam{j}" for i, j in multipliers)
         systems.append(LinearSystem(names + lams, tuple(rows)))
     return systems

@@ -22,13 +22,14 @@ centralizer description (`words.centralizer_generators`, in any vertex
 orders) with no scan of the ball; these centralizer pass sets are cached
 per (word, bound) across searches, as the same few recur in every request.
 Any other equation scans the ball. Each visited value must also satisfy the
-constraints it makes ground. These are checked as integer sums, never by
-multiplying words: abelianisation is a homomorphism, so each disjunct
-compiles every constraint once (`instances.compile_constraint`) from the
-same rows its shadow comes from (`instances.constraint_rows`), and a node
-sums the values' exponent sums (each kept on its word once computed)
-against each row, mod k at a vertex of order k; len: sums geodesic lengths.
-The shadow is solved once per disjunct, before the walk, and never again
+constraints it makes ground, checked as integer sums, never by multiplying
+words: abelianisation is a homomorphism, so the walk reads the very rows
+its shadow was solved from (`instances.disjunct_shadow`, built once per
+disjunct). A row sits at the depth of its last unknown, where a node sums
+the values' exponent sums (kept on each word once computed) against it,
+mod k at a vertex of order k; a row with no unknown is the shadow's to
+decide. len: sums geodesic lengths at its last variable's depth. The
+shadow is solved once per disjunct, before the walk, and never again
 inside it. All checks are sound and every item is checked at the depth
 where it becomes ground, so the first leaf reached is the first satisfying
 assignment in enumeration order; it is re-verified once, with `evaluate`,
@@ -51,8 +52,6 @@ from .instances import (
     GroupTerm,
     Instance,
     VarAtom,
-    compile_constraint,
-    constraint_variables,
     disjunct_shadow,
     evaluate,
 )
@@ -112,8 +111,7 @@ def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int) -> Set:
     desc = centralizer_generators(p, w)
     budget = bound + 2 * geodesic_length(p, desc.conjugator)
     link_pres = induced_subpresentation(p, desc.link_vertices)
-    link_elems = [normalize(p, [(v, e) for v, e in x.syllables])
-                  for x in cayley_ball(link_pres, budget)]
+    link_elems = [normalize(p, x.syllables) for x in cayley_ball(link_pres, budget)]
     # exponent vectors of the cyclic parts within the budget, built part by
     # part so that no partial vector over the budget is extended
     vectors = [((), 0)]
@@ -144,7 +142,7 @@ def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int) -> Set:
 class _DisjunctState:
     """Per-disjunct pruning data threaded through the depth-first walk."""
 
-    def __init__(self, inst: Instance, index: int, ball: dict, bound: int):
+    def __init__(self, inst: Instance, index: int, shadow: tuple, ball: dict, bound: int):
         p = inst.presentation
         self.p = p
         self.disjunct = inst.disjuncts[index]
@@ -152,11 +150,11 @@ class _DisjunctState:
         self.bound = bound
         d = self.disjunct
         eq_vars = [t.variables() for t in d.equations]
-        con_vars = [constraint_variables(c) for c in d.constraints]
         # items become checkable at the depth where their last variable gets a value
         depth_of = {v: i for i, v in enumerate(inst.variables)}
         self.eq_at = [[] for _ in inst.variables]
-        self.con_at = [[] for _ in inst.variables]
+        self.rows_at = [[] for _ in inst.variables]
+        self.lengths_at = [[] for _ in inst.variables]
         # equation i is solved for its last variable, at the positions
         # eq_hits[i]; eq_others[i] are the rest
         self.eq_others: list[tuple[str, ...]] = []
@@ -168,14 +166,20 @@ class _DisjunctState:
             self.eq_others.append(tuple(ordered[:-1]))
             self.eq_hits.append(tuple(k for k, a in enumerate(t.atoms)
                                       if isinstance(a, VarAtom) and a.name in ordered[-1:]))
-        for i, vs in enumerate(con_vars):
-            if vs:
-                self.con_at[max(depth_of[v] for v in vs)].append(i)
-        self.checks = [compile_constraint(p, c) for c in d.constraints]
+        rows, _, _, constraints_from, lengths = shadow
+        n = len(p.vertices)  # column j: the exponent sum of variables[j // n] at vertex j % n
+        for coeffs, const, k in rows[constraints_from:]:
+            cols = [j for j, c in coeffs.items() if c]
+            if cols:  # a row with no unknown is the shadow's to decide
+                self.rows_at[max(cols) // n].append(
+                    ([(inst.variables[j // n], j % n, coeffs[j]) for j in cols], const, k))
+        for terms, const in lengths:
+            if terms:
+                self.lengths_at[max(depth_of[x] for _, x in terms)].append((terms, const))
         self.ground_failed = (
             any(not t.evaluate(p, {}).is_identity()
                 for t, vs in zip(d.equations, eq_vars) if not vs)
-            or any(not check({}) for check, vs in zip(self.checks, con_vars) if not vs))
+            or any(const for terms, const in lengths if not terms))
         self._memo: dict[tuple, Set] = {}
 
     def _equation_pass_set(self, i: int, asg: dict[str, NormalWord]) -> Set:
@@ -228,8 +232,16 @@ class _DisjunctState:
         return out
 
     def constraints_hold(self, depth: int, asg: dict[str, NormalWord]) -> bool:
-        """Every constraint that becomes ground at depth holds under asg."""
-        return all(self.checks[i](asg) for i in self.con_at[depth])
+        """Every constraint row and len: that becomes ground at depth holds
+        under asg: a row exactly or mod its k, on the values' exponent sums."""
+        for terms, const, k in self.rows_at[depth]:
+            t = -const
+            for var, i, c in terms:
+                t += c * asg[var].exponent_sums()[i]
+            if t if k is None else t % k:
+                return False
+        return all(sum(c * geodesic_length(self.p, asg[x]) for c, x in terms) == const
+                   for terms, const in self.lengths_at[depth])
 
 
 def check_radius(bound: int, cap: int) -> None:
@@ -250,13 +262,13 @@ def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
     start = time.monotonic()
     check_radius(bound, cap)
     p = inst.presentation
-    solvable = [i for i, d in enumerate(inst.disjuncts)
-                if solve_rows(*disjunct_shadow(p, d, inst.variables)[:2]) is not None]
+    shadows = [disjunct_shadow(p, d, inst.variables) for d in inst.disjuncts]
+    solvable = [i for i, sh in enumerate(shadows) if solve_rows(*sh[:2]) is not None]
     if not solvable:
         millis = int((time.monotonic() - start) * 1000)
         return SearchReport(UNSAT_BY_SHADOW, bound, nodes=0, millis=millis)
     ball = cayley_ball(p, bound)
-    states = [_DisjunctState(inst, i, ball, bound) for i in solvable]
+    states = [_DisjunctState(inst, i, shadows[i], ball, bound) for i in solvable]
     live0 = [st for st in states if not st.ground_failed]
 
     variables = inst.variables

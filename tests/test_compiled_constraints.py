@@ -1,8 +1,10 @@
 """Differential tests of the constraint checks.
 
-The search checks ab:, expsum:, coset: and len: constraints as integer sums
-on each value's exponent-sum vector (`instances.compile_constraint`, which
-reads the rows of `instances.constraint_rows`, as the abelian shadow does).
+The walk checks ab:, expsum: and coset: constraints as integer sums on each
+value's exponent-sum vector: it reads the very rows its abelian shadow is
+solved from (`instances.disjunct_shadow`, built from
+`instances.constraint_rows`), each at the depth of its last unknown
+(`search._DisjunctState.constraints_hold`); len: sums geodesic lengths.
 `instances._constraint_holds`, the witness re-check, checks them apart from
 those rows; for ab: it sums the images of each side's atom values. The
 reference for ab: is `tests/oracle.py::ab_holds_by_products`, which
@@ -10,7 +12,9 @@ multiplies each side out and abelianises the product; for the other kinds
 it is `_constraint_holds`. Both checks must agree with the reference on
 every value, or every pair of values, of small balls over F2, the pentagon
 right-angled Coxeter group, a Z/3, Z/4, Z graph and the all-torsion
-Z/3 * Z/4, and on seeded random ab: constraints.
+Z/3 * Z/4, and on seeded random ab: constraints. The walk's check must also
+decide each constraint at the depth of its last unknown, no earlier and no
+later.
 """
 
 import random
@@ -18,18 +22,21 @@ from itertools import product
 
 import pytest
 
-from abelcon.abelian import abelianize
+from abelcon.abelian import abelianize, solve_rows
 from abelcon.errors import PresentationMismatch
 from abelcon.instances import (
     AbEq,
     ConstAtom,
+    Disjunct,
     GroupTerm,
+    Instance,
     VarAtom,
     _constraint_holds,
-    compile_constraint,
     constraint_variables,
+    disjunct_shadow,
     parse_instance,
 )
+from abelcon.search import _DisjunctState
 from abelcon.words import Presentation, ball, parse_word
 
 from .oracle import ab_holds_by_products
@@ -90,21 +97,61 @@ def _reference(p, con, asg):
     return ab_holds_by_products(p, con, asg) if isinstance(con, AbEq) else _constraint_holds(p, con, asg)
 
 
+def _walk_state(p, variables, con):
+    """The walk's state for a disjunct of con alone, built from its shadow
+    as the search builds it, or None when the shadow refutes the disjunct
+    and the search builds no state."""
+    inst = Instance(p, variables, (Disjunct((GroupTerm(()),), (con,)),))
+    shadow = disjunct_shadow(p, inst.disjuncts[0], variables)
+    if solve_rows(*shadow[:2]) is None:
+        return None
+    return _DisjunctState(inst, 0, shadow, ball(p, 0), 0)
+
+
+def _walk_holds(st, asg):
+    """The walk's verdict on values of the first len(asg) variables: no
+    ground failure, and the check at each of their depths passes."""
+    return (st is not None and not st.ground_failed
+            and all(st.constraints_hold(depth, asg) for depth in range(len(asg))))
+
+
 @pytest.mark.parametrize("p, radius, lines", CASES, ids=["F2", "pentagon", "mixed", "torsion"])
 def test_compiled_checks_agree_with_constraint_holds(p, radius, lines):
     values = list(ball(p, radius))
     cons = _disjunct(p, lines).constraints
     for con in cons:
-        check = compile_constraint(p, con)
+        st = _walk_state(p, ("X", "Y"), con)
         held = 0
-        for x, y in product(values, repeat=2):
-            asg = {"X": x, "Y": y}
-            expected = _reference(p, con, asg)
-            assert check(asg) == expected, (con, x, y)
-            assert _constraint_holds(p, con, asg) == expected, (con, x, y)
-            held += expected
+        by_x = []
+        for x in values:
+            outcomes = []
+            for y in values:
+                asg = {"X": x, "Y": y}
+                expected = _reference(p, con, asg)
+                assert _walk_holds(st, asg) == expected, (con, x, y)
+                assert _constraint_holds(p, con, asg) == expected, (con, x, y)
+                outcomes.append(expected)
+            held += sum(outcomes)
+            early = _walk_holds(st, {"X": x})  # depth 0, before Y has a value
+            assert early or not any(outcomes), (con, x)  # depth 0 prunes no solution
+            by_x.append((x, early, outcomes))
+        if all(len(set(outcomes)) == 1 for _, _, outcomes in by_x):
+            # con does not depend on Y, so depth 0 decides it
+            for x, early, outcomes in by_x:
+                assert early == outcomes[0], (con, x)
         if constraint_variables(con):
             assert 0 < held < len(values) ** 2, con  # the check decides something
+
+
+def _last_unknown(con, variables):
+    """The position of the last variable whose signed count in
+    ab(lhs) - ab(rhs) is not 0, or -1 when every count is 0."""
+    count = dict.fromkeys(variables, 0)
+    for side, sign in ((con.lhs, 1), (con.rhs, -1)):
+        for a in side.atoms:
+            if isinstance(a, VarAtom):
+                count[a.name] += -sign if a.inverse else sign
+    return max((s for s, x in enumerate(variables) if count[x]), default=-1)
 
 
 def _random_ab_constraints(p, rng, count):
@@ -141,15 +188,23 @@ def _random_ab_constraints(p, rng, count):
 def test_random_ab_checks_agree_with_the_product_reference(p):
     rng = random.Random(2204)
     values = list(ball(p, 2))
+    variables = ("X", "Y", "Z")
     held = 0
     cases = 0
     for con in _random_ab_constraints(p, rng, 300):
-        check = compile_constraint(p, con)
+        st = _walk_state(p, variables, con)
+        last = _last_unknown(con, variables)
         for _ in range(4):
-            asg = {v: rng.choice(values) for v in "XYZ"}
+            asg = {v: rng.choice(values) for v in variables}
             expected = ab_holds_by_products(p, con, asg)
             assert _constraint_holds(p, con, asg) == expected, (con, asg)
-            assert check(asg) == expected, (con, asg)
+            assert _walk_holds(st, asg) == expected, (con, asg)
+            if st is not None and last >= 0:
+                # the depths before the last unknown's pass, and its own
+                # decides, on the values up to it alone
+                prefix = {v: asg[v] for v in variables[:last + 1]}
+                checks = [st.constraints_hold(depth, prefix) for depth in range(last + 1)]
+                assert all(checks[:-1]) and checks[-1] == expected, (con, asg)
             held += expected
             cases += 1
     assert 0.2 * cases < held < 0.8 * cases, (held, cases)
@@ -162,15 +217,14 @@ def test_finite_order_sums_that_differ_by_the_order_are_equal():
         k_minus_one = parse_word(p, "p q p")
         assert minus_one.exponent_sums()[0] == -1 and k_minus_one.exponent_sums()[0] == k - 1
         con = _disjunct(p, ["ab: X = Y"]).constraints[0]
-        check = compile_constraint(p, con)
         asg = {"X": minus_one, "Y": parse_word(p, "p q p q^-1")}
-        assert check(asg) and _constraint_holds(p, con, asg)
+        assert _walk_holds(_walk_state(p, ("X", "Y"), con), asg) and _constraint_holds(p, con, asg)
     q_word = parse_word(TORSION, "q p q p q")  # q-sum 3 against -1 at order 4
     con = _disjunct(TORSION, ["coset: X in q^-1 p^-1 * G'"]).constraints[0]
-    assert compile_constraint(TORSION, con)({"X": q_word, "Y": q_word})
+    assert _walk_holds(_walk_state(TORSION, ("X", "Y"), con), {"X": q_word, "Y": q_word})
     # a difference that is not a multiple of the order still separates
     con = _disjunct(MIXED, ["ab: X = ( p q )"]).constraints[0]
-    assert not compile_constraint(MIXED, con)({"X": parse_word(MIXED, "p q^-1")})
+    assert not _walk_holds(_walk_state(MIXED, ("X",), con), {"X": parse_word(MIXED, "p q^-1")})
 
 
 def test_exponent_sums_are_computed_once_and_kept():
@@ -183,7 +237,8 @@ def test_exponent_sums_are_computed_once_and_kept():
 def test_a_constant_over_another_presentation_is_a_mismatch():
     # an equal presentation built separately is the same group
     con = AbEq(GroupTerm((VarAtom("X"),)), GroupTerm((ConstAtom(parse_word(F2, "a")),)))
-    assert compile_constraint(Presentation.free("ab"), con)({"X": parse_word(F2, "a")})
+    st = _walk_state(Presentation.free("ab"), ("X",), con)
+    assert _walk_holds(st, {"X": parse_word(F2, "a")})
     foreign = AbEq(GroupTerm((VarAtom("X"),)), GroupTerm((ConstAtom(parse_word(PENTAGON, "a")),)))
     with pytest.raises(PresentationMismatch):
-        compile_constraint(F2, foreign)
+        _walk_state(F2, ("X",), foreign)

@@ -14,12 +14,12 @@ is bounded: an ``lru_cache`` with an explicit integer ``maxsize``. Only
 ``search.py`` builds a Cayley ball: the word algebra constructs its answers
 directly. Only ``words.py`` constructs a ``NormalWord``: everything else
 gets its words from ``normalize`` and the other operations there. ``search.py`` names no constraint class and neither ``linear_form``
-nor ``abelian_sides``: ``instances.compile_constraint`` is its one view of a
+nor ``abelian_sides``: ``instances.disjunct_shadow`` is its one view of a
 constraint. Nor does it name ``abelian_shadow``, ``shadow_unknown`` or
 ``LinearSystem``: its shadow is integer rows over columns, and no unknown
 is named. The witness re-check
 ``instances._constraint_holds`` names none of ``constraint_rows``,
-``linear_form``, ``abelian_sides``, ``compile_constraint``, ``product`` or
+``linear_form``, ``abelian_sides``, ``disjunct_shadow``, ``product`` or
 ``evaluate``: it checks on the values themselves. ``search.py`` names no function that ``tests/oracle.py``
 defines, so ``naive_search`` and ``isolate_variable`` stay an independent
 reference for the walk. Every error class in ``errors.py`` but the base ``AbelconError``
@@ -414,7 +414,7 @@ def test_only_words_constructs_a_normal_word(path):
     assert not calls, f"{path.name}: constructs a NormalWord outside words.py, lines {calls}"
 
 
-# what search.py leaves to instances.compile_constraint
+# what search.py leaves to instances.disjunct_shadow, its one view of a constraint
 CONSTRAINT_NAMES = {"AbEq", "Coset", "ExpSumEq", "LengthEq", "linear_form", "abelian_sides"}
 
 
@@ -444,14 +444,14 @@ def _lines_naming(tree: ast.Module, names: set[str]) -> list[int]:
 
 def test_the_constraint_name_check_sees_every_spelling():
     code = """
-from .instances import AbEq as Eq, compile_constraint
+from .instances import AbEq as Eq, disjunct_shadow
 from . import instances
 from abelcon.instances import linear_form
 
 def check(con: "Coset", p):
     if isinstance(con, instances.ExpSumEq):
         return abelian_sides(con)
-    return compile_constraint(p, con), "a LengthEq in prose"
+    return disjunct_shadow(p, con), "a LengthEq in prose"
 """
     assert _lines_naming(ast.parse(code), CONSTRAINT_NAMES) == [2, 4, 6, 7, 8]
 
@@ -459,7 +459,7 @@ def check(con: "Coset", p):
 def test_search_names_no_constraint_class():
     path = SRC / "search.py"
     lines = _lines_naming(ast.parse(path.read_text(encoding="utf-8")), CONSTRAINT_NAMES)
-    assert not lines, f"search.py: use instances.compile_constraint, lines {lines}"
+    assert not lines, f"search.py: read constraints from instances.disjunct_shadow, lines {lines}"
 
 
 # the named shadow, kept for printing: the walk solves its shadow as
@@ -487,7 +487,7 @@ def test_search_builds_no_named_shadow():
 
 # what the witness re-check leaves to the shadow and the walk, and the
 # products of words it no longer builds (`GroupTerm.evaluate` is one)
-WITNESS_CHECK_NAMES = {"constraint_rows", "linear_form", "abelian_sides", "compile_constraint",
+WITNESS_CHECK_NAMES = {"constraint_rows", "linear_form", "abelian_sides", "disjunct_shadow",
                        "product", "evaluate"}
 
 
@@ -512,7 +512,7 @@ def _constraint_holds(p, con, asg):
     if con:
         return prod(p, [])
     if asg:
-        return instances.compile_constraint(p, con)(asg)
+        return instances.disjunct_shadow(p, con, asg)
     if p:
         return con.lhs.evaluate(p, asg)
     return linear_form(p, [])

@@ -282,3 +282,59 @@ def test_the_walk_makes_no_group_word_constraint_check(monkeypatch):
     verdict, nodes, seen = runs[3, 4, "a b"]
     assert verdict == WITNESS
     assert seen == {"evaluate": 1, "_constraint_holds": 3}, runs
+
+
+def test_a_row_is_checked_at_the_depth_of_its_last_unknown():
+    """X's rows of ab: X Y Y^-1 = a^2 b are checked where X gets its value,
+    not where Y, the constraint's last variable, gets its own: the walk
+    admits X = a^2 b and Y = 1 only."""
+    inst = parse_instance(F2_HEADER + "vars X Y\ndisjunct {\n  eq X X^-1 = 1\n  eq Y Y^-1 = 1\n"
+                          "  ab: X Y Y^-1 = ( a^2 b )\n}\n")
+    report = search(inst, 3)
+    assert report.verdict == WITNESS
+    assert report.nodes == 2
+    assert report.assignment == naive_search(inst, 3)
+    assert format_word(report.assignment["X"]) == "a^2 b"
+    assert report.assignment["Y"].is_identity()
+
+
+def test_each_constraint_row_is_built_once_per_search(monkeypatch):
+    """One search builds each disjunct's shadow once, and each constraint's
+    rows once: the walk checks the rows its shadow was solved from, for the
+    refuted disjunct and the two solvable ones alike."""
+    instances_mod = importlib.import_module("abelcon.instances")
+    search_mod = importlib.import_module("abelcon.search")
+    calls = Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(search_mod, "disjunct_shadow")
+    spy(instances_mod, "constraint_rows")
+    inst = parse_instance(F2_HEADER + """
+vars X Y
+disjunct {
+  eq X = 1
+  ab: X = a
+}
+disjunct {
+  eq X Y^-1 = 1
+  ab: X Y = ( a^2 b^2 )
+  expsum: 1 |X|_a -1 |Y|_b = 0
+  len: 1 |X| 1 |Y| = 2
+}
+disjunct {
+  eq X Y = 1
+  ab: X = ( a b )
+  ab: X Y = 1
+}
+""")
+    report = search(inst, 2)
+    assert (report.verdict, report.disjunct) == (WITNESS, 2)
+    assert report.assignment == naive_search(inst, 2)
+    assert calls == {"disjunct_shadow": 3, "constraint_rows": 6}, calls

@@ -27,6 +27,7 @@ from abelcon.instances import (
     abelian_shadow,
     commutator_term,
     const_term,
+    constraint_rows,
     disjunct_shadow,
     evaluate,
     parse_instance,
@@ -100,9 +101,13 @@ def test_integer_shadow_verdicts_match_the_named_and_dense_ones(name):
     for trial in range(400):
         inst = _random_instance(rng, p)
         named = abelian_shadow(inst)
+        base = {x: s * len(p.vertices) for s, x in enumerate(inst.variables)}
         for i, d in enumerate(inst.disjuncts):
-            rows, columns, multipliers = disjunct_shadow(p, d, inst.variables)
+            rows, columns, multipliers, first, _ = disjunct_shadow(p, d, inst.variables)
             assert columns == len(inst.variables) * len(p.vertices) + len(multipliers)
+            # the constraints' rows come last, in order
+            assert rows[first:] == [r for con in d.constraints
+                                    for r in constraint_rows(p, con, base)], (trial, i)
             values = solve_rows(rows, columns)
             verdict = values is not None
             assert named[i].rows == tuple(rows), (trial, i)
@@ -178,7 +183,7 @@ def test_shadow_rows_hold_at_the_exponent_sums_of_a_solution(name):
     for trial in range(300):
         inst, asg = _planted_instance(rng, p)
         assert evaluate(inst, asg).satisfied, trial
-        rows, columns, multipliers = disjunct_shadow(p, inst.disjuncts[0], inst.variables)
+        rows, columns, multipliers, _, _ = disjunct_shadow(p, inst.disjuncts[0], inst.variables)
         first = columns - len(multipliers)
         sums = [e for x in inst.variables for e in asg[x].exponent_sums()]
         for coeffs, const, k in rows:
@@ -198,7 +203,7 @@ SAT_PATH_INSTANCE = ("vars X Y\n"
 
 def test_a_corrupted_back_substitution_fails_the_witness_check(monkeypatch):
     inst = parse_instance(SAT_PATH_INSTANCE, presentation=PATH)
-    rows, columns, _ = disjunct_shadow(PATH, inst.disjuncts[0], inst.variables)
+    rows, columns, _, _, _ = disjunct_shadow(PATH, inst.disjuncts[0], inst.variables)
     named, = abelian_shadow(inst)
     # X.g1 - Y.g1 = 0 comes first, over the rows' own columns
     assert rows[0] == named.rows[0] == ({0: 1, 4: -1}, 0, None)
