@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import product as iproduct
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .abelian import abelianize_product, exponent_sum
 from .errors import (
@@ -113,8 +113,8 @@ class H10Instance(_H10Fields):
 
     def __new__(cls, polynomials: tuple[Polynomial, ...]):
         self = super().__new__(cls, polynomials)
-        if not polynomials:
-            raise ParseError("at least one polynomial equation required")
+        if not any(poly.monomials for poly in polynomials):
+            raise ParseError("at least one nonzero monomial required")
         for v in self.variables():
             if not _VAR_RE.match(v):
                 raise ParseError(f"bad integer variable name {v!r}")
@@ -219,15 +219,10 @@ def atomize(h: H10Instance) -> AtomizedH10:
     the source and fresh variables are determined by the source variables.
     """
     atoms: list[H10Atom] = []
-    counters = {"p": 0, "s": 0, "k": 0}
-
-    def fresh(kind: str) -> str:
-        name = f"_{kind}{counters[kind]}"
-        counters[kind] += 1
-        return name
+    fresh = {kind: _FreshNames((), f"_{kind}") for kind in "psk"}
 
     def const_var(value: int) -> str:
-        v = fresh("k")
+        v = fresh["k"].next()
         atoms.append(ConstDef(v, value))
         return v
 
@@ -237,12 +232,12 @@ def atomize(h: H10Instance) -> AtomizedH10:
             return const_var(m.coeff)
         chain = m.vars[0]
         for v in m.vars[1:]:
-            t = fresh("p")
+            t = fresh["p"].next()
             atoms.append(ProdDef(t, chain, v))
             chain = t
         if m.coeff != 1:
             c = const_var(m.coeff)
-            t = fresh("p")
+            t = fresh["p"].next()
             atoms.append(ProdDef(t, c, chain))
             chain = t
         return chain
@@ -251,7 +246,7 @@ def atomize(h: H10Instance) -> AtomizedH10:
         vals = [monomial_value(m) for m in monomials]
         acc = vals[0]
         for v in vals[1:]:
-            t = fresh("s")
+            t = fresh["s"].next()
             atoms.append(SumDef(t, acc, v))
             acc = t
         return acc
@@ -530,13 +525,31 @@ def decode_solution(cr: CompiledReduction, asg: dict[str, NormalWord]) -> dict[s
 
 
 # ---------------------------------------------------------------------------
-# free-group compiler
+# the compile driver
 
 
 class _Emitter:
-    """Accumulates variables, equations, constraints, and recipes in order."""
+    """Builds one compiled reduction over the atoms of ``h``: variables with
+    their recipes, equations and constraints, in emission order.
 
-    def __init__(self):
+    The gadgets both targets share are stated here once:
+
+    - ``ensure``: A_x, the group variable of integer variable x, made on its
+      first use by the target's ``domain(A_x, x)`` action;
+    - ``cyclic``: a variable x confined to <g> by [x, g] = 1, with recipe g^exp;
+    - ``finish``: ensure every source variable, then build the one-disjunct
+      instance, the decode map and the CompiledReduction.
+
+    Each compiler states its own gadgets on these: the free target's K
+    gadget, the RAAG target's star-cover zero gadget and relativization.
+    """
+
+    def __init__(self, h: H10Instance, p: Presentation, domain: Callable[[str, str], None]):
+        self.h = h
+        self.p = p
+        self.domain = domain
+        self.atomized = atomize(h)
+        self.avar: dict[str, str] = {}
         self.variables: list[str] = []
         self.equations: list[GroupTerm] = []
         self.constraints: list = []
@@ -552,6 +565,33 @@ class _Emitter:
         self.variables.append(name)
         self.recipes.append((name, recipe))
         return name
+
+    def cyclic(self, name: str, g: NormalWord, exp: dict) -> str:
+        self.add_var(name, w_pow(w_word(g), exp))
+        self.equations.append(commutator_term(name, g))
+        return name
+
+    def ensure(self, intvar: str) -> str:
+        if intvar not in self.avar:
+            self.avar[intvar] = f"A_{intvar}"
+            self.domain(self.avar[intvar], intvar)
+        return self.avar[intvar]
+
+    def finish(self, ref: str, mode: str) -> CompiledReduction:
+        source_vars = self.atomized.source_vars
+        for v in source_vars:
+            self.ensure(v)
+        # the domain action closes over this emitter: dropping it breaks the cycle,
+        # so reference counting, not the cycle collector, frees a compile's garbage
+        del self.domain
+        inst = Instance(self.p, tuple(self.variables),
+                        (Disjunct(tuple(self.equations), tuple(self.constraints)),))
+        decode = {v: (self.avar[v], ref) for v in source_vars}
+        return CompiledReduction(inst, decode, tuple(self.recipes), self.atomized, self.h, mode)
+
+
+# ---------------------------------------------------------------------------
+# free-group compiler
 
 
 def compile_h10_free(h: H10Instance, target: Presentation,
@@ -574,63 +614,50 @@ def compile_h10_free(h: H10Instance, target: Presentation,
     ws1 = parse_word(p, s1)
     ws2 = parse_word(p, s2)
     ws1s2 = multiply(p, ws1, ws2)
-    atomized = atomize(h)
-    em = _Emitter()
-    avar: dict[str, str] = {}
+    # the domain: A_x = s1^x, confined to <s1>
+    em = _Emitter(h, p, lambda ax, x: em.cyclic(ax, ws1, i_var(x)))
 
-    def ensure(intvar: str) -> str:
-        if intvar not in avar:
-            name = f"A_{intvar}"
-            avar[intvar] = name
-            em.add_var(name, w_pow(w_word(ws1), i_var(intvar)))
-            em.equations.append(commutator_term(name, ws1))
-        return avar[intvar]
-
-    def expsum_or_gadget(items: list[tuple[int, str, str]], zero_term: GroupTerm,
-                         pinned: str, witness: dict) -> None:
-        """One |.|-condition: native mode emits the linear row, pure-ab a K gadget.
-
-        ``zero_term`` must have zero exponent sum at ``pinned`` (s1 or s2) iff
-        the condition holds; the gadget asserts ab(zero_term) = ab(u) with u
-        confined to the complementary cyclic subgroup.
-        """
-        if mode == "native-expsum":
-            em.constraints.append(ExpSumEq(tuple(items), 0))
-            return
-        other = ws2 if pinned == s1 else ws1
-        u = em.add_var(em.fresh("u"), witness)
-        em.equations.append(commutator_term(u, other))
+    def k_gadget(zero_term: GroupTerm, other: NormalWord, exp: dict) -> None:
+        """ab(zero_term) = ab(u) with u = other^exp confined to <other>, so
+        zero_term has zero exponent sum at the generator that is not ``other``."""
+        u = em.cyclic(em.fresh("u"), other, exp)
         em.constraints.append(AbEq(zero_term, var_term(u)))
 
-    for atom in atomized.atoms:
+    def expsum_or_gadget(items: list[tuple[int, str, str]], zero_term: GroupTerm,
+                         exp: dict) -> None:
+        """One |.|_s1-condition: native mode emits the linear row, pure-ab a K
+        gadget in <s2>. ``zero_term`` must have zero exponent sum at s1 iff
+        the condition holds, and s2^exp must witness its abelian image."""
+        if mode == "native-expsum":
+            em.constraints.append(ExpSumEq(tuple(items), 0))
+        else:
+            k_gadget(zero_term, ws2, exp)
+
+    for atom in em.atomized.atoms:
         if isinstance(atom, ConstDef):
-            ax = ensure(atom.var)
+            ax = em.ensure(atom.var)
             em.equations.append(var_term(ax) * const_term(ws1 ** (-atom.value)))
         elif isinstance(atom, EqDef):
-            al = ensure(atom.left)
-            ar = ensure(atom.right)
+            al = em.ensure(atom.left)
+            ar = em.ensure(atom.right)
             em.equations.append(GroupTerm((VarAtom(al), VarAtom(ar, True))))
         elif isinstance(atom, SumDef):
-            ay = ensure(atom.left)
-            az = ensure(atom.right)
-            ax = ensure(atom.var)
+            ay = em.ensure(atom.left)
+            az = em.ensure(atom.right)
+            ax = em.ensure(atom.var)
             zero = GroupTerm((VarAtom(ay), VarAtom(az), VarAtom(ax, True)))
-            expsum_or_gadget(
-                [(1, ay, s1), (1, az, s1), (-1, ax, s1)], zero, s1,
-                w_pow(w_word(ws2), i_const(0)))
+            expsum_or_gadget([(1, ay, s1), (1, az, s1), (-1, ax, s1)], zero, i_const(0))
         elif isinstance(atom, ProdDef):
             t1, t2, t3 = atom.left, atom.right, atom.var
-            a1 = ensure(t1)
-            b = em.add_var(em.fresh("b"), w_pow(w_word(ws2), i_var(t1)))
-            em.equations.append(commutator_term(b, ws2))
+            a1 = em.ensure(t1)
+            b = em.cyclic(em.fresh("b"), ws2, i_var(t1))
             # |a1|_s1 = |b|_s2; both sides are domain-pinned, one diagonal witness
             if mode == "native-expsum":
                 em.constraints.append(ExpSumEq(((1, a1, s1), (-1, b, s2)), 0))
             else:
-                w = em.add_var(em.fresh("w"), w_pow(w_word(ws1s2), i_var(t1)))
-                em.equations.append(commutator_term(w, ws1s2))
+                w = em.cyclic(em.fresh("w"), ws1s2, i_var(t1))
                 em.constraints.append(AbEq(GroupTerm((VarAtom(a1), VarAtom(b))), var_term(w)))
-            a2 = ensure(t2)
+            a2 = em.ensure(t2)
             c = em.add_var(em.fresh("c"),
                            w_pow(w_concat(w_word(ws1), w_ref(b)), i_var(t2)))
             # [c, s1 b] = 1 with b a variable
@@ -639,34 +666,19 @@ def compile_h10_free(h: H10Instance, target: Presentation,
                 VarAtom(c, True), VarAtom(b, True), ConstAtom(ws1.inverse()))))
             # |a2|_s1 = |c|_s1
             expsum_or_gadget(
-                [(1, a2, s1), (-1, c, s1)],
-                GroupTerm((VarAtom(a2), VarAtom(c, True))), s1,
-                w_pow(w_word(ws2), i_mul(i_const(-1), i_var(t1), i_var(t2))))
-            a3 = ensure(t3)
+                [(1, a2, s1), (-1, c, s1)], GroupTerm((VarAtom(a2), VarAtom(c, True))),
+                i_mul(i_const(-1), i_var(t1), i_var(t2)))
+            a3 = em.ensure(t3)
             # |a3|_s1 = |c|_s2 through a diagonal witness w2
             if mode == "native-expsum":
                 em.constraints.append(ExpSumEq(((1, a3, s1), (-1, c, s2)), 0))
             else:
-                w2 = em.add_var(em.fresh("w"), w_pow(w_word(ws1s2), i_var(t3)))
-                em.equations.append(commutator_term(w2, ws1s2))
-                u2 = em.add_var(em.fresh("u"),
-                                w_pow(w_word(ws2), i_mul(i_const(-1), i_var(t3))))
-                em.equations.append(commutator_term(u2, ws2))
-                em.constraints.append(AbEq(GroupTerm((VarAtom(a3), VarAtom(w2, True))),
-                                           var_term(u2)))
-                u3 = em.add_var(em.fresh("u"),
-                                w_pow(w_word(ws1),
-                                      i_add(i_var(t2), i_mul(i_const(-1), i_var(t3)))))
-                em.equations.append(commutator_term(u3, ws1))
-                em.constraints.append(AbEq(GroupTerm((VarAtom(c), VarAtom(w2, True))),
-                                           var_term(u3)))
-
-    for v in atomized.source_vars:
-        ensure(v)
-    inst = Instance(p, tuple(em.variables),
-                    (Disjunct(tuple(em.equations), tuple(em.constraints)),))
-    decode = {v: (avar[v], s1) for v in atomized.source_vars}
-    return CompiledReduction(inst, decode, tuple(em.recipes), atomized, h, mode)
+                w2 = em.cyclic(em.fresh("w"), ws1s2, i_var(t3))
+                k_gadget(GroupTerm((VarAtom(a3), VarAtom(w2, True))), ws2,
+                         i_mul(i_const(-1), i_var(t3)))
+                k_gadget(GroupTerm((VarAtom(c), VarAtom(w2, True))), ws1,
+                         i_add(i_var(t2), i_mul(i_const(-1), i_var(t3))))
+    return em.finish(s1, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -716,14 +728,21 @@ def compile_h10_raag(h: H10Instance, target: Presentation) -> CompiledReduction:
     cover2 = [v for v in factor.vertices if v not in S2 and v not in link2]
     assert cover1 and cover2, "non-adjacent modules guarantee nonempty star covers"
 
-    atomized = atomize(h)
-    em = _Emitter()
-    avar: dict[str, str] = {}
+    def domain(ax: str, x: str) -> None:
+        em.add_var(ax, w_pow(w_word(h1), i_var(x)))
+        relativize(ax)
+
+    em = _Emitter(h, p, domain)
     # the constant atoms of [z, u] for each cover vertex u, built once
     cover_atoms: dict[str, tuple[ConstAtom, ConstAtom]] = {}
     for u in dict.fromkeys(cover1 + cover2):
         w = parse_word(p, u)
         cover_atoms[u] = ConstAtom(w), ConstAtom(w.inverse())
+    # relativize's diagonal word per module, built once; a single vertex is
+    # trivially diagonal and needs none
+    diagonals = [(module, cover, multiply(p, hm, parse_word(p, other[0])))
+                 for module, cover, hm, other in ((S1, cover1, h1, S2), (S2, cover2, h2, S1))
+                 if len(module) > 1]
 
     def zero_gadget(term: GroupTerm, module: tuple[str, ...], cover: list[str]) -> None:
         """|term|_s = 0 for all s in the module, via the star cover of its complement."""
@@ -738,50 +757,35 @@ def compile_h10_raag(h: H10Instance, target: Presentation) -> CompiledReduction:
 
     def relativize(name: str) -> None:
         """Confine a variable to the diagonal subgroup of both modules."""
-        for module, cover, other in ((S1, cover1, S2), (S2, cover2, S1)):
-            if len(module) == 1:
-                continue  # a single vertex is trivially diagonal
-            w = multiply(p, normalize(p, [(v, 1) for v in module]),
-                         parse_word(p, other[0]))
-            y = em.add_var(em.fresh("y"),
-                           w_pow(w_word(w), {"op": "expsum", "group": name,
-                                             "vertex": module[0]}))
-            em.equations.append(commutator_term(y, w))
+        for module, cover, w in diagonals:
+            y = em.cyclic(em.fresh("y"), w,
+                          {"op": "expsum", "group": name, "vertex": module[0]})
             zero_gadget(GroupTerm((VarAtom(name), VarAtom(y, True))), module, cover)
 
-    def ensure(intvar: str) -> str:
-        if intvar not in avar:
-            name = f"A_{intvar}"
-            avar[intvar] = name
-            em.add_var(name, w_pow(w_word(h1), i_var(intvar)))
-            relativize(name)
-        return avar[intvar]
-
-    for atom in atomized.atoms:
+    for atom in em.atomized.atoms:
         if isinstance(atom, ConstDef):
-            ax = ensure(atom.var)
+            ax = em.ensure(atom.var)
             zero_gadget(var_term(ax) * const_term(h1 ** (-atom.value)), S1, cover1)
         elif isinstance(atom, EqDef):
-            al = ensure(atom.left)
-            ar = ensure(atom.right)
+            al = em.ensure(atom.left)
+            ar = em.ensure(atom.right)
             zero_gadget(GroupTerm((VarAtom(al), VarAtom(ar, True))), S1, cover1)
         elif isinstance(atom, SumDef):
-            ay = ensure(atom.left)
-            az = ensure(atom.right)
-            ax = ensure(atom.var)
+            ay = em.ensure(atom.left)
+            az = em.ensure(atom.right)
+            ax = em.ensure(atom.var)
             zero_gadget(GroupTerm((VarAtom(ay), VarAtom(az), VarAtom(ax, True))), S1, cover1)
         elif isinstance(atom, ProdDef):
             t1, t2, t3 = atom.left, atom.right, atom.var
-            a1 = ensure(t1)
+            a1 = em.ensure(t1)
             b = em.add_var(em.fresh("b"), w_pow(w_word(h2), i_var(t1)))
             relativize(b)
             zero_gadget(var_term(b), S1, cover1)  # b in the kernel of the h1 coordinate
             # |a1|_h1 = |b|_h2 through a diagonal witness
-            w = em.add_var(em.fresh("w"), w_pow(w_word(h1h2), i_var(t1)))
-            em.equations.append(commutator_term(w, h1h2))
+            w = em.cyclic(em.fresh("w"), h1h2, i_var(t1))
             zero_gadget(GroupTerm((VarAtom(a1), VarAtom(w, True))), S1, cover1)
             zero_gadget(GroupTerm((VarAtom(b), VarAtom(w, True))), S2, cover2)
-            a2 = ensure(t2)
+            a2 = em.ensure(t2)
             # c = c1 c2 with c1 centralizing h1 b and c2 in both kernels
             hb = w_cyclic_conjugator(w_concat(w_word(h1), w_ref(b)))
             c1 = em.add_var(em.fresh("c"),
@@ -798,19 +802,12 @@ def compile_h10_raag(h: H10Instance, target: Presentation) -> CompiledReduction:
             em.equations.append(GroupTerm((VarAtom(c), VarAtom(c2, True), VarAtom(c1, True))))
             # |a2|_h1 = |c|_h1
             zero_gadget(GroupTerm((VarAtom(a2), VarAtom(c, True))), S1, cover1)
-            a3 = ensure(t3)
+            a3 = em.ensure(t3)
             # |a3|_h1 = |c|_h2 through a second diagonal witness
-            w2 = em.add_var(em.fresh("w"), w_pow(w_word(h1h2), i_var(t3)))
-            em.equations.append(commutator_term(w2, h1h2))
+            w2 = em.cyclic(em.fresh("w"), h1h2, i_var(t3))
             zero_gadget(GroupTerm((VarAtom(a3), VarAtom(w2, True))), S1, cover1)
             zero_gadget(GroupTerm((VarAtom(c), VarAtom(w2, True))), S2, cover2)
-
-    for v in atomized.source_vars:
-        ensure(v)
-    inst = Instance(p, tuple(em.variables),
-                    (Disjunct(tuple(em.equations), tuple(em.constraints)),))
-    decode = {v: (avar[v], ref) for v in atomized.source_vars}
-    return CompiledReduction(inst, decode, tuple(em.recipes), atomized, h, "raag")
+    return em.finish(ref, "raag")
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +825,6 @@ def reduce_finite_ab(inst: Instance) -> Instance:
     if not p.has_finite_abelianisation():
         raise InfiniteAbelianisation("reduction requires every vertex order finite")
     fresh = _FreshNames(inst.variables, "_z")
-    new_vars = list(inst.variables)
     new_disjuncts = []
     for d in inst.disjuncts:
         eqs = list(d.equations)
@@ -841,18 +837,15 @@ def reduce_finite_ab(inst: Instance) -> Instance:
             var_atoms = [a for a in combined.atoms if isinstance(a, VarAtom)]
             _, const = linear_form(p, abelian_sides(con))
             rep = normalize(p, [(v, -c % p.order[v]) for v, c in zip(p.vertices, const)])
-            if len(var_atoms) == 1 and not var_atoms[0].inverse:
-                cons.append(Coset(var_atoms[0].name, rep))
-                continue
-            if len(var_atoms) == 1 and var_atoms[0].inverse:
-                cons.append(Coset(var_atoms[0].name, rep.inverse()))
+            if len(var_atoms) == 1:
+                a = var_atoms[0]
+                cons.append(Coset(a.name, rep.inverse() if a.inverse else rep))
                 continue
             z = fresh.next()
-            new_vars.append(z)
             eqs.append(GroupTerm(tuple(var_atoms) + (VarAtom(z, True),)))
             cons.append(Coset(z, rep))
         new_disjuncts.append(Disjunct(tuple(eqs), tuple(cons)))
-    return Instance(p, tuple(new_vars), tuple(new_disjuncts), inst.graph_ref)
+    return Instance(p, inst.variables + tuple(fresh.names), tuple(new_disjuncts), inst.graph_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -891,8 +884,7 @@ def integers_into_free_interpretation(source: Presentation, s: str,
     """The infinite cyclic subgroup <s> of a free group as a copy of (Z, +)."""
     source.check_vertex(s)
     ws = parse_word(source, s)
-    dom = ((GroupTerm((VarAtom("$0"), ConstAtom(ws), VarAtom("$0", True),
-                       ConstAtom(ws.inverse()))),),)
+    dom = ((commutator_term("$0", ws),),)
     mult = ((GroupTerm((VarAtom("$0"), VarAtom("$1"), VarAtom("$2", True))),),)
     eq = ((GroupTerm((VarAtom("$0"), VarAtom("$1", True))),),)
     return Interpretation(source, target, dom, mult, eq, ((target.vertices[0], ws),))

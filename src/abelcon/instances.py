@@ -274,10 +274,12 @@ def is_short(term: GroupTerm) -> bool:
 
 
 class _FreshNames:
+    """Names prefix0, prefix1, ... that avoid ``taken``; ``names`` lists those handed out."""
     def __init__(self, taken: Iterable[str], prefix: str = "_f"):
         self.taken = set(taken)
         self.prefix = prefix
         self.counter = 0
+        self.names: list[str] = []
 
     def next(self) -> str:
         while True:
@@ -285,6 +287,7 @@ class _FreshNames:
             self.counter += 1
             if name not in self.taken:
                 self.taken.add(name)
+                self.names.append(name)
                 return name
 
 
@@ -297,13 +300,11 @@ def flatten(inst: Instance) -> Instance:
     """
     fresh = _FreshNames(inst.variables)
     new_disjuncts = []
-    new_vars = list(inst.variables)
 
     def flatten_term(term: GroupTerm, out_eqs: list[GroupTerm]) -> GroupTerm:
         atoms = list(term.atoms)
         while not is_short(GroupTerm(tuple(atoms))):
             w = fresh.next()
-            new_vars.append(w)
             out_eqs.append(GroupTerm((atoms[0], atoms[1], VarAtom(w, True))))
             atoms = [VarAtom(w)] + atoms[2:]
         return GroupTerm(tuple(atoms))
@@ -312,7 +313,6 @@ def flatten(inst: Instance) -> Instance:
         if len(term.atoms) == 1 and isinstance(term.atoms[0], VarAtom) and not term.atoms[0].inverse:
             return term
         w = fresh.next()
-        new_vars.append(w)
         short = flatten_term(term * var_term(w, inverse=True), out_eqs)
         out_eqs.append(short)
         return var_term(w)
@@ -331,7 +331,8 @@ def flatten(inst: Instance) -> Instance:
             else:
                 cons.append(con)
         new_disjuncts.append(Disjunct(tuple(eqs), tuple(cons)))
-    return Instance(inst.presentation, tuple(new_vars), tuple(new_disjuncts), inst.graph_ref)
+    return Instance(inst.presentation, inst.variables + tuple(fresh.names), tuple(new_disjuncts),
+                    inst.graph_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +503,7 @@ def abelian_shadow(inst: Instance) -> list[LinearSystem]:
 # textual format
 
 
-def format_term(p: Presentation, term: GroupTerm) -> str:
+def format_term(term: GroupTerm) -> str:
     if not term.atoms:
         return "1"
     parts = []
@@ -528,9 +529,9 @@ def format_term(p: Presentation, term: GroupTerm) -> str:
     return " ".join(parts)
 
 
-def _format_constraint(p: Presentation, con: Constraint) -> str:
+def _format_constraint(con: Constraint) -> str:
     if isinstance(con, AbEq):
-        return f"ab: {format_term(p, con.lhs)} = {format_term(p, con.rhs)}"
+        return f"ab: {format_term(con.lhs)} = {format_term(con.rhs)}"
     if isinstance(con, ExpSumEq):
         body = " ".join(f"{c} |{var}|_{vertex}" for c, var, vertex in con.terms)
         return f"expsum: {body} = {con.constant}"
@@ -555,9 +556,9 @@ def print_instance(inst: Instance) -> str:
     for d in inst.disjuncts:
         lines.append("disjunct {")
         for term in d.equations:
-            lines.append(f"  eq {format_term(inst.presentation, term)} = 1")
+            lines.append(f"  eq {format_term(term)} = 1")
         for con in d.constraints:
-            lines.append("  " + _format_constraint(inst.presentation, con))
+            lines.append("  " + _format_constraint(con))
         lines.append("}")
     return "\n".join(lines) + "\n"
 

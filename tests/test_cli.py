@@ -552,6 +552,7 @@ BAD_INSTANCES = {
     # each exponent parses, but the shadow's constant, their sum, has 4301 digits
     "4301-digit-constant.inst": f"group f2.graph\nvars X\ndisjunct {{\n"
                                 f"  eq X ( a^{'9' * 4300} a^{'9' * 4300} ) = 1\n}}\n",
+    "all-zero.h10": "0 = 0\n",
     "expsum-at-finite-order.inst": "graph {\n  vertex a 2\n  vertex b inf\n}\nvars X\n"
                                    "disjunct {\n  eq X = 1\n  expsum: 1 |X|_a = 0\n}\n",
     # the bad order is on line 4 of the file and line 2 of the block
@@ -616,6 +617,14 @@ BAD_INPUTS = {
     "shadow-4301-digit-constant": (None, ("shadow", "{dir}/4301-digit-constant.inst")),
     "verify-hint-bound-outside-cap": (None, ("verify", "{inst}", "{dec}", "--bound", "99",
                                              "--hint", "x=2,y=3")),
+    # an all-zero system has no equation to encode, and writes no instance
+    "compile-h10-all-zero": (None, ("compile-h10", "{dir}/all-zero.h10", "--target", "{graph}",
+                                    "--out", "{dir}/unwritten.inst",
+                                    "--sidecar", "{dir}/unwritten.dec")),
+    "compile-h10-raag-all-zero": (None, ("compile-h10-raag", "{dir}/all-zero.h10",
+                                         "--target", "{dir}/gamma1.graph",
+                                         "--out", "{dir}/unwritten.inst",
+                                         "--sidecar", "{dir}/unwritten.dec")),
 }
 
 # the line a case's error names
@@ -637,7 +646,7 @@ def test_bad_input_is_an_error_not_a_no(files, capsys, case):
         (files / name).write_text(text)
     code, out, err = run(capsys, *(a.format(inst=inst, dec=dec, asg=asg, graph=files / "f2.graph",
                                             dir=files) for a in argv))
-    assert code == 3 and out == ""
+    assert code == 3 and out == "" and not (files / "unwritten.inst").exists()
     assert err.startswith("error: ") and "Traceback" not in err
     if case in ERROR_LINES:
         assert err.rstrip().endswith(f"(line {ERROR_LINES[case]})")

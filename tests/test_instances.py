@@ -36,7 +36,6 @@ from abelcon.instances import (
     disjunct_shadow,
     evaluate,
     flatten,
-    format_term,
     is_short,
     parse_instance,
     print_instance,
