@@ -12,18 +12,11 @@ import argparse
 import os
 import sys
 
+# compilers and graphs load on first use (see the package docstring): the
+# commands that do not use them never compile them
+from . import compilers, graphs
 from .abelian import exponent_sum, format_linear_system, solve_linear_system
-from .compilers import (
-    CompiledReduction,
-    compile_h10_free,
-    compile_h10_raag,
-    decode_solution,
-    parse_h10,
-    reduce_finite_ab,
-    witness_h10,
-)
 from .errors import AbelconError, ParseError
-from .graphs import direct_product_decomposition, weak_modules
 from .instances import abelian_shadow, flatten, parse_instance, print_instance
 from .search import (
     DEFAULT_CAP,
@@ -100,13 +93,13 @@ def _print_assignment(asg, variables):
         print(f"{v} = {format_word(asg[v])}")
 
 
-def _load_reduction(inst_path: str, sidecar_path: str) -> CompiledReduction:
+def _load_reduction(inst_path: str, sidecar_path: str) -> compilers.CompiledReduction:
     inst = _load_instance(inst_path)
     with open(sidecar_path, encoding="utf-8") as fh:
-        return CompiledReduction.from_sidecar_json(fh.read(), inst)
+        return compilers.CompiledReduction.from_sidecar_json(fh.read(), inst)
 
 
-def _decoded_tuple(cr: CompiledReduction, decoded: dict[str, int]) -> str:
+def _decoded_tuple(cr: compilers.CompiledReduction, decoded: dict[str, int]) -> str:
     return "(" + ",".join(format_int(decoded[v]) for v in cr.atomized.source_vars) + ")"
 
 
@@ -211,13 +204,13 @@ def _dispatch(args) -> int:
 
     if cmd == "weak-modules":
         p = _load_graph(args.graph)
-        for m in weak_modules(p):
+        for m in graphs.weak_modules(p):
             print(m)
         return EXIT_OK
 
     if cmd == "decompose":
         p = _load_graph(args.graph)
-        for comp in direct_product_decomposition(p):
+        for comp in graphs.direct_product_decomposition(p):
             print("{" + ",".join(sorted(comp, key=p.index.__getitem__)) + "}")
         return EXIT_OK
 
@@ -260,12 +253,12 @@ def _dispatch(args) -> int:
 
     if cmd in ("compile-h10", "compile-h10-raag"):
         with open(args.h10file, encoding="utf-8") as fh:
-            h = parse_h10(fh.read())
+            h = compilers.parse_h10(fh.read())
         target = _load_graph(args.target)
         if cmd == "compile-h10":
-            cr = compile_h10_free(h, target, mode=args.mode)
+            cr = compilers.compile_h10_free(h, target, mode=args.mode)
         else:
-            cr = compile_h10_raag(h, target)
+            cr = compilers.compile_h10_raag(h, target)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(print_instance(cr.instance))
         with open(args.sidecar, "w", encoding="utf-8") as fh:
@@ -276,7 +269,7 @@ def _dispatch(args) -> int:
 
     if cmd == "reduce-finite-ab":
         inst = _load_instance(args.instance)
-        text = print_instance(reduce_finite_ab(inst))
+        text = print_instance(compilers.reduce_finite_ab(inst))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -286,7 +279,7 @@ def _dispatch(args) -> int:
 
     if cmd == "witness":
         cr = _load_reduction(args.instance, args.sidecar)
-        asg = witness_h10(cr, _parse_int_solution(args.solution))
+        asg = compilers.witness_h10(cr, _parse_int_solution(args.solution))
         _print_assignment(asg, cr.instance.variables)
         return EXIT_OK
 
@@ -294,7 +287,7 @@ def _dispatch(args) -> int:
         cr = _load_reduction(args.instance, args.sidecar)
         with open(args.assignment, encoding="utf-8") as fh:
             asg = _parse_assignment(cr.instance, fh.read())
-        decoded = decode_solution(cr, asg)
+        decoded = compilers.decode_solution(cr, asg)
         sys.stdout.write("".join(f"{v} = {format_int(decoded[v])}\n" for v in cr.atomized.source_vars))
         return EXIT_OK
 
@@ -303,7 +296,7 @@ def _dispatch(args) -> int:
         if args.hint:
             check_radius(args.bound, args.cap)
             hint = _parse_int_solution(args.hint)
-            decoded = decode_solution(cr, witness_h10(cr, hint))
+            decoded = compilers.decode_solution(cr, compilers.witness_h10(cr, hint))
             if decoded != hint:
                 print("FAIL: decoded hint mismatch", file=sys.stderr)
                 return EXIT_NO
@@ -320,7 +313,7 @@ def _dispatch(args) -> int:
         if report.verdict != WITNESS:
             print(f"no witness up to bound {args.bound}")
             return EXIT_UNKNOWN
-        print(_decoded_tuple(cr, decode_solution(cr, report.assignment)))
+        print(_decoded_tuple(cr, compilers.decode_solution(cr, report.assignment)))
         print("OK")
         return EXIT_OK
 

@@ -27,8 +27,8 @@ words: abelianisation is a homomorphism, so the walk reads the very rows
 its shadow was solved from (`instances.disjunct_shadow`, built once per
 disjunct). A row sits at the depth of its last unknown, where a node sums
 the values' exponent sums (kept on each word once computed) against it,
-mod k at a vertex of order k; a row with no unknown is the shadow's to
-decide. len: sums geodesic lengths at its last variable's depth. The
+mod k at a vertex of order k, where an unknown whose coefficient is a
+multiple of k drops out; a row with no unknown is the shadow's to decide. len: sums geodesic lengths at its last variable's depth. The
 shadow is solved once per disjunct, before the walk, and never again
 inside it. All checks are sound and every item is checked at the depth
 where it becomes ground, so the first leaf reached is the first satisfying
@@ -169,7 +169,8 @@ class _DisjunctState:
         rows, _, _, constraints_from, lengths = shadow
         n = len(p.vertices)  # column j: the exponent sum of variables[j // n] at vertex j % n
         for coeffs, const, k in rows[constraints_from:]:
-            cols = [j for j, c in coeffs.items() if c]
+            # a coefficient that is a multiple of k adds 0 mod k: drop its term
+            cols = [j for j, c in coeffs.items() if (c % k if k else c)]
             if cols:  # a row with no unknown is the shadow's to decide
                 self.rows_at[max(cols) // n].append(
                     ([(inst.variables[j // n], j % n, coeffs[j]) for j in cols], const, k))

@@ -111,7 +111,6 @@ class Presentation:
         self.adj = {v: frozenset(adj[v]) for v in self.vertices}
         self._key = (self.vertices, self.edges, tuple(self.order[v] for v in self.vertices))
         self._hash = hash(self._key)
-        self._identity = NormalWord(self, ())
 
     # -- constructors ------------------------------------------------------
 
@@ -202,7 +201,9 @@ class Presentation:
         return min(r, k - r)
 
     def identity(self) -> "NormalWord":
-        return self._identity
+        # built on each call: a stored empty word would refer back to its
+        # presentation, a cycle only the cycle collector frees
+        return NormalWord(self, ())
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Presentation) and self._key == other._key)

@@ -144,6 +144,25 @@ def test_solve_unknown(files, capsys):
     assert code == 2 and "no solution up to bound 2" in out
 
 
+ORDER_TWO = ("graph {\n  vertex a 2\n  vertex b 2\n  vertex c 2\n}\nvars X Y\ndisjunct {\n"
+             "  eq X X^-1 = 1\n  eq Y Y^-1 = 1\n")
+
+
+@pytest.mark.parametrize("lhs, y_terms", [("X Y Y", " 2 Y.{}"), ("X", "")])
+def test_a_term_zero_mod_k_does_not_delay_its_row(files, capsys, lhs, y_terms):
+    """Over vertices of order 2, Y's terms in ab: X Y Y = a are 2 Y.v, which
+    add 0 mod 2: the walk checks each row where X gets its value, in as few
+    nodes as for ab: X = a, and the shadow still prints every term."""
+    inst = files / "order2.inst"
+    inst.write_text(ORDER_TWO + f"  ab: {lhs} = ( a )\n}}\n")
+    code, out, err = run(capsys, "solve", inst, "--bound", "2")
+    assert (code, out) == (0, "X = a\nY = 1\n")
+    assert err.startswith("stats nodes=2 ")
+    rows = "".join(f"1 X.{v}{y_terms.format(v)} = {const} mod 2\n"
+                   for v, const in (("a", -1), ("b", 0), ("c", 0)))
+    assert run(capsys, "shadow", inst)[:2] == (0, "disjunct 0: SAT\n" + rows)
+
+
 def test_flatten_and_shadow(files, capsys):
     inst = files / "long.inst"
     inst.write_text("group f2.graph\nvars X Y Z W\ndisjunct {\n  eq X Y Z W = 1\n}\n")

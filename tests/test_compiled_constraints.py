@@ -13,8 +13,9 @@ it is `_constraint_holds`. Both checks must agree with the reference on
 every value, or every pair of values, of small balls over F2, the pentagon
 right-angled Coxeter group, a Z/3, Z/4, Z graph and the all-torsion
 Z/3 * Z/4, and on seeded random ab: constraints. The walk's check must also
-decide each constraint at the depth of its last unknown, no earlier and no
-later.
+decide each vertex's row at the depth of its last unknown, no earlier and
+no later, where at a vertex of order k an unknown whose count is a multiple
+of k drops out.
 """
 
 import random
@@ -143,15 +144,18 @@ def test_compiled_checks_agree_with_constraint_holds(p, radius, lines):
             assert 0 < held < len(values) ** 2, con  # the check decides something
 
 
-def _last_unknown(con, variables):
-    """The position of the last variable whose signed count in
-    ab(lhs) - ab(rhs) is not 0, or -1 when every count is 0."""
+def _row_depths(p, con, variables):
+    """The depth of each vertex's row of ab(lhs) - ab(rhs): the position of
+    the last variable whose signed count is not 0 mod the vertex's order
+    (not 0, at a vertex of infinite order), or -1 when there is none."""
     count = dict.fromkeys(variables, 0)
     for side, sign in ((con.lhs, 1), (con.rhs, -1)):
         for a in side.atoms:
             if isinstance(a, VarAtom):
                 count[a.name] += -sign if a.inverse else sign
-    return max((s for s, x in enumerate(variables) if count[x]), default=-1)
+    return [max((s for s, x in enumerate(variables)
+                 if (count[x] % p.order[v] if p.order[v] else count[x])), default=-1)
+            for v in p.vertices]
 
 
 def _random_ab_constraints(p, rng, count):
@@ -193,18 +197,24 @@ def test_random_ab_checks_agree_with_the_product_reference(p):
     cases = 0
     for con in _random_ab_constraints(p, rng, 300):
         st = _walk_state(p, variables, con)
-        last = _last_unknown(con, variables)
+        depths = _row_depths(p, con, variables)
+        last = max(depths)
         for _ in range(4):
             asg = {v: rng.choice(values) for v in variables}
             expected = ab_holds_by_products(p, con, asg)
             assert _constraint_holds(p, con, asg) == expected, (con, asg)
             assert _walk_holds(st, asg) == expected, (con, asg)
             if st is not None and last >= 0:
-                # the depths before the last unknown's pass, and its own
-                # decides, on the values up to it alone
+                # each depth up to the last unknown decides exactly the
+                # vertices' rows placed there, on the values up to it alone
                 prefix = {v: asg[v] for v in variables[:last + 1]}
                 checks = [st.constraints_hold(depth, prefix) for depth in range(last + 1)]
-                assert all(checks[:-1]) and checks[-1] == expected, (con, asg)
+                images = zip(abelianize(p, con.lhs.evaluate(p, asg)),
+                             abelianize(p, con.rhs.evaluate(p, asg)), depths)
+                rows_hold = [(depth, left == right) for left, right, depth in images]
+                assert checks == [all(ok for d, ok in rows_hold if d == depth)
+                                  for depth in range(last + 1)], (con, asg)
+                assert all(checks) == expected, (con, asg)
             held += expected
             cases += 1
     assert 0.2 * cases < held < 0.8 * cases, (held, cases)

@@ -27,7 +27,11 @@ is raised somewhere in the package. The only dataclass is
 ``search.SearchReport`` (its comment says why): every other record is a
 ``NamedTuple``, as a dataclass compiles generated methods on each import.
 Only ``words.content_lines`` names the comment marker ``"#"``: every reader
-of a line-based format takes its lines, comments removed, from there.
+of a line-based format takes its lines, comments removed, from there. The
+search path (``errors``, ``words``, ``abelian``, ``instances``, ``search``)
+imports nothing from ``compilers``, ``graphs`` or ``json``, which the package
+loads on first use: a process that only parses and searches never compiles
+them.
 """
 
 import ast
@@ -699,3 +703,68 @@ def test_only_content_lines_strips_comments():
     found = {f"{path.name}:{line}" for path in SRC.glob("*.py")
              for line in _comment_markers(ast.parse(path.read_text(encoding="utf-8")), path.name)}
     assert not found, f"read lines through words.content_lines: {sorted(found)}"
+
+
+# what the package loads on first use, and the modules that load with it
+LAZY_MODULES = {"compilers", "graphs", "json"}
+SEARCH_PATH = ["errors.py", "words.py", "abelian.py", "instances.py", "search.py"]
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def _lazy_imports(tree: ast.Module, lazy_names: set[str]) -> list[int]:
+    """Lines importing one of LAZY_MODULES: as a module, from it, from the
+    package as a submodule or as a name it re-exports (one of lazy_names),
+    or by ``import_module`` on a string naming it."""
+    def names_lazy(dotted: str) -> bool:
+        return bool(set(dotted.split(".")) & LAZY_MODULES)
+
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found = any(names_lazy(a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found = names_lazy(node.module or "") or node.module in (None, "abelcon") and any(
+                a.name in LAZY_MODULES | lazy_names for a in node.names)
+        elif isinstance(node, ast.Call):
+            func = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
+            found = (func in ("import_module", "__import__") and node.args
+                     and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+                     and names_lazy(node.args[0].value))
+        else:
+            continue
+        if found:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_lazy_import_check_sees_every_spelling():
+    code = """
+import json
+import abelcon.compilers as c
+from .graphs import weak_modules
+from . import compilers, words
+from abelcon import parse_h10
+from json import dumps
+import importlib
+from .words import normalize
+from . import errors
+from abelcon import Presentation
+
+
+def load(name):
+    return importlib.import_module("abelcon.graphs"), __import__(name), "json in prose"
+"""
+    assert _lazy_imports(ast.parse(code), {"parse_h10"}) == [2, 3, 4, 5, 6, 7, 15]
+
+
+def test_the_search_path_imports_nothing_loaded_on_first_use():
+    lazy_names = set().union(*(_top_level_names(ast.parse((SRC / f"{m}.py").read_text(encoding="utf-8")))
+                               for m in ("compilers", "graphs")))
+    found = {name: _lazy_imports(ast.parse((SRC / name).read_text(encoding="utf-8")), lazy_names)
+             for name in SEARCH_PATH}
+    found = {name: lines for name, lines in found.items() if lines}
+    assert not found, f"the search path imports what the package loads on first use: {found}"

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import importlib.util
 import random
@@ -490,3 +491,21 @@ def test_shadow_torsion_congruences(pentagon):
     for var, value in res.witness.items():
         if var.startswith("X."):
             assert value % 2 == (1 if var in ("X.a", "X.b") else 0)
+
+
+def test_a_presentation_and_a_graph_block_leave_no_cycle():
+    """A presentation, and an instance with its own graph block, are freed
+    by reference counting alone: the cycle collector finds nothing left."""
+    text = "".join(f"vertex {v} 2\n" for v in "abcde")
+    text += "".join(f"edge {u} {v}\n" for u, v in ("ab", "bc", "cd", "de", "ea"))
+    block = "graph {\n" + text + "}\nvars X\ndisjunct {\n  eq X a X^-1 a^-1 = 1\n  ab: X = ( a b )\n}\n"
+    gc.collect()
+    gc.disable()
+    try:
+        Presentation.from_text(text)
+        presentation_garbage = gc.collect()
+        parse_instance(block)
+        instance_garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert (presentation_garbage, instance_garbage) == (0, 0)
