@@ -334,7 +334,7 @@ def _factors(expr, inverted: bool, out: list[tuple[NormalWord, bool]], ints, gro
     elif op == "cyclic_conjugator":
         _, w = cyclically_reduce(p, _word_expr(expr["arg"], ints, groups, p))
     elif op == "ab_cover_split":
-        w = _cover_split(expr, ints, groups, p)
+        w = normalize(p, _cover_parts(expr, ints, groups, p)[expr["index"]])
     else:
         raise RecipeError(f"unknown word op {op!r}")
     out.append((w, inverted))
@@ -350,10 +350,10 @@ def _word_expr(expr, ints, groups, p: Presentation) -> NormalWord:
     return product(p, factors)
 
 
-def _cover_split(expr, ints, groups, p: Presentation) -> NormalWord:
-    """Part ``index`` of the argument's abelian image split over the cover:
-    each nonzero coordinate goes to the first cover vertex whose star holds
-    it. The image, a reduced tuple in vertex order, is read off the
+def _cover_parts(expr, ints, groups, p: Presentation) -> list[list[tuple[str, int]]]:
+    """The argument's abelian image split over the cover, one part per cover
+    vertex: each nonzero coordinate goes to the first cover vertex whose star
+    holds it. The image, a reduced tuple in vertex order, is read off the
     argument's factors (`abelianize_product`), which are not multiplied."""
     factors: list[tuple[NormalWord, bool]] = []
     _factors(expr["arg"], False, factors, ints, groups, p)
@@ -372,7 +372,7 @@ def _cover_split(expr, ints, groups, p: Presentation) -> NormalWord:
                 break
         else:
             raise RecipeError(f"vertex {v} not covered")
-    return normalize(p, parts[expr["index"]])
+    return parts
 
 
 def w_word(w: NormalWord) -> dict:
@@ -484,12 +484,45 @@ class CompiledReduction(NamedTuple):
             raise ParseError(f"malformed sidecar: {exc!r}") from exc
 
 
+def _recipe_values(recipes, ints: dict[str, int], p: Presentation) -> dict[str, NormalWord]:
+    """The value of each recipe in order, each one seeing those before it.
+
+    The compiler gives every cover vertex of a zero gadget its own cover
+    split of one argument, so a run of splits with equal argument, exclude
+    and cover computes their parts once; a recipe that gives a name a new
+    value ends the run, as a later argument may read that name.
+    """
+    groups: dict[str, NormalWord] = {}
+    split = parts = None  # the last cover split's (arg, exclude, cover) and its parts
+    for name, expr in recipes:
+        try:
+            if name in groups:
+                split = None
+            if expr["op"] == "ab_cover_split":
+                key = (expr.get("arg"), expr.get("exclude"), expr.get("cover"))
+                if key != split:
+                    parts, split = _cover_parts(expr, ints, groups, p), key
+                groups[name] = normalize(p, parts[expr["index"]])
+            else:
+                groups[name] = _word_expr(expr, ints, groups, p)
+        except (KeyError, TypeError, IndexError, ValueError, AttributeError,
+                RecursionError) as exc:
+            raise RecipeError(f"recipe for {name!r} cannot be evaluated: {exc!r}") from exc
+    return groups
+
+
+# The last assignment `witness_h10` returned, with its instance and its items
+# when it was checked: `decode_solution` does not check that one again.
+_checked: tuple = (None, None, ())
+
+
 def witness_h10(cr: CompiledReduction, int_solution: dict[str, int]) -> dict[str, NormalWord]:
     """Build a satisfying assignment of the compiled instance from an integer solution.
 
     A recipe that cannot be evaluated, or recipes whose assignment fails the
     instance, raise RecipeError: the sidecar they came from is damaged.
     """
+    global _checked
     missing = [v for v in cr.atomized.source_vars if v not in int_solution]
     if missing:
         raise NotAnIntegerSolution(f"missing integer values for {missing}")
@@ -498,24 +531,26 @@ def witness_h10(cr: CompiledReduction, int_solution: dict[str, int]) -> dict[str
         raise NotAnIntegerSolution(f"{unknown[0]!r} is not a variable of the source system")
     if not cr.source.holds(int_solution):
         raise NotAnIntegerSolution("values do not solve the source polynomial system")
-    ints = cr.atomized.extend_solution(int_solution)
-    p = cr.instance.presentation
-    groups: dict[str, NormalWord] = {}
-    for name, expr in cr.recipes:
-        try:
-            groups[name] = _word_expr(expr, ints, groups, p)
-        except (KeyError, TypeError, IndexError, ValueError, AttributeError,
-                RecursionError) as exc:
-            raise RecipeError(f"recipe for {name!r} cannot be evaluated: {exc!r}") from exc
-    result = evaluate(cr.instance, groups)
-    if not result.satisfied:
+    groups = _recipe_values(cr.recipes, cr.atomized.extend_solution(int_solution),
+                            cr.instance.presentation)
+    if not evaluate(cr.instance, groups).satisfied:
         raise RecipeError("witness recipes build a non-solution: a damaged sidecar or a compiler bug")
+    _checked = (cr.instance, groups, tuple(groups.items()))
     return groups
 
 
 def decode_solution(cr: CompiledReduction, asg: dict[str, NormalWord]) -> dict[str, int]:
-    """Read integers off exponent sums; verify they solve the source system."""
-    if not evaluate(cr.instance, asg).satisfied:
+    """Read integers off exponent sums; verify they solve the source system.
+
+    The assignment is checked against the compiled instance first, unless it
+    is the very dict the last `witness_h10` call returned and checked, for
+    this very instance object, with the same items still in it. Any other
+    assignment, such as one read from a file, a search witness, a copy or a
+    dict changed since, is checked.
+    """
+    inst, checked, items = _checked
+    is_checked = asg is checked and cr.instance is inst and tuple(asg.items()) == items
+    if not is_checked and not evaluate(cr.instance, asg).satisfied:
         raise NotASolution("assignment does not satisfy the compiled instance")
     p = cr.instance.presentation
     decoded = {x: exponent_sum(p, asg[gvar], ref) for x, (gvar, ref) in cr.decode.items()}

@@ -55,6 +55,7 @@ from .words import (
     content_lines,
     format_word,
     geodesic_length,
+    is_trivial,
     multiply,
     parse_int,
     parse_word,
@@ -248,13 +249,14 @@ def _constraint_holds(p: Presentation, con: Constraint, asg: dict[str, NormalWor
 
 def evaluate(inst: Instance, asg: dict[str, NormalWord]) -> EvalResult:
     """The first disjunct the assignment satisfies: every equation, checked
-    by multiplying words, then every constraint (`_constraint_holds`)."""
+    by multiplying words into an unsorted reduced list (`is_trivial`), then
+    every constraint (`_constraint_holds`)."""
     missing = [v for v in inst.variables if v not in asg]
     if missing:
         raise IncompleteAssignment(f"missing values for {missing}")
     p = inst.presentation
     for i, d in enumerate(inst.disjuncts):
-        if (all(t.evaluate(p, asg).is_identity() for t in d.equations)
+        if (all(is_trivial(p, t.factors(asg)) for t in d.equations)
                 and all(_constraint_holds(p, c, asg) for c in d.constraints)):
             return EvalResult(True, i)
     return EvalResult(False, None)

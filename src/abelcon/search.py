@@ -62,6 +62,7 @@ from .words import (
     centralizer_generators,
     geodesic_length,
     induced_subpresentation,
+    is_trivial,
     multiply,
     multiply_all,
     normalize,
@@ -178,7 +179,7 @@ class _DisjunctState:
             if terms:
                 self.lengths_at[max(depth_of[x] for _, x in terms)].append((terms, const))
         self.ground_failed = (
-            any(not t.evaluate(p, {}).is_identity()
+            any(not is_trivial(p, t.factors({}))
                 for t, vs in zip(d.equations, eq_vars) if not vs)
             or any(const for terms, const in lengths if not terms))
         self._memo: dict[tuple, Set] = {}
@@ -190,9 +191,11 @@ class _DisjunctState:
         subtrees (domain equations recur with an empty context every time).
         A miss reads the term in place, cyclically from x's first occurrence,
         as x^s0 S0 x^s1 S1 ..., each ground segment S_j one word. One
-        occurrence is solved outright, x^s0 = S0^-1. Two of opposite signs
+        occurrence is solved outright, x^s0 = S0^-1: x = S0^-1 is one product
+        of S0's factors, inverted and in reverse order. Two of opposite signs
         with S0 S1 = 1 say that x commutes with S0: its centralizer gives the
-        values. Anything else scans the ball, one product per element.
+        values. Anything else scans the ball, one unsorted product per
+        element (`is_trivial`).
         """
         others = tuple(asg[v] for v in self.eq_others[i])
         key = (i, others)
@@ -205,21 +208,25 @@ class _DisjunctState:
         signs = [atoms[k].inverse for k in hits]
         runs = [atoms[k + 1:j] for k, j in zip(hits, hits[1:])]
         runs.append(atoms[hits[-1] + 1:] + atoms[:hits[0]])
+        if len(hits) == 1:
+            factors = list(GroupTerm(runs[0]).factors(asg))
+            if not signs[0]:
+                factors = [(w, not s) for w, s in reversed(factors)]
+            val = factors[0][0] if len(factors) == 1 and not factors[0][1] else product(p, factors)
+            self._memo[key] = cached = frozenset([val]) if val in self.ball else frozenset()
+            return cached
         segments = [p.identity() if not run
                     else run[0].word if len(run) == 1 and isinstance(run[0], ConstAtom)
                     else GroupTerm(run).evaluate(p, asg) for run in runs]
-        if len(hits) == 1:
-            val = segments[0] if signs[0] else segments[0].inverse()
-            cached = frozenset([val]) if val in self.ball else frozenset()
-        elif (len(hits) == 2 and signs[0] != signs[1]
-              and multiply(p, *segments).is_identity()):
+        if (len(hits) == 2 and signs[0] != signs[1]
+                and multiply(p, *segments).is_identity()):
             # the segment that wraps around the end, unless x comes first
             cached = _centralizer_in_ball(p, segments[1 if hits[0] else 0], self.bound)
         else:
             cached = frozenset(
                 val for val in self.ball
-                if product(p, [f for s, w in zip(signs, segments)
-                               for f in ((val, s), (w, False))]).is_identity())
+                if is_trivial(p, [f for s, w in zip(signs, segments)
+                                  for f in ((val, s), (w, False))]))
         self._memo[key] = cached
         return cached
 

@@ -19,10 +19,11 @@ factors are (word, inverted) pairs: `multiply`, `multiply_all`, powers,
 conjugates and the evaluation of instance terms all call it. It copies the
 first factor's syllables, pushes every later syllable onto the one reduced
 list (an inverted factor reversed and negated) and sorts once. Its factors
-are valid already, so it checks only their presentation. `invert` reverses
-and negates one word directly and pushes nothing. `normalize` is the one
-entry point for raw (vertex, exponent) input and the only place that checks
-vertex names and integer exponents.
+are valid already, so it checks only their presentation. `is_trivial`
+pushes the same way and skips the sort, as only emptiness is read. `invert`
+reverses and negates one word directly and pushes nothing. `normalize` is
+the one entry point for raw (vertex, exponent) input and the only place
+that checks vertex names and integer exponents.
 
 Cayley balls are built by one-letter extension, with no product at all.
 These normal forms are prefix-closed (Hermiller & Meier, Algorithms and
@@ -469,15 +470,13 @@ def _check(p: Presentation, *words: NormalWord) -> None:
             raise PresentationMismatch("word built over a different presentation")
 
 
-def product(p: Presentation, factors: Iterable[tuple[NormalWord, bool]]) -> NormalWord:
-    """Canonical form of the product of the factors, left to right; a factor
-    (w, True) stands for w^-1.
+def _pushed(p: Presentation, factors: Iterable[tuple[NormalWord, bool]]) -> list[tuple[str, int]]:
+    """The reduced syllable list of the product of the factors, left to
+    right, not yet sorted; a factor (w, True) stands for w^-1.
 
     The first factor's syllables are copied, an inverted one's reversed and
     negated, as either is already reduced. Every later syllable is pushed
-    onto the one reduced list, an inverted factor's reversed and negated, and
-    the list is sorted once. The normal form is unique, so this equals the
-    left fold of `multiply`.
+    onto the one reduced list, an inverted factor's reversed and negated.
     """
     syllables: list[tuple[str, int]] = []
     first = True
@@ -494,7 +493,22 @@ def product(p: Presentation, factors: Iterable[tuple[NormalWord, bool]]) -> Norm
             for v, e in w.syllables:
                 _push(p, syllables, v, e)
         first = False
-    return NormalWord(p, _canonical_order(p, syllables))
+    return syllables
+
+
+def product(p: Presentation, factors: Iterable[tuple[NormalWord, bool]]) -> NormalWord:
+    """Canonical form of the product of the factors, left to right; a factor
+    (w, True) stands for w^-1. Their reduced list (`_pushed`) is sorted
+    once. The normal form is unique, so this equals the left fold of
+    `multiply`."""
+    return NormalWord(p, _canonical_order(p, _pushed(p, factors)))
+
+
+def is_trivial(p: Presentation, factors: Iterable[tuple[NormalWord, bool]]) -> bool:
+    """Whether the product of the factors is the identity, with no sort: a
+    reduced word of a graph product is trivial iff it is empty (Green's
+    normal form theorem), and the sort in `product` only permutes the list."""
+    return not _pushed(p, factors)
 
 
 def multiply(p: Presentation, a: NormalWord, b: NormalWord) -> NormalWord:

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from abelcon import cli, compilers
 from abelcon.abelian import exponent_sum
 from abelcon.compilers import (
     AtomizedH10,
@@ -205,6 +206,77 @@ def test_decode_rejects_non_solutions(fs):
     bad["A_x"] = parse_word(fs, "s1")
     with pytest.raises(NotASolution):
         decode_solution(cr, bad)
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    """The assignments `compilers` checks with `evaluate`, in order."""
+    calls = []
+
+    def counted(inst, asg):
+        calls.append(asg)
+        return evaluate(inst, asg)
+
+    monkeypatch.setattr(compilers, "evaluate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("target", ["fs", "gamma1"])
+def test_decode_checks_a_witness_changed_after_it_was_built(request, target):
+    p = request.getfixturevalue(target)
+    compile_ = compile_h10_free if target == "fs" else compile_h10_raag
+    cr = compile_(parse_h10(XY_EQ_Z), p)
+    asg = witness_h10(cr, {"x": 2, "y": 3, "z": 6})
+    gvar, ref = cr.decode["z"]
+    asg[gvar] = asg[gvar] * parse_word(p, ref)  # z read as 7
+    assert not evaluate(cr.instance, dict(asg)).satisfied
+    with pytest.raises(NotASolution):
+        decode_solution(cr, asg)
+
+
+def test_decode_skips_the_check_only_for_the_witness_just_checked(gamma1, evaluate_calls):
+    cr = compile_h10_raag(parse_h10(XY_EQ_Z), gamma1)
+    solution = {"x": 2, "y": 3, "z": 6}
+    asg = witness_h10(cr, solution)
+    assert evaluate_calls == [asg]
+    assert decode_solution(cr, asg) == solution
+    assert decode_solution(cr._replace(decode=dict(cr.decode)), asg) == solution
+    assert evaluate_calls == [asg]
+    # a copy, and the same dict with an equal instance that is another object
+    assert decode_solution(cr, dict(asg)) == solution
+    same = parse_instance(print_instance(cr.instance))
+    assert same == cr.instance and same is not cr.instance
+    assert decode_solution(cr._replace(instance=same), asg) == solution
+    # a value changed and changed back leaves the same items: no check needed
+    value = asg["A_x"]
+    asg["A_x"] = gamma1.identity()
+    asg["A_x"] = value
+    assert decode_solution(cr, asg) == solution
+    assert len(evaluate_calls) == 3
+    # a later witness takes the slot over
+    other = witness_h10(cr, {"x": 1, "y": 6, "z": 6})
+    assert decode_solution(cr, asg) == solution
+    assert decode_solution(cr, other) == {"x": 1, "y": 6, "z": 6}
+    assert len(evaluate_calls) == 5
+
+
+def test_cli_checks_each_assignment_once(tmp_path, capsys, gamma1, evaluate_calls):
+    cr = compile_h10_raag(parse_h10(XY_EQ_Z), gamma1)
+    inst, dec, asg = tmp_path / "c.inst", tmp_path / "c.dec", tmp_path / "asg.txt"
+    inst.write_text(print_instance(cr.instance))
+    dec.write_text(cr.sidecar_json())
+
+    def run(*argv):
+        code = cli.main([str(a) for a in argv])
+        return code, capsys.readouterr().out
+
+    assert run("verify", inst, dec, "--bound", "2", "--hint", "x=2,y=3,z=6") == (0, "(2,3,6)\nOK\n")
+    assert len(evaluate_calls) == 1  # witness_h10's own
+    code, out = run("witness", inst, dec, "--solution", "x=2,y=3,z=6")
+    assert code == 0 and len(evaluate_calls) == 2
+    asg.write_text(out)
+    assert run("decode", inst, dec, "--assignment", asg) == (0, "x = 2\ny = 3\nz = 6\n")
+    assert len(evaluate_calls) == 3  # an assignment read from a file is checked
 
 
 @pytest.mark.parametrize("mode", ["pure-ab", "native-expsum"])

@@ -4,7 +4,9 @@
 factors and normalises it once; `tests/oracle.py::nested_word_expr`
 normalises every node on its own. Both must build equal words, on the
 recipes the compilers write and on random recipe trees, and must refuse the
-same cover splits.
+same cover splits. `compilers._recipe_values`, which `witness_h10` runs,
+splits the image of a run of equal cover splits once; its values must equal
+the nested reference's, recipe by recipe.
 """
 
 import random
@@ -13,7 +15,9 @@ import pytest
 
 from abelcon import compilers, words
 from abelcon.compilers import (
+    CompiledReduction,
     _int_expr,
+    _recipe_values,
     _word_expr,
     compile_h10_raag,
     i_add,
@@ -29,11 +33,13 @@ from abelcon.compilers import (
     w_pow,
     w_ref,
     w_word,
+    witness_h10,
 )
 from abelcon.errors import RecipeError
 from abelcon.words import Presentation, format_word, normalize
 
 from .oracle import nested_word_expr
+from .test_instances import _perfbench_workloads
 
 SYSTEMS = [
     ("1*x*y -1*z = 0", {"x": 2, "y": 3, "z": 6}),
@@ -198,3 +204,79 @@ def test_an_integer_constant_must_be_an_int(value):
     with pytest.raises(RecipeError, match="integer constant must be an int"):
         _int_expr(expr, {}, {}, p)
     assert _int_expr(i_mul(i_const(-3), i_const(10 ** 12)), {}, {}, p) == -3 * 10 ** 12
+
+
+def _nested_values(recipes, ints, p):
+    """Each recipe's value by the nested reference, in order."""
+    groups = {}
+    for name, expr in recipes:
+        groups[name] = nested_word_expr(expr, ints, groups, p)
+    return groups
+
+
+@pytest.fixture
+def abelianize_calls(monkeypatch):
+    """Count the cover splits' `abelianize_product` calls."""
+    calls = []
+    real = compilers.abelianize_product
+
+    def counted(p, factors):
+        calls.append(1)
+        return real(p, factors)
+
+    monkeypatch.setattr(compilers, "abelianize_product", counted)
+    return calls
+
+
+@pytest.mark.parametrize("graph", sorted(RAAGS))
+@pytest.mark.parametrize("system", range(len(SYSTEMS)))
+def test_a_zero_gadget_abelianizes_its_argument_once(graph, system, abelianize_calls):
+    p = RAAGS[graph]
+    text, solution = SYSTEMS[system]
+    cr = compile_h10_raag(parse_h10(text), p)
+    splits = [expr for _, expr in cr.recipes if expr["op"] == "ab_cover_split"]
+    gadgets = {id(expr["arg"]) for expr in splits}  # one shared argument per zero gadget
+    want = _nested_values(cr.recipes, cr.atomized.extend_solution(solution), p)
+    back = CompiledReduction.from_sidecar_json(cr.sidecar_json(), cr.instance)
+    for reduction in (cr, back):  # shared arguments, then equal ones read from JSON
+        abelianize_calls.clear()
+        assert witness_h10(reduction, solution) == want
+        assert len(abelianize_calls) == len(gadgets)
+
+
+def test_witnesses_match_the_nested_reference_on_the_benchmark_pool(abelianize_calls):
+    pool = _perfbench_workloads().WORKLOADS["raag_roundtrip"].generate(7)
+    pres = {g: Presentation.from_text(t) for g, t in pool.graphs.items()}
+    assert len(pool.requests) == 150
+    gadgets = splits = 0
+    for req in pool.requests:
+        p = pres[req.graph]
+        cr = compile_h10_raag(parse_h10(req.text), p)
+        want = _nested_values(cr.recipes, cr.atomized.extend_solution(req.planted), p)
+        assert witness_h10(cr, req.planted) == want, req.text
+        args = [expr["arg"] for _, expr in cr.recipes if expr["op"] == "ab_cover_split"]
+        gadgets += len({id(arg) for arg in args})
+        splits += len(args)
+    assert len(abelianize_calls) == gadgets < splits
+
+
+def test_a_run_of_cover_splits_ends_where_its_argument_may_change():
+    p = RAAGS["path4"]
+    arg = w_ref("X")
+    a, d2 = normalize(p, [("a", 1)]), normalize(p, [("d", 2)])
+    head = (("X", w_word(a)), ("Z0", w_cover_split(arg, [], ["a", "d"], 0)))
+    # X gets a new value between two equal splits: the second reads X = d^2
+    recipes = head + (("X", w_word(d2)), ("Z1", w_cover_split(arg, [], ["a", "d"], 1)))
+    values = _recipe_values(recipes, {}, p)
+    assert values == _nested_values(recipes, {}, p)
+    assert (values["Z0"], values["Z1"]) == (a, d2)
+    # a damaged split after an intact one refuses as it does on its own
+    damaged = {"exclude": ("Z1", w_cover_split(arg, ["a"], ["a", "d"], 1)),
+               "index": ("Z1", w_cover_split(arg, [], ["a", "d"], 2)),
+               "op": ("Z1", dict(w_cover_split(arg, [], ["a", "d"], 1), op="ab_cover_splat"))}
+    for kind, recipe in damaged.items():
+        with pytest.raises(RecipeError) as flat:
+            _recipe_values(head + (recipe,), {}, p)
+        with pytest.raises(RecipeError) as alone:
+            _recipe_values(head[:1] + (recipe,), {}, p)
+        assert str(flat.value) == str(alone.value), kind

@@ -21,6 +21,7 @@ from abelcon.words import (
     format_word,
     geodesic_length,
     invert,
+    is_trivial,
     multiply,
     multiply_all,
     normalize,
@@ -249,6 +250,41 @@ def test_product_of_words_over_another_presentation_is_refused(gamma1, f2):
         W(gamma1, "a").conjugate_by(W(f2, "a"))
     with pytest.raises(PresentationMismatch):
         GroupTerm((VarAtom("X", True),)).evaluate(gamma1, {"X": W(f2, "a")})
+
+
+def _random_signed_factors(rng, p):
+    """0-6 (word, inverted) factors: random words, the identity, and now and
+    then the inverse of everything so far, so that the product cancels."""
+    factors = []
+    for _ in range(rng.randint(0, 6)):
+        roll = rng.random()
+        if roll < 0.1:
+            factors.append((p.identity(), rng.random() < 0.5))
+        elif roll < 0.3 and factors:
+            factors.extend((w, not inv) for w, inv in reversed(factors[:]))
+        else:
+            letters = [(rng.choice(p.vertices), rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]))
+                       for _ in range(rng.randint(1, 4))]
+            factors.append((normalize(p, letters), rng.random() < 0.5))
+    return factors
+
+
+@pytest.mark.parametrize("name", ["f2", "pentagon", "mixed", "gamma1"])
+def test_is_trivial_matches_the_product_and_the_oracle(request, name):
+    """The unsorted identity test against the sorted product and the piling,
+    on signed factor lists, empty ones and ones whose product cancels."""
+    p = MIXED if name == "mixed" else request.getfixturevalue(name)
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(300):
+        factors = _random_signed_factors(rng, p)
+        raw = [pair for w, inv in factors
+               for pair in (_inverse_raw(w.syllables) if inv else w.syllables)]
+        trivial = is_trivial(p, factors)
+        assert trivial == words_mod.product(p, factors).is_identity()
+        assert trivial == (oracle_normal_form(p, raw) == ())
+        seen.add((len(factors) == 0, trivial))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_invert(fxy, c2_free_square):
