@@ -5,42 +5,47 @@ variables in declaration order, values in length-then-lex ball order. A
 search runs in four steps: the bound is checked against the cap; each
 disjunct's abelian shadow is solved once over Z, as integer rows over
 columns (`instances.disjunct_shadow`, `abelian.solve_rows`) with no unknown
-named, and when none is solvable the answer is UnsatByShadow without
-touching the ball; the ball is fetched and every disjunct with a failing
-ground equation or constraint is dropped; then the enumeration order is
-walked depth-first over the disjuncts left.
+named, and when none is solvable the answer is UnsatByShadow; every
+disjunct with a failing ground equation or constraint is dropped; then the
+enumeration order is walked depth-first over the disjuncts left.
 
 At each node of the walk, each live disjunct computes once the candidate
 values of the next variable: the intersection of the pass sets of the
-equations that variable makes ground. The walk visits only the union of
-those candidates, sorted by ball index (the cached ball maps each element
-to its position), or the whole ball when some live disjunct has no such
-equation. A pass set reads its equation in place, each ground segment one
-word: one occurrence of the variable pins it, and a commutator [X, w] = 1
-passes the ball elements that commute with w, generated from w's
-centralizer description (`words.centralizer_generators`, in any vertex
-orders) with no scan of the ball; these centralizer pass sets are cached
-per (word, bound) across searches, as the same few recur in every request.
-Any other equation scans the ball. Each visited value must also satisfy the
+equations that variable makes ground. Every pass set is kept in ball
+order, sorted once when it is built (`words.shortlex_key`), so the walk
+visits one disjunct's candidates as they are and sorts only a union of
+several. A depth where some live disjunct has no such equation walks the
+whole ball. The ball itself is fetched only then, or for a scan, at most
+once per search: normal forms are geodesic, so x lies in the ball iff
+`geodesic_length(x) <= bound`, and where every depth has a pass set, as
+in a compiled H10 instance, no ball of the presentation is built. A pass
+set reads its equation in place, each ground segment one word: one
+occurrence of the variable pins it, and a commutator [X, w] = 1 passes the
+ball elements that commute with w, generated from w's centralizer
+description (`words.centralizer_generators`, in any vertex orders) with no
+scan of the ball; these centralizer pass sets are cached per (word, bound)
+across searches, as the same few recur in every request. Any other
+equation scans the ball. Each visited value must also satisfy the
 constraints it makes ground, checked as integer sums, never by multiplying
 words: abelianisation is a homomorphism, so the walk reads the very rows
 its shadow was solved from (`instances.disjunct_shadow`, built once per
 disjunct). A row sits at the depth of its last unknown, where a node sums
 the values' exponent sums (kept on each word once computed) against it,
 mod k at a vertex of order k, where an unknown whose coefficient is a
-multiple of k drops out; a row with no unknown is the shadow's to decide. len: sums geodesic lengths at its last variable's depth. The
-shadow is solved once per disjunct, before the walk, and never again
-inside it. All checks are sound and every item is checked at the depth
-where it becomes ground, so the first leaf reached is the first satisfying
-assignment in enumeration order; it is re-verified once, with `evaluate`,
-before it is returned. The compiled problems this runs on are undecidable
-in general; exhausting a bound proves nothing beyond it.
+multiple of k drops out; a row with no unknown is the shadow's to decide.
+len: sums geodesic lengths at its last variable's depth. The shadow is
+solved once per disjunct, before the walk, and never again inside it. All
+checks are sound and every item is checked at the depth where it becomes
+ground, so the first leaf reached is the first satisfying assignment in
+enumeration order; it is re-verified once, with `evaluate`, before it is
+returned. The compiled problems this runs on are undecidable in general;
+exhausting a bound proves nothing beyond it.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator, Set
+from collections.abc import Callable, Collection, Iterator, Set
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -67,6 +72,7 @@ from .words import (
     multiply_all,
     normalize,
     product,
+    shortlex_key,
 )
 
 DEFAULT_CAP = 12
@@ -96,21 +102,47 @@ class SearchReport:
 
 @lru_cache(maxsize=CENTRALIZER_SET_CACHE_SIZE)
 def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int) -> Set:
-    """All elements of the bound ball commuting with w, generated from its
-    centralizer description, in any vertex orders.
+    """All elements of the bound ball commuting with w, in ball order,
+    generated from its centralizer description, in any vertex orders.
 
-    An element x of the ball conjugated back, h^-1 x h, is a product of
-    commuting pieces of total length at most bound + 2|h|: a power of each
-    cyclic part and a word on the link. A cyclic part on one finite-order
-    vertex takes only its distinct powers, `reduce_exponent`'s range.
+    With h the least cyclic conjugator of w, so w = h·c·h^-1 with c
+    cyclically reduced, an element x of the ball is h·y·h^-1 with y in C(c)
+    a product of commuting pieces: a power of each cyclic part and a word on
+    the link. A cyclic part on one finite-order vertex takes only its
+    distinct powers, `reduce_exponent`'s range. y is enumerated up to a
+    length budget, and x is kept when `geodesic_length(x) <= bound`, which
+    is ball membership as the normal forms are geodesic.
+
+    The budget is the bound itself when every vertex of h's support has
+    infinite order, as then |y| <= |x|. In the reduction of h·y·h^-1, the
+    letters of h that cancel against h^-1 remove at most 2|h| of its
+    2|h| + |y| letters, and no other merge at an infinite-order vertex
+    shortens, so it is enough that no letter of y cancels. The first one to
+    cancel, in any order of cancellation, is a source of y inverse to a sink
+    ℓ of h (a later letter of h that cancelled before it did so across all
+    of y, so it commutes with ℓ's vertex), or the same at the other end for
+    y^-1, which lies in C(c) too. So some z of C(c) = ⟨link⟩ × Π⟨r_i⟩ begins
+    with ℓ^-1, where c = Π r_i^e_i with e_i >= 1. If ℓ's vertex is in the
+    link, ℓ commutes with c and h·ℓ^-1, shorter than h, conjugates w to c.
+    Otherwise ℓ^-1 begins a power of some r_i: it begins r_i, or ℓ ends r_i,
+    so c begins with ℓ^-1 or ends with ℓ, and h·ℓ^-1 conjugates w to
+    ℓ·c·ℓ^-1, again of length |c|. Either way h was not least. At a
+    finite-order vertex a merge can shorten (w = u^-1 v u^-1 at order 3 has
+    core v u, h = u^-1 and |w| = 3 < 2|h| + |c|), the argument does not
+    reach, and the budget stays bound + 2|h|.
+
     Cached per (presentation, word, bound) across searches, as the same few
-    commutator checks recur in every request. The set holds the ball's own
-    element objects, so a cached set adds no copies of its members.
+    commutator checks recur in every request. Only the identity's set, the
+    whole ball, reads the ball; any other holds its own elements, sorted by
+    `shortlex_key` once, when it is built.
     """
     if w.is_identity():
         return cayley_ball(p, bound).keys()
     desc = centralizer_generators(p, w)
-    budget = bound + 2 * geodesic_length(p, desc.conjugator)
+    h = desc.conjugator
+    budget = bound
+    if any(p.order[v] is not None for v, _ in h.syllables):
+        budget += 2 * geodesic_length(p, h)
     link_pres = induced_subpresentation(p, desc.link_vertices)
     link_elems = [normalize(p, x.syllables) for x in cayley_ball(link_pres, budget)]
     # exponent vectors of the cyclic parts within the budget, built part by
@@ -124,9 +156,6 @@ def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int) -> Set:
             lo, hi = max(lo, -(k // 2)), min(hi, (k - 1) // 2)
         vectors = [(ms + (m,), used + abs(m) * L) for ms, used in vectors
                    for m in range(lo, hi + 1) if used + abs(m) * L <= budget]
-    h = desc.conjugator
-    ball = cayley_ball(p, bound)
-    members = list(ball)
     out = []
     for ms, used in vectors:
         core = multiply_all(p, [b ** m for b, m in zip(desc.cyclic_parts, ms)])
@@ -134,20 +163,20 @@ def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int) -> Set:
             if used + geodesic_length(p, l) > budget:
                 continue
             x = product(p, ((h, False), (core, False), (l, False), (h, True)))
-            i = ball.get(x)
-            if i is not None:
-                out.append(members[i])
-    return frozenset(out)
+            if geodesic_length(p, x) <= bound:
+                out.append(x)
+    return dict.fromkeys(sorted(out, key=shortlex_key)).keys()
 
 
 class _DisjunctState:
     """Per-disjunct pruning data threaded through the depth-first walk."""
 
-    def __init__(self, inst: Instance, index: int, shadow: tuple, ball: dict, bound: int):
+    def __init__(self, inst: Instance, index: int, shadow: tuple,
+                 whole_ball: Callable[[], dict], bound: int):
         p = inst.presentation
         self.p = p
         self.disjunct = inst.disjuncts[index]
-        self.ball = ball
+        self.whole_ball = whole_ball
         self.bound = bound
         d = self.disjunct
         eq_vars = [t.variables() for t in d.equations]
@@ -182,18 +211,20 @@ class _DisjunctState:
             any(not is_trivial(p, t.factors({}))
                 for t, vs in zip(d.equations, eq_vars) if not vs)
             or any(const for terms, const in lengths if not terms))
-        self._memo: dict[tuple, Set] = {}
+        self._memo: dict[tuple, Collection] = {}
 
-    def _equation_pass_set(self, i: int, asg: dict[str, NormalWord]) -> Set:
-        """Values of equation i's last variable x satisfying it given asg; cached.
+    def _equation_pass_set(self, i: int, asg: dict[str, NormalWord]) -> Collection:
+        """Values of equation i's last variable x satisfying it given asg, in
+        ball order; cached.
 
         The cache pays off whenever the same ground context recurs in sibling
         subtrees (domain equations recur with an empty context every time).
         A miss reads the term in place, cyclically from x's first occurrence,
         as x^s0 S0 x^s1 S1 ..., each ground segment S_j one word. One
         occurrence is solved outright, x^s0 = S0^-1: x = S0^-1 is one product
-        of S0's factors, inverted and in reverse order. Two of opposite signs
-        with S0 S1 = 1 say that x commutes with S0: its centralizer gives the
+        of S0's factors, inverted and in reverse order, kept when its
+        geodesic length is at most the bound. Two of opposite signs with
+        S0 S1 = 1 say that x commutes with S0: its centralizer gives the
         values. Anything else scans the ball, one unsorted product per
         element (`is_trivial`).
         """
@@ -213,7 +244,7 @@ class _DisjunctState:
             if not signs[0]:
                 factors = [(w, not s) for w, s in reversed(factors)]
             val = factors[0][0] if len(factors) == 1 and not factors[0][1] else product(p, factors)
-            self._memo[key] = cached = frozenset([val]) if val in self.ball else frozenset()
+            self._memo[key] = cached = (val,) if geodesic_length(p, val) <= self.bound else ()
             return cached
         segments = [p.identity() if not run
                     else run[0].word if len(run) == 1 and isinstance(run[0], ConstAtom)
@@ -223,20 +254,24 @@ class _DisjunctState:
             # the segment that wraps around the end, unless x comes first
             cached = _centralizer_in_ball(p, segments[1 if hits[0] else 0], self.bound)
         else:
-            cached = frozenset(
-                val for val in self.ball
+            cached = dict.fromkeys(
+                val for val in self.whole_ball()
                 if is_trivial(p, [f for s, w in zip(signs, segments)
                                   for f in ((val, s), (w, False))]))
         self._memo[key] = cached
         return cached
 
-    def candidates(self, depth: int, asg: dict[str, NormalWord]) -> Optional[Set]:
+    def candidates(self, depth: int, asg: dict[str, NormalWord]) -> Optional[Collection]:
         """Values of variables[depth] passing every equation that becomes
-        ground at depth, or None when no equation does."""
+        ground at depth, in ball order, or None when no equation does."""
         out = None
         for i in self.eq_at[depth]:
             passing = self._equation_pass_set(i, asg)
-            out = passing if out is None else out & passing
+            if out is None:
+                out = passing
+            else:  # the smaller set, filtered by the other, keeps its ball order
+                small, large = (out, passing) if len(out) <= len(passing) else (passing, out)
+                out = dict.fromkeys(x for x in small if x in large)
         return out
 
     def constraints_hold(self, depth: int, asg: dict[str, NormalWord]) -> bool:
@@ -263,9 +298,9 @@ def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
 
     Steps, in order: raise RadiusCapExceeded when bound lies outside 0..cap;
     return UnsatByShadow (a sound, definitive no) when no disjunct's abelian
-    shadow is solvable over Z, before the ball is built; fetch the ball; walk
-    it. The walk returns a re-verified Witness, or NoSolutionUpToBound when it
-    exhausts the ball.
+    shadow is solvable over Z; walk the ball, fetching it only for a depth
+    with no pass set or a scan. The walk returns a re-verified Witness, or
+    NoSolutionUpToBound when it exhausts the ball.
     """
     start = time.monotonic()
     check_radius(bound, cap)
@@ -275,8 +310,16 @@ def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
     if not solvable:
         millis = int((time.monotonic() - start) * 1000)
         return SearchReport(UNSAT_BY_SHADOW, bound, nodes=0, millis=millis)
-    ball = cayley_ball(p, bound)
-    states = [_DisjunctState(inst, i, shadows[i], ball, bound) for i in solvable]
+    ball = None
+
+    def whole_ball() -> dict[NormalWord, int]:
+        """The bound ball, fetched on first use."""
+        nonlocal ball
+        if ball is None:
+            ball = cayley_ball(p, bound)
+        return ball
+
+    states = [_DisjunctState(inst, i, shadows[i], whole_ball, bound) for i in solvable]
     live0 = [st for st in states if not st.ground_failed]
 
     variables = inst.variables
@@ -295,9 +338,11 @@ def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
             return
         cands = [st.candidates(depth, asg) for st in live]
         if any(c is None for c in cands):
-            order = ball
-        else:  # candidates in ball order, by their ball index
-            order = sorted(frozenset().union(*cands), key=ball.__getitem__)
+            order = whole_ball()
+        elif len(cands) == 1:
+            order = cands[0]
+        else:
+            order = sorted(set().union(*cands), key=shortlex_key)
         stack.append((live, cands, iter(order)))
 
     if live0:

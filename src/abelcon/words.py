@@ -574,12 +574,14 @@ def ball(p: Presentation, radius: int) -> dict[NormalWord, int]:
 
     The dict maps each element to its index in that order and iterates in
     it, so its keys are the member set and sorting a subset by the dict's
-    ``__getitem__`` restores ball order. It is cached and shared by every
-    caller, also across equal presentations: never mutate it. The cache
-    keeps the BALL_CACHE_SIZE most recently used balls. Only `search` builds
-    balls. A whole benchmark pool (seeds 1, 3, 7) uses at most 13: 8 on
-    `h10_search` (19 440 elements, 13 121 of them in F2 at radius 8), 11-13
-    on `shadow_mixed`.
+    ``__getitem__`` restores ball order; `shortlex_key` restores it without
+    the ball. It is cached and shared by every caller, also across equal
+    presentations: never mutate it. The cache keeps the BALL_CACHE_SIZE
+    most recently used balls. Only `search` builds balls, and only where a
+    depth has no pass set, for a scan, or as a centralizer's link ball. A
+    whole benchmark pool (seeds 1, 3, 7) builds at most 27, none of more
+    than 277 elements: on `h10_search` only the four one-element balls of
+    an empty link, 25-27 on `shadow_mixed`.
     """
     letters: dict[str, list[tuple[str, int]]] = {}
     for g in generator_words(p):
@@ -603,6 +605,20 @@ def ball(p: Presentation, radius: int) -> dict[NormalWord, int]:
             out[w] = len(out)
         sphere = grown
     return out
+
+
+def shortlex_key(w: NormalWord) -> tuple[int, str]:
+    """Sort key of ball order: geodesic length, then the spelled letters in
+    lex order, a letter ranked by (vertex index, positive before inverse).
+    A syllable v^e of the normal form is spelled as |e| letters of e's sign,
+    as `ball` extends it: an order-2 letter is stored as v^-1 and v^(k/2)
+    at order k as v^-(k/2), so both spell inverse letters. Within a sphere,
+    `ball`'s order is the lex order of the spellings, since each element is
+    its parent's spelling with one letter appended and a parent's children
+    come in `generator_words` order. Built per call, for words of a ball."""
+    index = w.pres.index
+    letters = "".join([chr(2 * index[v] + (e < 0)) * abs(e) for v, e in w.syllables])
+    return len(letters), letters
 
 
 def _stays_last(p: Presentation, syllables: tuple[tuple[str, int], ...], v: str) -> bool:

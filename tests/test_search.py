@@ -1,10 +1,15 @@
 import importlib
+import os
 import random
 import signal
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from abelcon.compilers import compile_h10_free, parse_h10
 from abelcon.errors import RadiusCapExceeded
 from abelcon.instances import parse_instance
 from abelcon.search import (
@@ -143,14 +148,73 @@ GRAPHS = {"path": PATH5, "mixed": MIXED, "z4-z6-z": Z4_Z6_Z}
 def test_centralizer_pass_set_matches_the_commutator_scan(request, name, radius):
     p = GRAPHS.get(name) or _long_word_presentation(request, name)
     members = ball(p, radius)
-    own = {id(x) for x in members}
     for w in members:
         if w.is_identity():
             continue
         passing = _centralizer_in_ball(p, w, radius)
-        assert passing == {x for x in members if is_in_centralizer(p, w, x)}, format_word(w)
-        assert all(id(x) in own for x in passing), format_word(w)  # the ball's own objects
+        scan = [x for x in members if is_in_centralizer(p, w, x)]
+        assert passing == set(scan), format_word(w)
+        assert list(passing) == scan, format_word(w)  # in ball order
         assert _centralizer_in_ball(p, w, radius) is passing
+
+
+# the star of item 11's repro: centre c joined to a, b and d, and a vertex e
+STAR = Presentation.raag("cabde", [("c", "a"), ("c", "b"), ("c", "d")])
+Z4_Z6_Z_PATH = Presentation("uvw", [("u", "v"), ("v", "w")], {"u": 4, "v": 6, "w": None})
+CONJUGATED_GRAPHS = {"path": PATH5, "mixed": MIXED, "z4-z6-z-path": Z4_Z6_Z_PATH, "star": STAR}
+
+
+def _random_word(rng, p, vertices, length):
+    return normalize(p, [(rng.choice(vertices), rng.choice((1, -1))) for _ in range(length)])
+
+
+@pytest.mark.parametrize("name", ["f2", "pentagon", "mixed", "z4-z6-z-path", "path", "star"])
+def test_centralizer_pass_set_of_a_long_conjugate_matches_the_commutator_scan(request, name):
+    """w = h·c·h^-1 with |h| up to 8 over the infinite-order vertices, where
+    the link ball's radius is the bound, and up to 2 over all vertices, where
+    it stays bound + 2|h|."""
+    p = CONJUGATED_GRAPHS.get(name) or request.getfixturevalue(name)
+    infinite = [v for v in p.vertices if p.order[v] is None]
+    rng = random.Random(name)
+    for bound in (2, 3, 4):
+        members = ball(p, bound)
+        for trial in range(9):
+            c = p.identity()
+            while c.is_identity():
+                c = _random_word(rng, p, p.vertices, rng.randint(1, 3))
+            if infinite and trial % 3:
+                h = _random_word(rng, p, infinite, rng.randint(3, 8))
+            else:
+                h = _random_word(rng, p, p.vertices, rng.randint(0, 2))
+            w = c.conjugate_by(h.inverse())
+            if w.is_identity():
+                continue
+            passing = _centralizer_in_ball(p, w, bound)
+            scan = [x for x in members if is_in_centralizer(p, w, x)]
+            assert list(passing) == scan, (bound, format_word(w))
+
+
+@pytest.mark.parametrize("pinned, k", [(True, 1), (True, 2), (True, 3),
+                                       (False, 1), (False, 2), (False, 3), (False, 4)])
+def test_a_commutator_with_a_long_conjugator_answers_at_once(pinned, k):
+    """[X, h c h^-1] = 1 on the star with h = (e a)^k at bound 2, pinned to
+    X = a or not: the link of c is {a, b, d}, and a link ball of radius
+    bound + 2|h| = 2 + 4k would hold millions of words from k = 2 on."""
+    h, h_inv = " ".join(["e a"] * k), " ".join(["a^-1 e^-1"] * k)
+    pin = "  eq X a^-1 = 1\n" if pinned else ""
+    text = (f"vars X\ndisjunct {{\n  eq X ( {h} c {h_inv} ) X^-1 ( {h} c^-1 {h_inv} ) = 1\n"
+            f"{pin}}}\n")
+    inst = parse_instance(text, presentation=STAR)
+    _centralizer_in_ball.cache_clear()
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.alarm(20)
+    try:
+        report = search(inst, 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert report.assignment == naive_search(inst, 2)
+    assert report.verdict == (NO_SOLUTION_UP_TO_BOUND if pinned else WITNESS)
 
 
 def _out_of_time(signum, frame):
@@ -338,3 +402,69 @@ disjunct {
     assert (report.verdict, report.disjunct) == (WITNESS, 2)
     assert report.assignment == naive_search(inst, 2)
     assert calls == {"disjunct_shadow": 3, "constraint_rows": 6}, calls
+
+
+# ---------------------------------------------------------------------------
+# the ball is fetched only where a depth has no pass set, or for a scan
+
+SEARCH_MOD = importlib.import_module("abelcon.search")
+
+
+def _ball_spy(monkeypatch) -> list:
+    fetched = []
+    real = SEARCH_MOD.cayley_ball
+
+    def wrapped(p, radius):
+        fetched.append((p, radius))
+        return real(p, radius)
+    monkeypatch.setattr(SEARCH_MOD, "cayley_ball", wrapped)
+    return fetched
+
+
+@pytest.mark.parametrize("mode", ["pure-ab", "native-expsum"])
+def test_compiled_h10_searches_never_build_the_target_ball(monkeypatch, mode):
+    """Every variable of a compiled H10 instance has a domain equation, so
+    every depth has a pass set: the only balls built are link balls."""
+    target = Presentation.free(["s1", "s2"])
+    fetched = _ball_spy(monkeypatch)
+    for text, bound in (("1*x*y -6 = 0", 8), ("1*x*y -6 = 0", 12), ("1*x -1*y -1 = 0\n1*x*x -4 = 0", 8)):
+        inst = compile_h10_free(parse_h10(text), target, mode).instance
+        assert search(inst, bound).verdict in (WITNESS, NO_SOLUTION_UP_TO_BOUND)
+    assert all(p != target for p, _ in fetched), fetched
+
+
+def test_a_depth_without_a_pass_set_and_a_scan_fetch_the_ball_once(monkeypatch):
+    fetched = _ball_spy(monkeypatch)
+    # Y has no equation: each value of X walks the whole ball at Y's depth
+    inst = parse_instance(F2_HEADER + "vars X Y\ndisjunct {\n  eq X X^-1 = 1\n"
+                          "  len: 1 |X| 1 |Y| = 4\n}\n")
+    report = search(inst, 2)
+    assert report.assignment == naive_search(inst, 2) and report.nodes > 2
+    assert fetched == [(inst.presentation, 2)]
+    # X X = w scans the ball once; Y's depth reads the one fetch too
+    fetched.clear()
+    inst = parse_instance(F2_HEADER + "vars X Y\ndisjunct {\n  eq X X ( a b a b )^-1 = 1\n"
+                          "  ab: Y = ( a b )\n}\n")
+    report = search(inst, 2)
+    assert report.assignment == naive_search(inst, 2)
+    assert fetched == [(inst.presentation, 2)]
+
+
+def test_a_compiled_search_at_bound_12_runs_in_256_mb():
+    """x·y = 6 in pure-ab mode at the radius cap. The ball of radius 12 over
+    F(s1, s2) would hold 1 062 881 words, hundreds of megabytes; the limit on
+    the address space is set in the child interpreter only."""
+    code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+import abelcon
+target = abelcon.Presentation.free(["s1", "s2"])
+cr = abelcon.compile_h10_free(abelcon.parse_h10("1*x*y -6 = 0"), target, "pure-ab")
+report = abelcon.search(cr.instance, 12)
+print(report.verdict, report.nodes)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [WITNESS, "1440"]

@@ -27,6 +27,7 @@ from abelcon.words import (
     normalize,
     parse_int,
     parse_word,
+    shortlex_key,
     support,
 )
 
@@ -481,6 +482,30 @@ def test_ball_holds_half_order_syllables_as_negative_letters():
         w = normalize(p, [(v, k)])
         assert w.syllables == ((v, -k),) and w in b and geodesic_length(p, w) == k
     assert normalize(p, [("a", 1), ("b", 3)]) in b
+
+
+# the ball-order key: F2, the pentagon, MIXED, a Z/4-Z/6-Z path and the path RAAG
+KEY_GRAPHS = {"mixed": MIXED,
+              "z4-z6-z-path": Presentation("uvw", [("u", "v"), ("v", "w")],
+                                           {"u": 4, "v": 6, "w": None})}
+
+
+@pytest.mark.parametrize("name", ["f2", "pentagon", "mixed", "z4-z6-z-path", "gamma1"])
+def test_shortlex_key_sorts_each_ball_back_into_its_order(request, name):
+    p = KEY_GRAPHS.get(name) or request.getfixturevalue(name)
+    rng = random.Random(name)
+    for r in range(5):
+        members = list(ball(p, r))
+        assert sorted(rng.sample(members, len(members)), key=shortlex_key) == members, r
+        keys = [shortlex_key(w) for w in members]
+        assert all(a < b for a, b in zip(keys, keys[1:])), r
+
+
+@pytest.mark.parametrize("name", ["f2", "pentagon", "mixed", "z4-z6-z-path", "gamma1"])
+def test_geodesic_length_decides_ball_membership(request, name):
+    p = KEY_GRAPHS.get(name) or request.getfixturevalue(name)
+    for r in range(4):
+        assert {w for w in ball(p, r + 1) if geodesic_length(p, w) <= r} == ball(p, r).keys(), r
 
 
 # ---------------------------------------------------------------------------
