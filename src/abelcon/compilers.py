@@ -572,6 +572,9 @@ class _Emitter:
     - ``ensure``: A_x, the group variable of integer variable x, made on its
       first use by the target's ``domain(A_x, x)`` action;
     - ``cyclic``: a variable x confined to <g> by [x, g] = 1, with recipe g^exp;
+    - ``linear_term``: the term of a constant, equality or sum atom, which
+      is the identity iff the atom holds where A_x is g^x;
+    - ``commutes``: the equation [c, g·b] = 1 of the product gadget;
     - ``finish``: ensure every source variable, then build the one-disjunct
       instance, the decode map and the CompiledReduction.
 
@@ -611,6 +614,20 @@ class _Emitter:
             self.avar[intvar] = f"A_{intvar}"
             self.domain(self.avar[intvar], intvar)
         return self.avar[intvar]
+
+    def linear_term(self, atom: Union[ConstDef, EqDef, SumDef], g: NormalWord) -> GroupTerm:
+        """A_x·g^-c for x = c, A_l·A_r^-1 for l = r, A_y·A_z·A_x^-1 for
+        x = y + z, ensuring the variables in that order."""
+        if isinstance(atom, ConstDef):
+            return var_term(self.ensure(atom.var)) * const_term(g ** (-atom.value))
+        names = [atom.left, atom.right] + ([atom.var] if isinstance(atom, SumDef) else [])
+        *plain, last = [self.ensure(v) for v in names]
+        return GroupTerm(tuple(VarAtom(a) for a in plain) + (VarAtom(last, True),))
+
+    def commutes(self, c: str, g: NormalWord, b: str) -> None:
+        self.equations.append(GroupTerm((
+            VarAtom(c), ConstAtom(g), VarAtom(b),
+            VarAtom(c, True), VarAtom(b, True), ConstAtom(g.inverse()))))
 
     def finish(self, ref: str, mode: str) -> CompiledReduction:
         source_vars = self.atomized.source_vars
@@ -669,20 +686,14 @@ def compile_h10_free(h: H10Instance, target: Presentation,
             k_gadget(zero_term, ws2, exp)
 
     for atom in em.atomized.atoms:
-        if isinstance(atom, ConstDef):
-            ax = em.ensure(atom.var)
-            em.equations.append(var_term(ax) * const_term(ws1 ** (-atom.value)))
-        elif isinstance(atom, EqDef):
-            al = em.ensure(atom.left)
-            ar = em.ensure(atom.right)
-            em.equations.append(GroupTerm((VarAtom(al), VarAtom(ar, True))))
-        elif isinstance(atom, SumDef):
-            ay = em.ensure(atom.left)
-            az = em.ensure(atom.right)
-            ax = em.ensure(atom.var)
-            zero = GroupTerm((VarAtom(ay), VarAtom(az), VarAtom(ax, True)))
-            expsum_or_gadget([(1, ay, s1), (1, az, s1), (-1, ax, s1)], zero, i_const(0))
-        elif isinstance(atom, ProdDef):
+        if not isinstance(atom, ProdDef):
+            term = em.linear_term(atom, ws1)
+            if isinstance(atom, SumDef):
+                items = [(-1 if a.inverse else 1, a.name, s1) for a in term.atoms]
+                expsum_or_gadget(items, term, i_const(0))
+            else:
+                em.equations.append(term)
+        else:
             t1, t2, t3 = atom.left, atom.right, atom.var
             a1 = em.ensure(t1)
             b = em.cyclic(em.fresh("b"), ws2, i_var(t1))
@@ -695,10 +706,7 @@ def compile_h10_free(h: H10Instance, target: Presentation,
             a2 = em.ensure(t2)
             c = em.add_var(em.fresh("c"),
                            w_pow(w_concat(w_word(ws1), w_ref(b)), i_var(t2)))
-            # [c, s1 b] = 1 with b a variable
-            em.equations.append(GroupTerm((
-                VarAtom(c), ConstAtom(ws1), VarAtom(b),
-                VarAtom(c, True), VarAtom(b, True), ConstAtom(ws1.inverse()))))
+            em.commutes(c, ws1, b)
             # |a2|_s1 = |c|_s1
             expsum_or_gadget(
                 [(1, a2, s1), (-1, c, s1)], GroupTerm((VarAtom(a2), VarAtom(c, True))),
@@ -798,19 +806,9 @@ def compile_h10_raag(h: H10Instance, target: Presentation) -> CompiledReduction:
             zero_gadget(GroupTerm((VarAtom(name), VarAtom(y, True))), module, cover)
 
     for atom in em.atomized.atoms:
-        if isinstance(atom, ConstDef):
-            ax = em.ensure(atom.var)
-            zero_gadget(var_term(ax) * const_term(h1 ** (-atom.value)), S1, cover1)
-        elif isinstance(atom, EqDef):
-            al = em.ensure(atom.left)
-            ar = em.ensure(atom.right)
-            zero_gadget(GroupTerm((VarAtom(al), VarAtom(ar, True))), S1, cover1)
-        elif isinstance(atom, SumDef):
-            ay = em.ensure(atom.left)
-            az = em.ensure(atom.right)
-            ax = em.ensure(atom.var)
-            zero_gadget(GroupTerm((VarAtom(ay), VarAtom(az), VarAtom(ax, True))), S1, cover1)
-        elif isinstance(atom, ProdDef):
+        if not isinstance(atom, ProdDef):
+            zero_gadget(em.linear_term(atom, h1), S1, cover1)
+        else:
             t1, t2, t3 = atom.left, atom.right, atom.var
             a1 = em.ensure(t1)
             b = em.add_var(em.fresh("b"), w_pow(w_word(h2), i_var(t1)))
@@ -826,9 +824,7 @@ def compile_h10_raag(h: H10Instance, target: Presentation) -> CompiledReduction:
             c1 = em.add_var(em.fresh("c"),
                             w_conj(w_pow(w_concat(w_word(h1), w_ref(b)), i_var(t2)), hb))
             relativize(c1)
-            em.equations.append(GroupTerm((
-                VarAtom(c1), ConstAtom(h1), VarAtom(b),
-                VarAtom(c1, True), VarAtom(b, True), ConstAtom(h1.inverse()))))
+            em.commutes(c1, h1, b)
             c2 = em.add_var(em.fresh("c"), w_word(p.identity()))
             zero_gadget(var_term(c2), S1, cover1)
             zero_gadget(var_term(c2), S2, cover2)

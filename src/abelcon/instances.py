@@ -421,21 +421,20 @@ def _centralizer_lattice(p: Presentation, term: GroupTerm
     torsion support would be sound too, but would change verdicts.
     Abelianisation kills the conjugator, so the images come straight from
     the cached description: each cyclic part's exponent sums, then the unit
-    vector of each link vertex.
+    vector of each link vertex. The form w X w^-1 X^-1 is read rotated, as
+    X^-1 w X w^-1, with the same X and w.
     """
-    if len(term.atoms) != 4:
+    atoms = term.atoms
+    if len(atoms) != 4:
         return None
-    a0, a1, a2, a3 = term.atoms
-    if (isinstance(a0, VarAtom) and isinstance(a2, VarAtom) and a0.name == a2.name
+    if isinstance(atoms[0], ConstAtom):
+        atoms = atoms[3:] + atoms[:3]
+    a0, a1, a2, a3 = atoms
+    if not (isinstance(a0, VarAtom) and isinstance(a2, VarAtom) and a0.name == a2.name
             and a0.inverse != a2.inverse and isinstance(a1, ConstAtom)
             and isinstance(a3, ConstAtom) and multiply(a1.word.pres, a1.word, a3.word).is_identity()):
-        x, w = a0.name, a1.word
-    elif (isinstance(a1, VarAtom) and isinstance(a3, VarAtom) and a1.name == a3.name
-            and a1.inverse != a3.inverse and isinstance(a0, ConstAtom)
-            and isinstance(a2, ConstAtom) and multiply(a0.word.pres, a0.word, a2.word).is_identity()):
-        x, w = a1.name, a0.word
-    else:
         return None
+    x, w = a0.name, a1.word
     if w.is_identity() or any(p.order[v] is not None for v, _ in w.syllables):
         return None
     desc = centralizer_generators(p, w)

@@ -15,8 +15,9 @@ equations that variable makes ground. Every pass set is kept in ball
 order, sorted once when it is built (`words.shortlex_key`), so the walk
 visits one disjunct's candidates as they are and sorts only a union of
 several. A depth where some live disjunct has no such equation walks the
-whole ball. The ball itself is fetched only then, or for a scan, at most
-once per search: normal forms are geodesic, so x lies in the ball iff
+whole ball. The ball itself is read only then, or for a scan, from the
+cache of `words.ball`, which builds it once per (presentation, bound):
+normal forms are geodesic, so x lies in the ball iff
 `geodesic_length(x) <= bound`, and where every depth has a pass set, as
 in a compiled H10 instance, no ball of the presentation is built. A pass
 set reads its equation in place, each ground segment one word: one
@@ -45,7 +46,7 @@ exhausting a bound proves nothing beyond it.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Collection, Iterator, Set
+from collections.abc import Collection, Iterator, Set
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -171,12 +172,10 @@ def _centralizer_in_ball(p: Presentation, w: NormalWord, bound: int) -> Set:
 class _DisjunctState:
     """Per-disjunct pruning data threaded through the depth-first walk."""
 
-    def __init__(self, inst: Instance, index: int, shadow: tuple,
-                 whole_ball: Callable[[], dict], bound: int):
+    def __init__(self, inst: Instance, index: int, shadow: tuple, bound: int):
         p = inst.presentation
         self.p = p
         self.disjunct = inst.disjuncts[index]
-        self.whole_ball = whole_ball
         self.bound = bound
         d = self.disjunct
         eq_vars = [t.variables() for t in d.equations]
@@ -225,8 +224,8 @@ class _DisjunctState:
         of S0's factors, inverted and in reverse order, kept when its
         geodesic length is at most the bound. Two of opposite signs with
         S0 S1 = 1 say that x commutes with S0: its centralizer gives the
-        values. Anything else scans the ball, one unsorted product per
-        element (`is_trivial`).
+        values. Anything else scans the ball, read from the cache of
+        `words.ball`, one unsorted product per element (`is_trivial`).
         """
         others = tuple(asg[v] for v in self.eq_others[i])
         key = (i, others)
@@ -255,7 +254,7 @@ class _DisjunctState:
             cached = _centralizer_in_ball(p, segments[1 if hits[0] else 0], self.bound)
         else:
             cached = dict.fromkeys(
-                val for val in self.whole_ball()
+                val for val in cayley_ball(p, self.bound)
                 if is_trivial(p, [f for s, w in zip(signs, segments)
                                   for f in ((val, s), (w, False))]))
         self._memo[key] = cached
@@ -298,7 +297,7 @@ def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
 
     Steps, in order: raise RadiusCapExceeded when bound lies outside 0..cap;
     return UnsatByShadow (a sound, definitive no) when no disjunct's abelian
-    shadow is solvable over Z; walk the ball, fetching it only for a depth
+    shadow is solvable over Z; walk the ball, reading it only for a depth
     with no pass set or a scan. The walk returns a re-verified Witness, or
     NoSolutionUpToBound when it exhausts the ball.
     """
@@ -310,16 +309,7 @@ def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
     if not solvable:
         millis = int((time.monotonic() - start) * 1000)
         return SearchReport(UNSAT_BY_SHADOW, bound, nodes=0, millis=millis)
-    ball = None
-
-    def whole_ball() -> dict[NormalWord, int]:
-        """The bound ball, fetched on first use."""
-        nonlocal ball
-        if ball is None:
-            ball = cayley_ball(p, bound)
-        return ball
-
-    states = [_DisjunctState(inst, i, shadows[i], whole_ball, bound) for i in solvable]
+    states = [_DisjunctState(inst, i, shadows[i], bound) for i in solvable]
     live0 = [st for st in states if not st.ground_failed]
 
     variables = inst.variables
@@ -338,7 +328,7 @@ def search(inst: Instance, bound: int, cap: int = DEFAULT_CAP) -> SearchReport:
             return
         cands = [st.candidates(depth, asg) for st in live]
         if any(c is None for c in cands):
-            order = whole_ball()
+            order = cayley_ball(p, bound)
         elif len(cands) == 1:
             order = cands[0]
         else:

@@ -573,15 +573,15 @@ def ball(p: Presentation, radius: int) -> dict[NormalWord, int]:
     vertex index.
 
     The dict maps each element to its index in that order and iterates in
-    it, so its keys are the member set and sorting a subset by the dict's
-    ``__getitem__`` restores ball order; `shortlex_key` restores it without
-    the ball. It is cached and shared by every caller, also across equal
-    presentations: never mutate it. The cache keeps the BALL_CACHE_SIZE
-    most recently used balls. Only `search` builds balls, and only where a
-    depth has no pass set, for a scan, or as a centralizer's link ball. A
-    whole benchmark pool (seeds 1, 3, 7) builds at most 27, none of more
-    than 277 elements: on `h10_search` only the four one-element balls of
-    an empty link, 25-27 on `shadow_mixed`.
+    it, so its keys are the member set. `shortlex_key` is ball order: it
+    sorts any set of words into it without the ball. The dict is cached and
+    shared by every caller, also across equal presentations: never mutate
+    it. The cache keeps the BALL_CACHE_SIZE most recently used balls. Only
+    `search` builds balls, and only where a depth has no pass set, for a
+    scan, or as a centralizer's link ball. A whole benchmark pool (seeds 1,
+    3, 7) builds at most 27, none of more than 277 elements: on
+    `h10_search` only the four one-element balls of an empty link, 25-27
+    on `shadow_mixed`.
     """
     letters: dict[str, list[tuple[str, int]]] = {}
     for g in generator_words(p):
@@ -648,8 +648,8 @@ def _cyclic_step(p: Presentation, w: NormalWord):
     source and a sink of the dependence graph) whose merge costs less than
     the two. Two conjugators remove it: v^e moves the initial syllable to the
     back, v^-f the final one to the front. The step is the least of all these
-    conjugators in ball order, which on a syllable v^x compares (length, vertex
-    index, x < 0); -f is reduced first, as v^k at order 2k is stored as v^-k.
+    conjugators in ball order (`shortlex_key`); -f is reduced first, as v^k
+    at order 2k is stored as v^-k.
     """
     sy = w.syllables
     succ, waiting = _dependence(p, sy)
@@ -660,12 +660,10 @@ def _cyclic_step(p: Presentation, w: NormalWord):
         f = sy[j][1]
         if not waiting[i] and j != i and (
                 p.syllable_cost(v, e + f) < p.syllable_cost(v, e) + p.syllable_cost(v, f)):
-            for x in (e, p.reduce_exponent(v, -f)):
-                steps.append((p.syllable_cost(v, x), p.index[v], x < 0, v, x))
+            steps += [NormalWord(p, ((v, x),)) for x in (e, p.reduce_exponent(v, -f))]
     if not steps:
         return None
-    *_, v, x = min(steps)
-    step = NormalWord(p, ((v, x),))
+    step = min(steps, key=shortlex_key)
     return w.conjugate_by(step), step
 
 

@@ -46,7 +46,7 @@ MUTANTS = (
            "(val,) if geodesic_length(p, val) < self.bound else ()",
            ("tests/test_search.py::test_search_matches_naive",)),
     Mutant("whole-ball-depth-without-a-fetch", "src/abelcon/search.py",
-           "order = whole_ball()", "order = ball or ()",
+           "order = cayley_ball(p, bound)", "order = ()",
            ("tests/test_search.py::test_search_matches_naive",
             "tests/test_search.py::test_a_depth_without_a_pass_set_and_a_scan_fetch_the_ball_once")),
     Mutant("centralizer-budget-below-the-bound", "src/abelcon/search.py",
@@ -65,6 +65,61 @@ MUTANTS = (
            "syllables = [(v, -e) for v, e in reversed(w.syllables)]",
            ("tests/test_words.py::test_products_normalise_once_like_the_pairwise_fold",
             "tests/test_words.py::test_long_words_match_the_oracle")),
+    Mutant("cyclic-step-without-reduce-exponent", "src/abelcon/words.py",
+           "for x in (e, p.reduce_exponent(v, -f))", "for x in (e, -f)",
+           ("tests/test_words.py::test_cyclically_reduce_matches_the_ball_scan",
+            "tests/test_words.py::test_cyclically_reduce_long_words")),
+    Mutant("cyclic-step-the-greatest", "src/abelcon/words.py",
+           "step = min(steps, key=shortlex_key)", "step = max(steps, key=shortlex_key)",
+           ("tests/test_words.py::test_cyclically_reduce_matches_the_ball_scan",
+            "tests/test_words.py::test_cyclically_reduce_long_words")),
+    Mutant("rows-one-depth-late", "src/abelcon/search.py",
+           "self.rows_at[max(cols) // n].append(",
+           "self.rows_at[min(max(cols) // n + 1, len(self.rows_at) - 1)].append(",
+           ("tests/test_search.py::test_a_row_is_checked_at_the_depth_of_its_last_unknown",
+            "tests/test_compiled_constraints.py")),
+    Mutant("row-loop-skipped", "src/abelcon/search.py",
+           "for coeffs, const, k in rows[constraints_from:]:",
+           "for coeffs, const, k in rows[len(rows):]:",
+           ("tests/test_compiled_constraints.py",
+            "tests/test_search.py::test_search_matches_naive")),
+    Mutant("commutator-rotated-by-two", "src/abelcon/instances.py",
+           "atoms = atoms[3:] + atoms[:3]", "atoms = atoms[2:] + atoms[:2]",
+           ("tests/test_instances.py::"
+            "test_every_reading_of_a_ground_commutator_gives_the_same_lattice_rows",)),
+    Mutant("linear-term-last-atom-uninverted", "src/abelcon/compilers.py",
+           "(VarAtom(last, True),)", "(VarAtom(last),)",
+           ("tests/test_compiled_golden.py",)),
+    Mutant("u3-given-s2", "src/abelcon/compilers.py",
+           "k_gadget(GroupTerm((VarAtom(c), VarAtom(w2, True))), ws1,",
+           "k_gadget(GroupTerm((VarAtom(c), VarAtom(w2, True))), ws2,",
+           ("tests/test_compiled_golden.py",)),
+    Mutant("b-emitted-after-a-y", "src/abelcon/compilers.py",
+           "            a1 = em.ensure(t1)\n            b = em.cyclic(",
+           "            a1 = em.ensure(t1)\n            em.ensure(t2)\n            b = em.cyclic(",
+           ("tests/test_compiled_golden.py",)),
+    Mutant("decode-without-source-check", "src/abelcon/compilers.py",
+           "if not cr.source.holds(decoded):", "if False:",
+           ("tests/test_cli.py::test_decode_refuses_values_that_fail_the_source",)),
+    Mutant("hint-mismatch-exits-ok", "src/abelcon/cli.py",
+           'print("FAIL: decoded hint mismatch", file=sys.stderr)\n                return EXIT_NO',
+           'print("FAIL: decoded hint mismatch", file=sys.stderr)\n                return EXIT_OK',
+           ("tests/test_cli.py::test_verify_fails_a_hint_that_decodes_to_other_values",)),
+    Mutant("unsat-by-shadow-exits-unknown", "src/abelcon/cli.py",
+           'print("UNSAT (abelian shadow)")\n            return EXIT_NO',
+           'print("UNSAT (abelian shadow)")\n            return EXIT_UNKNOWN',
+           ("tests/test_cli.py::test_solve_unsat_by_shadow",)),
+    Mutant("no-solution-exits-ok", "src/abelcon/cli.py",
+           'print(f"no solution up to bound {args.bound}")\n        return EXIT_UNKNOWN',
+           'print(f"no solution up to bound {args.bound}")\n        return EXIT_OK',
+           ("tests/test_cli.py::test_solve_unknown",)),
+    Mutant("witness-reported-as-no-solution", "src/abelcon/search.py",
+           "return SearchReport(WITNESS, bound, assignment=found,",
+           "return SearchReport(NO_SOLUTION_UP_TO_BOUND, bound, assignment=found,",
+           ("tests/test_search.py::test_a_report_is_true_exactly_for_a_witness",)),
+    Mutant("shadow-refutation-skipped", "src/abelcon/search.py",
+           "    if not solvable:\n", "    if False:\n",
+           ("tests/test_search.py::test_a_report_is_true_exactly_for_a_witness",)),
 )
 
 

@@ -6,7 +6,8 @@ import pytest
 
 import abelcon.cli as cli
 from abelcon.cli import main
-from abelcon.errors import IntegerTooLong
+from abelcon.compilers import decode_solution
+from abelcon.errors import DecodeInconsistency, IntegerTooLong
 
 GAMMA1 = """vertex a inf
 vertex b inf
@@ -240,6 +241,37 @@ def test_witness_and_decode_commands(files, capsys):
                        "--assignment", files / "asg.txt")
     assert code == 0
     assert out == "x = 2\ny = 3\n"
+
+
+def _rewrite_decode(dec, change):
+    doc = json.loads(dec.read_text())
+    change(doc["decode"])
+    dec.write_text(json.dumps(doc))
+
+
+def test_verify_fails_a_hint_that_decodes_to_other_values(files, capsys):
+    """x + y = 5 with x read off A_y and y off A_x: the hint's witness
+    decodes to x = 3, y = 2, which solves the source but is not the hint."""
+    inst, dec = _compiled_sum(files, capsys)
+    _rewrite_decode(dec, lambda m: m.update(x=m["y"], y=m["x"]))
+    code, out, err = run(capsys, "verify", inst, dec, "--bound", "2", "--hint", "x=2,y=3")
+    assert (code, out, err) == (1, "", "FAIL: decoded hint mismatch\n")
+
+
+def test_decode_refuses_values_that_fail_the_source(files, capsys):
+    """x + y = 5 with both read off A_x: a witness of x = 2, y = 3 decodes to
+    2 + 2, so decode raises DecodeInconsistency and exits 3."""
+    inst, dec = _compiled_sum(files, capsys)
+    _, out, _ = run(capsys, "witness", inst, dec, "--solution", "x=2,y=3")
+    asg = files / "asg.txt"
+    asg.write_text(out)
+    _rewrite_decode(dec, lambda m: m.update(y=m["x"]))
+    cr = cli._load_reduction(str(inst), str(dec))
+    with pytest.raises(DecodeInconsistency):
+        decode_solution(cr, cli._parse_assignment(cr.instance, out))
+    code, out, err = run(capsys, "decode", inst, dec, "--assignment", asg)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: decoded values {'x': 2, 'y': 2} fail the source system")
 
 
 def test_decode_of_a_value_too_long_to_print_is_an_input_error(files, capsys):
@@ -577,6 +609,16 @@ BAD_INSTANCES = {
     # the bad order is on line 4 of the file and line 2 of the block
     "graph-block-bad-order.inst": "# two vertices\ngraph {\n  vertex a inf\n  vertex b 1x\n}\n"
                                   "vars X\ndisjunct {\n  eq X = 1\n}\n",
+    "disjunct-before-group.inst": "vars X\ndisjunct {\n  eq X = 1\n}\ngroup f2.graph\n",
+    "eq-without-equals-one.inst": "group f2.graph\nvars X\ndisjunct {\n  eq X a\n}\n",
+    "ab-without-equals.inst": "group f2.graph\nvars X\ndisjunct {\n  eq X = 1\n  ab: X a\n}\n",
+    "unbalanced-parenthesis.inst": "group f2.graph\nvars X\ndisjunct {\n  eq X ( a b = 1\n}\n",
+    "expsum-odd-items.inst": "group f2.graph\nvars X\ndisjunct {\n  eq X = 1\n"
+                             "  expsum: 1 |X|_a 2 = 0\n}\n",
+    "len-not-a-length.inst": "group f2.graph\nvars X\ndisjunct {\n  eq X = 1\n"
+                             "  len: 1 X = 0\n}\n",
+    "malformed-coset.inst": "group f2.graph\nvars X\ndisjunct {\n  eq X = 1\n"
+                            "  coset: X a * G'\n}\n",
 }
 
 
@@ -633,6 +675,16 @@ BAD_INPUTS = {
     "solve-bad-variable-name": (None, ("solve", "{dir}/bad-variable-name.inst", "--bound", "1")),
     "solve-expsum-at-finite-order": (None, ("solve", "{dir}/expsum-at-finite-order.inst",
                                             "--bound", "1")),
+    "solve-disjunct-before-group": (None, ("solve", "{dir}/disjunct-before-group.inst",
+                                           "--bound", "1")),
+    "solve-eq-without-equals-one": (None, ("solve", "{dir}/eq-without-equals-one.inst",
+                                           "--bound", "1")),
+    "solve-ab-without-equals": (None, ("solve", "{dir}/ab-without-equals.inst", "--bound", "1")),
+    "solve-unbalanced-parenthesis": (None, ("solve", "{dir}/unbalanced-parenthesis.inst",
+                                            "--bound", "1")),
+    "solve-expsum-odd-items": (None, ("solve", "{dir}/expsum-odd-items.inst", "--bound", "1")),
+    "solve-len-not-a-length": (None, ("solve", "{dir}/len-not-a-length.inst", "--bound", "1")),
+    "solve-malformed-coset": (None, ("solve", "{dir}/malformed-coset.inst", "--bound", "1")),
     "shadow-4301-digit-constant": (None, ("shadow", "{dir}/4301-digit-constant.inst")),
     "verify-hint-bound-outside-cap": (None, ("verify", "{inst}", "{dec}", "--bound", "99",
                                              "--hint", "x=2,y=3")),
@@ -647,7 +699,11 @@ BAD_INPUTS = {
 }
 
 # the line a case's error names
-ERROR_LINES = {"solve-unknown-vertex-in-parens": 4, "solve-graph-block-bad-order": 4}
+ERROR_LINES = {"solve-unknown-vertex-in-parens": 4, "solve-graph-block-bad-order": 4,
+               "solve-disjunct-before-group": 2, "solve-eq-without-equals-one": 4,
+               "solve-ab-without-equals": 5, "solve-unbalanced-parenthesis": 4,
+               "solve-expsum-odd-items": 5, "solve-len-not-a-length": 5,
+               "solve-malformed-coset": 5}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

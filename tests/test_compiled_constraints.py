@@ -106,7 +106,7 @@ def _walk_state(p, variables, con):
     shadow = disjunct_shadow(p, inst.disjuncts[0], variables)
     if solve_rows(*shadow[:2]) is None:
         return None
-    return _DisjunctState(inst, 0, shadow, ball(p, 0), 0)
+    return _DisjunctState(inst, 0, shadow, 0)
 
 
 def _walk_holds(st, asg):

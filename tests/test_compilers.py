@@ -46,6 +46,7 @@ from abelcon.instances import (
     GroupTerm,
     Instance,
     VarAtom,
+    commutator_term,
     evaluate,
     flatten,
     parse_instance,
@@ -141,6 +142,18 @@ def test_extend_solution_consistency():
             assert full[atom.var] == full[atom.left] * full[atom.right]
         else:
             assert full[atom.left] == full[atom.right]
+
+
+def test_extend_solution_refuses_a_source_value_against_its_constant():
+    a = atomize(parse_h10("1*x -3 = 0"))
+    assert a.atoms == (ConstDef("x", 3),)
+    assert a.extend_solution({"x": 3}) == {"x": 3}
+    with pytest.raises(NotAnIntegerSolution, match="x = 4 but must equal 3"):
+        a.extend_solution({"x": 4})
+
+
+def test_atomize_skips_an_all_zero_line():
+    assert atomize(parse_h10("0 = 0\n1*x -1 = 0\n0*y = 0\n")) == atomize(parse_h10("1*x -1 = 0"))
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +520,15 @@ def test_rewrite_integers_into_free(f2):
     assert len(comms) == 3
     prods = [t for t in d.equations if len(t.atoms) == 3]
     assert prods == [GroupTerm((VarAtom("X"), VarAtom("Y"), VarAtom("Z", True)))]
+
+
+def test_rewrite_maps_a_one_atom_equation_through_equality(f2):
+    z = Presentation.free(["n"])
+    interp = integers_into_free_interpretation(f2, "a", z)
+    out = rewrite_under_interpretation(interp, parse_instance("vars X\ndisjunct {\n  eq X = 1\n}\n",
+                                                              presentation=z))
+    assert out.disjuncts == (Disjunct((commutator_term("X", parse_word(f2, "a")),
+                                       GroupTerm((VarAtom("X"),))), ()),)
 
 
 def test_rewrite_requires_flattened(f2):

@@ -350,6 +350,18 @@ def test_flatten_short_unchanged(f2):
     assert flatten(inst) == inst
 
 
+@pytest.mark.parametrize("header, constraints", [
+    (F2_HEADER, "  expsum: 1 |X|_a 2 |Y|_b = 3\n  len: 1 |X| -1 |Z| = 0\n"),
+    ("graph {\n  vertex a 2\n  vertex b 2\n}\n", "  coset: Y in a b * G'\n"),
+], ids=["expsum-len", "coset"])
+def test_flatten_keeps_expsum_len_and_coset_constraints(header, constraints):
+    inst = parse_instance(header + "vars X Y Z\ndisjunct {\n  eq X Y Z a = 1\n"
+                          + constraints + "}\n")
+    flat = flatten(inst)
+    assert flat.disjuncts[0].equations != inst.disjuncts[0].equations
+    assert flat.disjuncts[0].constraints == inst.disjuncts[0].constraints
+
+
 def test_flatten_abeq_argument(f2):
     inst = parse_instance(
         F2_HEADER + "vars X Y Z\ndisjunct {\n  eq X = 1\n  ab: X Y = Z\n}\n")
@@ -478,6 +490,19 @@ def test_shadow_centralizer_bug_is_not_swallowed(f2, monkeypatch):
     d = Disjunct((commutator_term("X", W(f2, "a b")),), ())
     with pytest.raises(AssertionError):
         disjunct_shadow(f2, d, ("X",))
+
+
+def test_every_reading_of_a_ground_commutator_gives_the_same_lattice_rows(f2):
+    """[X, w] = 1 as X w X^-1 w^-1, w X w^-1 X^-1 or w X^-1 w^-1 X: the
+    same lattice of C(w), so the same rows and multiplier columns."""
+    w = W(f2, "a b")
+    c, c_inv = ConstAtom(w), ConstAtom(w.inverse())
+    forms = [commutator_term("X", w),
+             GroupTerm((c, VarAtom("X"), c_inv, VarAtom("X", True))),
+             GroupTerm((c, VarAtom("X", True), c_inv, VarAtom("X")))]
+    shadows = [disjunct_shadow(f2, Disjunct((t,), ()), ("X",))[:4] for t in forms]
+    assert shadows[0][2] == [(0, 0)]
+    assert shadows[1] == shadows[0] == shadows[2]
 
 
 def test_shadow_torsion_congruences(pentagon):

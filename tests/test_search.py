@@ -36,6 +36,14 @@ from .test_words import MIXED, PQRT, Z4_Z6_Z, _long_word_presentation
 F2_HEADER = "graph {\n  vertex a inf\n  vertex b inf\n}\n"
 
 
+def test_a_report_is_true_exactly_for_a_witness():
+    header = F2_HEADER + "vars X\ndisjunct {\n  eq X X = 1\n"
+    reports = [search(parse_instance(header + tail), 2)
+               for tail in ("}\n", "  ab: X = a\n}\n", "  len: 1 |X| = 1\n}\n")]
+    assert [(r.verdict, bool(r)) for r in reports] == [
+        (WITNESS, True), (UNSAT_BY_SHADOW, False), (NO_SOLUTION_UP_TO_BOUND, False)]
+
+
 def test_search_bound_outside_cap():
     # the shadow refutes this instance, but the bound is checked first
     inst = parse_instance(F2_HEADER + "vars X\ndisjunct {\n  eq X = 1\n  ab: X = a\n}\n")
@@ -434,20 +442,26 @@ def test_compiled_h10_searches_never_build_the_target_ball(monkeypatch, mode):
 
 
 def test_a_depth_without_a_pass_set_and_a_scan_fetch_the_ball_once(monkeypatch):
+    """Every fetch asks for the bound ball, and the cache of `words.ball`
+    builds it once per search however often the walk reads it."""
     fetched = _ball_spy(monkeypatch)
     # Y has no equation: each value of X walks the whole ball at Y's depth
     inst = parse_instance(F2_HEADER + "vars X Y\ndisjunct {\n  eq X X^-1 = 1\n"
                           "  len: 1 |X| 1 |Y| = 4\n}\n")
+    ball.cache_clear()
     report = search(inst, 2)
+    assert ball.cache_info().misses == 1
+    assert fetched and set(fetched) == {(inst.presentation, 2)}
     assert report.assignment == naive_search(inst, 2) and report.nodes > 2
-    assert fetched == [(inst.presentation, 2)]
-    # X X = w scans the ball once; Y's depth reads the one fetch too
+    # X X = w scans the ball; Y's depth reads the same ball
     fetched.clear()
     inst = parse_instance(F2_HEADER + "vars X Y\ndisjunct {\n  eq X X ( a b a b )^-1 = 1\n"
                           "  ab: Y = ( a b )\n}\n")
+    ball.cache_clear()
     report = search(inst, 2)
+    assert ball.cache_info().misses == 1
+    assert fetched and set(fetched) == {(inst.presentation, 2)}
     assert report.assignment == naive_search(inst, 2)
-    assert fetched == [(inst.presentation, 2)]
 
 
 def test_a_compiled_search_at_bound_12_runs_in_256_mb():
